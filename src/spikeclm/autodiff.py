@@ -240,24 +240,6 @@ def _accum(node: Var, g: np.ndarray) -> None:
 # -- elementwise functions (dispatch on taped vs plain input) ----------------
 
 
-def exp(x):
-    if isinstance(x, Var):
-        out = Var(np.exp(x.data), _parents=(x,))
-        if out.requires_grad:
-            out._backward = lambda g: _accum(x, g * out.data)
-        return out
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Var):
-        out = Var(np.log(x.data), _parents=(x,))
-        if out.requires_grad:
-            out._backward = lambda g: _accum(x, g / x.data)
-        return out
-    return np.log(x)
-
-
 def relu(x):
     if isinstance(x, Var):
         out = Var(np.maximum(x.data, 0.0), _parents=(x,))

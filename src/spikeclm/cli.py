@@ -18,7 +18,8 @@ import numpy as np
 from . import data, energy
 from .distill import SpadConfig
 from .errors import ConfigError
-from .model import ModelConfig, generate, load_model, save_model, snn_forward
+from .model import (ModelConfig, generate, load_model, parse_field, save_model,
+                    snn_forward)
 from .numerics import Rng
 from .training import TrainConfig, evaluate_ce, train_loop
 
@@ -42,73 +43,40 @@ class RunConfig:
     spad: SpadConfig = field(default_factory=SpadConfig)
 
 
-_RUN_KEYS = ("command", "corpus", "teacher", "checkpoint", "out", "metrics",
-             "prompt", "n_new", "temperature", "gen_seed", "eval_seq_len",
-             "eval_t_steps")
-_SPAD_KEYS = ("lambdas", "tau", "gamma_attn", "gamma_feat")
-
-
-def _coerce(name, raw, typ):
-    try:
-        if typ in (int, "int"):
-            return int(raw)
-        if typ in (float, "float"):
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from None
-
-
 def _simple_fields(cls):
     return [f for f in dc_fields(cls) if f.type in (int, float, str, "int", "float", "str")]
 
 
+def _sections(rc: RunConfig) -> dict:
+    """Config sections in file order; each key is a simple field of its object."""
+    return {"run": rc, "model": rc.model, "train": rc.train, "spad": rc.spad}
+
+
 def to_ini(rc: RunConfig) -> str:
-    lines = ["[run]"]
-    for k in _RUN_KEYS:
-        lines.append(f"{k} = {getattr(rc, k)}")
-    lines.append("")
-    lines.append("[model]")
-    for f in _simple_fields(ModelConfig):
-        lines.append(f"{f.name} = {getattr(rc.model, f.name)}")
-    lines.append("")
-    lines.append("[train]")
-    for f in _simple_fields(TrainConfig):
-        lines.append(f"{f.name} = {getattr(rc.train, f.name)}")
-    lines.append("")
-    lines.append("[spad]")
-    lines.append("lambdas = " + ", ".join(repr(v) for v in rc.spad.lambdas))
-    lines.append(f"tau = {rc.spad.tau}")
-    lines.append(f"gamma_attn = {rc.spad.gamma_attn}")
-    lines.append(f"gamma_feat = {rc.spad.gamma_feat}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, obj in _sections(rc).items():
+        lines = [f"[{section}]"]
+        if section == "spad":
+            lines.append("lambdas = " + ", ".join(repr(v) for v in rc.spad.lambdas))
+        lines.extend(f"{f.name} = {getattr(obj, f.name)}" for f in _simple_fields(type(obj)))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def apply_setting(rc: RunConfig, section: str, key: str, raw: str) -> None:
     full = f"{section}.{key}"
-    if section == "run":
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown config key {full}")
-        cur = getattr(rc, key)
-        setattr(rc, key, _coerce(full, raw, type(cur)))
+    obj = _sections(rc).get(section)
+    if obj is None:
+        raise ConfigError(f"unknown config section [{section}]")
+    if section == "spad" and key == "lambdas":
+        parts = [p for p in raw.replace(",", " ").split() if p]
+        rc.spad.lambdas = tuple(parse_field(full, p, float) for p in parts)
         return
-    if section in ("model", "train"):
-        obj = rc.model if section == "model" else rc.train
-        for f in _simple_fields(type(obj)):
-            if f.name == key:
-                setattr(obj, key, _coerce(full, raw, f.type))
-                return
-        raise ConfigError(f"unknown config key {full}")
-    if section == "spad":
-        if key == "lambdas":
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            rc.spad.lambdas = tuple(_coerce(full, p, float) for p in parts)
-        elif key in _SPAD_KEYS:
-            setattr(rc.spad, key, _coerce(full, raw, float))
-        else:
-            raise ConfigError(f"unknown config key {full}")
-        return
-    raise ConfigError(f"unknown config section [{section}]")
+    for f in _simple_fields(type(obj)):
+        if f.name == key:
+            setattr(obj, key, parse_field(full, raw, f.type))
+            return
+    raise ConfigError(f"unknown config key {full}")
 
 
 def load_ini(rc: RunConfig, path) -> None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import AlignmentError, ConfigError, InternalError, ValidationError
-from .model import layer_norm
+from .model import layer_norm, time_mean
 from .neurons import LifParams, lif_constant_drive
 
 LOSS_NAMES = ("emb", "attn", "feat", "soft", "hard")
@@ -107,15 +107,6 @@ def spike_encode(x: np.ndarray, t_steps: int, p: LifParams) -> np.ndarray:
     return lif_constant_drive(x, t_steps, p)
 
 
-def _time_mean(steps):
-    if not steps:
-        raise AlignmentError("empty time-step sequence")
-    total = steps[0]
-    for s in steps[1:]:
-        total = total + s
-    return total / len(steps)
-
-
 def _mse(target: np.ndarray, student):
     diff = target - student
     return (diff * diff).mean()
@@ -124,7 +115,7 @@ def _mse(target: np.ndarray, student):
 def loss_embedding(e_ann: np.ndarray, e_snn_steps, proj: np.ndarray | None = None):
     """Mean squared entry of E_ANN minus the projected student time-mean."""
     e_ann = np.asarray(e_ann, dtype=np.float64)
-    mean = _time_mean(e_snn_steps)
+    mean = time_mean(e_snn_steps)
     if proj is not None:
         mean = ad.matmul(mean, proj)
     if ad.value(mean).shape != e_ann.shape:
@@ -137,7 +128,7 @@ def loss_embedding(e_ann: np.ndarray, e_snn_steps, proj: np.ndarray | None = Non
 def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
     """Rate branch vs direct branch on attention maps, mixed by gamma."""
     a_ann = np.asarray(a_ann, dtype=np.float64)
-    mean = _time_mean(a_snn_steps)
+    mean = time_mean(a_snn_steps)
     if ad.value(mean).shape != a_ann.shape:
         raise AlignmentError(
             f"attention shapes differ after alignment: teacher {a_ann.shape}, "
@@ -150,7 +141,7 @@ def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float,
                  proj: np.ndarray | None = None):
     """Feature alignment; see the module docstring for the two branches."""
     h_ann = np.asarray(h_ann, dtype=np.float64)
-    mean = _time_mean(h_snn_steps)
+    mean = time_mean(h_snn_steps)
     d_s = ad.value(mean).shape[-1]
     d_t = h_ann.shape[-1]
     if d_s != d_t and proj is None:
@@ -161,15 +152,15 @@ def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float,
             f"feature shapes differ: teacher {h_ann.shape}, "
             f"student {ad.value(mean).shape}")
 
+    mapped_student = mean if proj is None else ad.matmul(mean, proj)
     rate_target = spike_encode(h_ann, len(h_snn_steps), p).mean(axis=0)
     if rate_target.shape == ad.value(mean).shape:
         rate_branch = _mse(rate_target, mean)
     else:
         # width mismatch: compare through the projection on the student side
-        rate_branch = _mse(rate_target, ad.matmul(mean, proj))
+        rate_branch = _mse(rate_target, mapped_student)
 
     ones, zeros = np.ones(d_t), np.zeros(d_t)
-    mapped_student = mean if proj is None else ad.matmul(mean, proj)
     mse_branch = _mse(layer_norm(h_ann, ones, zeros),
                       layer_norm(mapped_student, ones, zeros))
     return gamma * rate_branch + (1.0 - gamma) * mse_branch

@@ -138,7 +138,7 @@ def energy_report(cfg, trace, constants: EnergyConstants | None = None) -> Energ
     """Full estimate for one profiled forward pass (trace from snn_forward)."""
     constants = constants or EnergyConstants()
     constants.validate()
-    flops = trace.flop_counts or count_flops(cfg, trace.seq_len)
+    flops = count_flops(cfg, trace.seq_len)
     rates = measure_firing_rates(trace)
     rep = EnergyReport(seq_len=trace.seq_len, t_steps=trace.t_steps,
                        e_mac=constants.e_mac, e_ac=constants.e_ac,

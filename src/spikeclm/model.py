@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import autodiff as ad
-from . import energy as energy_mod
 from .attention import (AttnWeights, SfsaState, causal_mask, csa_forward,
                         fresh_sfsa_state, sfsa_forward)
 from .errors import ConfigError, ShapeError, ValidationError
@@ -183,27 +182,6 @@ class TraceBundle:
     sfsa_in_total: np.ndarray | None = None
     sffn_in_active: np.ndarray | None = None
     sffn_in_total: np.ndarray | None = None
-    flop_counts: dict | None = None
-
-    def attn_time_mean(self, layer: int):
-        steps = self.attn_spikes[layer]
-        total = steps[0]
-        for s in steps[1:]:
-            total = total + s
-        return total / len(steps)
-
-    def hidden_time_mean(self, layer: int):
-        steps = self.hidden[layer]
-        total = steps[0]
-        for s in steps[1:]:
-            total = total + s
-        return total / len(steps)
-
-    def embed_time_mean(self):
-        total = self.embed_steps[0]
-        for s in self.embed_steps[1:]:
-            total = total + s
-        return total / len(self.embed_steps)
 
     def mean_firing_rate(self) -> float:
         active = self.sfsa_in_active.sum() + self.sffn_in_active.sum()
@@ -266,7 +244,6 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     trace.sfsa_in_total = np.zeros(n)
     trace.sffn_in_active = np.zeros(n)
     trace.sffn_in_total = np.zeros(n)
-    trace.flop_counts = energy_mod.count_flops(cfg, l)
 
     enc_state = fresh_state()
     attn_states: list[SfsaState] = [fresh_sfsa_state() for _ in range(n)]
@@ -305,14 +282,19 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     return logits, trace
 
 
+def time_mean(steps):
+    """Mean of per-step tensors (arrays or Vars), summed in step order."""
+    if not steps:
+        raise ShapeError("time_mean needs at least one time step")
+    total = steps[0]
+    for s in steps[1:]:
+        total = total + s
+    return total / len(steps)
+
+
 def decode_logits(per_step_head_inputs, w_head):
     """Average representations over time, then project to the vocabulary."""
-    if not per_step_head_inputs:
-        raise ShapeError("decode_logits needs at least one time step")
-    total = per_step_head_inputs[0]
-    for s in per_step_head_inputs[1:]:
-        total = total + s
-    return ad.matmul(total / len(per_step_head_inputs), w_head)
+    return ad.matmul(time_mean(per_step_head_inputs), w_head)
 
 
 # -- dense teacher -------------------------------------------------------------
@@ -500,18 +482,26 @@ def config_from_fields(fields: dict) -> ModelConfig:
     kwargs = {}
     for f in dc_fields(ModelConfig):
         if f.name in fields:
-            kwargs[f.name] = _parse_field(f, fields[f.name])
+            kwargs[f.name] = parse_field(f.name, fields[f.name], f.type)
     cfg = ModelConfig(**kwargs)
     cfg.validate()
     return cfg
 
 
-def _parse_field(f, raw: str):
-    if f.type in ("int", int):
-        return int(raw)
-    if f.type in ("float", float):
-        return float(raw)
-    return raw
+def parse_field(name: str, raw: str, typ):
+    """Parse a stored string as the int, float or str a config field declares.
+
+    typ is a dataclass field's type, either the class or, under postponed
+    annotations, its name.
+    """
+    try:
+        if typ in (int, "int"):
+            return int(raw)
+        if typ in (float, "float"):
+            return float(raw)
+        return raw
+    except ValueError:
+        raise ConfigError(f"bad value for {name}: {raw!r}") from None
 
 
 def save_model(path, cfg: ModelConfig, params: dict, extra_fields: dict | None = None,
@@ -527,11 +517,27 @@ def save_model(path, cfg: ModelConfig, params: dict, extra_fields: dict | None =
 
 
 def load_model(path):
-    """Returns (cfg, params, extra_fields, opt_tensors)."""
+    """Returns (cfg, params, extra_fields, opt_tensors).
+
+    The parameter tensors must match init_params for the stored config by
+    name and shape: the teacher layout when the arch field says "dense",
+    the student layout otherwise.
+    """
     fields, tensors = read_checkpoint(path)
     cfg = config_from_fields(fields)
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
     opt = {k[len("opt."):]: v for k, v in tensors.items() if k.startswith("opt.")}
     known = {f.name for f in dc_fields(ModelConfig)}
     extra = {k: v for k, v in fields.items() if k not in known}
+    kind = "teacher" if extra.get("arch") == "dense" else "student"
+    expected = init_params(cfg, 0, kind)
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise ValidationError(f"{path}: {kind} checkpoint lacks tensor {name}")
+        if name not in expected:
+            raise ValidationError(f"{path}: unexpected tensor {name} in {kind} checkpoint")
+        if params[name].shape != expected[name].shape:
+            raise ValidationError(
+                f"{path}: tensor {name} has shape {params[name].shape}, "
+                f"expected {expected[name].shape}")
     return cfg, params, extra, opt

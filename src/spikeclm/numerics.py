@@ -85,44 +85,28 @@ class Rng:
         out = lo + np.floor(u * (hi - lo)).astype(np.int64)
         return out.reshape(shape) if shape else int(out[0])
 
-    def fork(self, tag: int) -> "Rng":
-        """Independent child stream; deterministic function of (state, tag)."""
-        child = Rng(0)
-        with np.errstate(over="ignore"):
-            child.state = _mix(np.asarray([self.state + np.uint64(tag) * _MIX2]))[0]
-        return child
-
-
-def seeded_normal(rng: Rng, shape, std: float = 0.02) -> np.ndarray:
-    """Gaussian init tensor drawn from the shared stream."""
-    if std < 0:
-        raise ValueError(f"seeded_normal: std must be >= 0, got {std}")
-    return rng.normal(shape, std=std)
-
 
 # --- matmul with an optional multiply-accumulate counter -------------------
 #
 # The counter exists so an analytical FLOP count can be cross-checked against
 # the multiplies a forward pass actually performs. Single-threaded use only.
 
-_mac_counter_stack: list[list[int]] = []
+_mac_counter_stack: list["count_macs"] = []
 
 
 class count_macs:
     """Context manager accumulating MACs of every matmul() run inside it."""
 
     def __enter__(self):
-        self._cell = [0]
-        _mac_counter_stack.append(self._cell)
+        self.macs = 0
+        _mac_counter_stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _mac_counter_stack.remove(self._cell)
+        # counters compare by identity, so this drops this one even when an
+        # enclosing counter holds the same count
+        _mac_counter_stack.remove(self)
         return False
-
-    @property
-    def macs(self) -> int:
-        return self._cell[0]
 
 
 def _record_macs(a_shape, b_shape) -> None:
@@ -135,8 +119,8 @@ def _record_macs(a_shape, b_shape) -> None:
     for s in lead:
         batch *= s
     macs = batch * m * k * n
-    for cell in _mac_counter_stack:
-        cell[0] += macs
+    for counter in _mac_counter_stack:
+        counter.macs += macs
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -217,9 +217,8 @@ class TrainResult:
 
 
 def _flat_ce(logits, targets):
-    v = logits.reshape((-1, ad.value(logits).shape[-1])) if ad.is_var(logits) \
-        else np.reshape(logits, (-1, logits.shape[-1]))
-    return loss_hard(v, np.reshape(targets, (-1,)))
+    return loss_hard(logits.reshape((-1, logits.shape[-1])),
+                     np.reshape(targets, (-1,)))
 
 
 def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,

@@ -6,7 +6,8 @@ import pytest
 from spikeclm import data, energy
 from spikeclm.cli import RunConfig, apply_setting, load_ini, main, to_ini
 from spikeclm.errors import ConfigError
-from spikeclm.model import load_model
+from spikeclm.model import (ModelConfig, init_params, load_model, read_checkpoint,
+                            save_model, write_checkpoint)
 from spikeclm.training import parse_metrics
 
 MODEL_FLAGS = ["--set", "model.d_model=8", "--set", "model.n_layers=1",
@@ -212,6 +213,18 @@ class TestErrorPaths:
         p = tmp_path / "bad.ini"
         p.write_text("[model\nd_model = 8\n")
         assert run_cli("train", "--config", str(p)) == 2
+
+    def test_checkpoint_missing_tensor(self, tmp_path, capsys):
+        cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        ckpt = str(tmp_path / "s.ckpt")
+        save_model(ckpt, cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
+        fields, tensors = read_checkpoint(ckpt)
+        del tensors["layers.0.ffn.w1"]
+        write_checkpoint(ckpt, fields, tensors)
+        assert run_cli("generate", "--checkpoint", ckpt, "--prompt", "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "layers.0.ffn.w1" in err
 
     def test_selftest_command_passes(self, capsys):
         assert run_cli("selftest") == 0

@@ -88,7 +88,6 @@ def synthetic_trace(cfg, seq_len, rates):
     tr.sffn_in_total = np.full(n, 1000.0)
     tr.sfsa_in_active = np.array([r[0] * 1000.0 for r in rates])
     tr.sffn_in_active = np.array([r[1] * 1000.0 for r in rates])
-    tr.flop_counts = count_flops(cfg, seq_len)
     return tr
 
 

@@ -7,7 +7,7 @@ from spikeclm import autodiff as ad, model, numerics
 from spikeclm.errors import ConfigError, ShapeError, ValidationError
 from spikeclm.model import (GenerateResult, ModelConfig, ann_forward, decode_logits,
                             generate, init_params, load_model, read_checkpoint,
-                            save_model, snn_forward, write_checkpoint)
+                            save_model, snn_forward, time_mean, write_checkpoint)
 
 
 def tiny_cfg(**kw) -> ModelConfig:
@@ -109,7 +109,7 @@ class TestSnnForward:
         # strong embeddings so the encoder actually fires
         p["tok_emb"] = p["tok_emb"] * 80.0
         logits, trace = snn_forward(self.ids, self.cfg, p)
-        enc_mean = trace.embed_time_mean()[0]
+        enc_mean = time_mean(trace.embed_steps)[0]
         np.testing.assert_allclose(logits, enc_mean @ p["head.w"], rtol=1e-12)
 
     def test_deterministic(self):
@@ -320,6 +320,34 @@ class TestCheckpoint:
         (tmp_path / "trail.ckpt").write_bytes(blob + b"xx")
         with pytest.raises(ValidationError):
             read_checkpoint(tmp_path / "trail.ckpt")
+
+    def test_bad_config_field_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(path, tiny_cfg(), init_params(tiny_cfg(), seed=1))
+        fields, tensors = read_checkpoint(path)
+        fields["d_model"] = "abc"
+        write_checkpoint(path, fields, tensors)
+        with pytest.raises(ConfigError, match="d_model"):
+            load_model(path)
+
+    def test_tensors_checked_against_config(self, tmp_path):
+        """Missing, unexpected and misshapen tensors are rejected by name."""
+        cfg = tiny_cfg()
+        good = init_params(cfg, seed=1)
+        cases = {
+            "layers.0.ffn.w1": {k: v for k, v in good.items() if k != "layers.0.ffn.w1"},
+            "final_ln.g": dict(good, **{"final_ln.g": np.ones(cfg.d_model)}),
+            "head.w": dict(good, **{"head.w": np.ones((cfg.d_model, 3))}),
+        }
+        for name, params in cases.items():
+            path = tmp_path / "m.ckpt"
+            save_model(path, cfg, params)
+            with pytest.raises(ValidationError, match=name):
+                load_model(path)
+        # the arch field selects the teacher layout, LayerNorm tensors included
+        save_model(tmp_path / "t.ckpt", cfg, init_params(cfg, 1, kind="teacher"),
+                   extra_fields={"arch": "dense"})
+        load_model(tmp_path / "t.ckpt")
 
     def test_roundtrip_through_forward(self, tmp_path):
         """Loaded model reproduces the saved model's logits exactly."""
