@@ -62,38 +62,54 @@ def fresh_sfsa_state() -> SfsaState:
     return SfsaState(*(fresh_state() for _ in range(6)))
 
 
-def causal_mask(seq_len: int, pad_mask=None) -> np.ndarray:
-    """Lower-triangular 0/1 mask [L, L]; padded positions drop out entirely.
+def causal_mask(seq_len: int, pad_mask=None, offset: int = 0) -> np.ndarray:
+    """Causal 0/1 mask [L, offset + L]; padded positions drop out entirely.
 
-    pad_mask, if given, holds 1 for real tokens and 0 for padding; padded
-    positions neither attend nor are attended to.
+    Row i is the query at position offset + i, so it sees columns 0 through
+    offset + i: the lower triangle when offset is 0, and the rectangle an
+    incremental decode step needs when offset earlier positions are cached.
+    pad_mask, if given, holds 1 for real tokens and 0 for padding over all
+    offset + L positions; padded positions neither attend nor are attended to.
     """
     if seq_len < 1:
         raise ShapeError(f"seq_len must be >= 1, got {seq_len}")
-    m = np.tril(np.ones((seq_len, seq_len), dtype=np.float64))
+    if offset < 0:
+        raise ShapeError(f"offset must be >= 0, got {offset}")
+    width = offset + seq_len
+    m = np.tril(np.ones((seq_len, width), dtype=np.float64), k=offset)
     if pad_mask is not None:
         pad = np.asarray(pad_mask, dtype=np.float64)
-        if pad.shape != (seq_len,):
-            raise ShapeError(f"pad_mask must have shape ({seq_len},), got {pad.shape}")
-        m = m * pad[None, :] * pad[:, None]
+        if pad.shape != (width,):
+            raise ShapeError(f"pad_mask must have shape ({width},), got {pad.shape}")
+        m = m * pad[None, :] * pad[offset:, None]
     return m
 
 
-def _check_mask(mask: np.ndarray, seq_len: int) -> None:
-    if mask.shape != (seq_len, seq_len):
-        raise ShapeError(f"mask shape {mask.shape} does not match seq_len {seq_len}")
+def _check_mask(mask: np.ndarray, seq_len: int, offset: int = 0) -> None:
+    if mask.shape != (seq_len, offset + seq_len):
+        raise ShapeError(f"mask shape {mask.shape} does not match seq_len {seq_len}"
+                         + (f" after {offset} cached positions" if offset else ""))
     if np.any((mask != 0.0) & (mask != 1.0)):
         raise ValidationError("mask entries must be 0 or 1")
-    if np.any(np.triu(mask, k=1) != 0.0):
+    if np.any(np.triu(mask, k=offset + 1) != 0.0):
         raise ValidationError("mask allows attention to future positions")
 
 
-def _check_spike_input(x, where: str) -> None:
-    """Spiking blocks consume spike counts: finite nonnegative integers."""
+def _check_spike_input(x, where: str, sn: NeuronSpec) -> None:
+    """Spiking blocks consume spike counts: finite integer multiples of a spike.
+
+    A binary spike is 1, so counts are nonnegative integers. A ternary spike
+    is +-amp, so counts are signed integer multiples of amp.
+    """
     d = ad.value(x)
     if not np.isfinite(d).all():
         raise ValidationError(f"{where}: input contains non-finite values")
-    if np.any(d < 0.0) or np.any(d != np.round(d)):
+    if sn.mode == "ternary":
+        n = d / sn.ternary.amp
+        if np.any(np.abs(n - np.round(n)) > 1e-9 * np.maximum(1.0, np.abs(n))):
+            raise ValidationError(
+                f"{where}: input is not a count of +-{sn.ternary.amp} spikes")
+    elif np.any(d < 0.0) or np.any(d != np.round(d)):
         raise ValidationError(f"{where}: input is not a spike-count tensor")
 
 
@@ -131,21 +147,33 @@ def _check_weights(w: AttnWeights, d: int) -> None:
 
 
 def sfsa_forward(x, w: AttnWeights, mask: np.ndarray, state: SfsaState,
-                 sn: NeuronSpec, attn_sn: NeuronSpec, n_heads: int):
+                 sn: NeuronSpec, attn_sn: NeuronSpec, n_heads: int, past=None):
     """One time step of spiking attention.
 
     x holds this step's input spikes (or integer spike sums from residual
     paths), shape [L, d] or [B, L, d]. Returns (out_spikes, attn_spikes,
-    new_state) with attn_spikes shaped [.., h, L, L].
+    new_state) with attn_spikes shaped [.., h, L, P + L].
+
+    past, if given, is (k_spikes, v_spikes) of P earlier positions at this
+    step, each [P, d] or [B, P, d] like x: the L new queries then score
+    against the keys of all P + L positions, under a mask of shape
+    [L, P + L] (causal_mask(L, offset=P)). Every neuron state belongs to
+    one new position or one (query, key) entry, so running the new rows
+    alone gives the same spikes as the last L rows of the full call.
     """
     x, squeeze = _normalize_input(x)
     b, l, d = x.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
     _check_weights(w, d)
-    _check_mask(mask, l)
+    if past is not None:
+        past_k, past_v = (_normalize_input(np.asarray(p, dtype=np.float64))[0] for p in past)
+        if past_k.shape != past_v.shape or past_k.shape[::2] != (b, d):
+            raise ShapeError(f"past keys {past_k.shape} and values {past_v.shape} "
+                             f"do not match input {x.shape}")
+    _check_mask(mask, l, 0 if past is None else past_k.shape[1])
     if not sn.relaxed:
-        _check_spike_input(x, "sfsa_forward")
+        _check_spike_input(x, "sfsa_forward", sn)
 
     q = ad.matmul(x, w.w_q) + w.b_q
     k = ad.matmul(x, w.w_k) + w.b_k
@@ -153,13 +181,19 @@ def sfsa_forward(x, w: AttnWeights, mask: np.ndarray, state: SfsaState,
     sq, st_q = sn.step(state.q, q)
     sk, st_k = sn.step(state.k, k)
     sv, st_v = sn.step(state.v, v)
+    keys, values = sk, sv
+    if past is not None:
+        if ad.is_var(sk) or sn.relaxed:
+            raise ConfigError("past keys and values need an untaped hard-threshold forward")
+        keys = np.concatenate([past_k, sk], axis=1)
+        values = np.concatenate([past_v, sv], axis=1)
 
     scores = ad.matmul(_split_heads(sq, n_heads),
-                       _split_heads(sk, n_heads).swapaxes(-1, -2))
+                       _split_heads(keys, n_heads).swapaxes(-1, -2))
     masked = scores * mask
     s_attn, st_attn = attn_sn.step(state.attn, masked)
 
-    ctx = ad.matmul(s_attn, _split_heads(sv, n_heads))
+    ctx = ad.matmul(s_attn, _split_heads(values, n_heads))
     s_ctx, st_ctx = sn.step(state.attn_out, ctx)
 
     y = ad.matmul(_merge_heads(s_ctx), w.w_out) + w.b_out
@@ -170,7 +204,7 @@ def sfsa_forward(x, w: AttnWeights, mask: np.ndarray, state: SfsaState,
         b_, l_, d_ = out.shape
         out = out.reshape(l_, d_)
         h_ = s_attn.shape[1]
-        s_attn = s_attn.reshape(h_, l_, l_)
+        s_attn = s_attn.reshape(h_, l_, s_attn.shape[-1])
     return out, s_attn, new_state
 
 

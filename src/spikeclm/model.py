@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttnWeights, SfsaState, causal_mask, csa_forward,
                         fresh_sfsa_state, sfsa_forward)
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, EvaluationError, ShapeError, ValidationError
 from .neurons import LifParams, NeuronSpec, NeuronState, TernaryParams, fresh_state
 from .numerics import Rng
 
@@ -217,8 +217,22 @@ def _check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     return ids.astype(np.int64)
 
 
+@dataclass
+class DecodeCache:
+    """Key and value spikes of the positions an incremental decode has run.
+
+    k[i][t] and v[i][t] hold layer i's key and value spikes at time step t
+    for the first `length` positions, each [B, length, d]. snn_forward reads
+    them as the past of its new positions and appends those positions.
+    """
+
+    length: int = 0
+    k: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+
+
 def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
-                collect: bool = True):
+                collect: bool = True, cache: DecodeCache | None = None):
     """Run the spiking model over a token batch.
 
     tokens: int array [L] or [B, L]. Returns (logits, TraceBundle) with
@@ -226,14 +240,31 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     collect=False to skip storing per-step spike tensors (counters are
     still filled); relaxed=True replaces every threshold with its smooth
     surrogate, making the forward differentiable end to end.
+
+    With a cache holding P positions, tokens are positions P..P+L-1 of the
+    same sequences: they read pos_emb[P:P+L], attend to the cached keys and
+    values, and are appended to the cache. Logits then match the last L rows
+    of a full forward over all P+L tokens up to rounding: a product over
+    fewer rows may sum in another order inside BLAS, while spikes, scores
+    and context sums are exact. Prefill is the same call on an empty cache.
     """
     ids = _check_tokens(tokens, cfg)
     squeeze = np.asarray(tokens).ndim == 1
     b, l = ids.shape
     n = cfg.n_layers
+    past_len = 0
+    if cache is not None:
+        if relaxed:
+            raise ConfigError("the decode cache needs the hard-threshold forward")
+        past_len = cache.length
+        if past_len + l > cfg.max_seq_len:
+            raise ShapeError(f"{past_len} cached plus {l} new positions exceed "
+                             f"max_seq_len {cfg.max_seq_len}")
+        if past_len and cache.k[0][0].shape[0] != b:
+            raise ShapeError(f"cache holds batch {cache.k[0][0].shape[0]}, tokens have {b}")
 
-    emb = ad.take_rows(params["tok_emb"], ids) + params["pos_emb"][:l]
-    mask = causal_mask(l)
+    emb = ad.take_rows(params["tok_emb"], ids) + params["pos_emb"][past_len:past_len + l]
+    mask = causal_mask(l, offset=past_len)
     sn = cfg.neuron_spec(relaxed)
     attn_sn = cfg.attn_spec(relaxed)
 
@@ -249,23 +280,30 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     attn_states: list[SfsaState] = [fresh_sfsa_state() for _ in range(n)]
     ffn_states: list[SffnState] = [fresh_sffn_state() for _ in range(n)]
     head_steps = []
+    new_k = [[] for _ in range(n)]
+    new_v = [[] for _ in range(n)]
 
-    for _ in range(cfg.t_steps):
+    for t in range(cfg.t_steps):
         x, enc_state = sn.step(enc_state, emb)
         if collect:
             trace.embed_steps.append(x)
         stream = x
         for i in range(n):
-            a, t = _count_active(stream)
+            a, c = _count_active(stream)
             trace.sfsa_in_active[i] += a
-            trace.sfsa_in_total[i] += t
+            trace.sfsa_in_total[i] += c
+            past = (cache.k[i][t], cache.v[i][t]) if past_len else None
             attn_out, attn_spk, attn_states[i] = sfsa_forward(
                 stream, _attn_weights(params, i), mask, attn_states[i],
-                sn, attn_sn, cfg.n_heads)
+                sn, attn_sn, cfg.n_heads, past=past)
+            if cache is not None:
+                sk, sv = attn_states[i].k.s_prev, attn_states[i].v.s_prev
+                new_k[i].append(np.concatenate([past[0], sk], axis=1) if past else sk)
+                new_v[i].append(np.concatenate([past[1], sv], axis=1) if past else sv)
             y = stream + attn_out
-            a, t = _count_active(y)
+            a, c = _count_active(y)
             trace.sffn_in_active[i] += a
-            trace.sffn_in_total[i] += t
+            trace.sffn_in_total[i] += c
             pre = f"layers.{i}.ffn."
             ffn_out, ffn_states[i] = sffn_forward(
                 y, params[pre + "w1"], params[pre + "b1"],
@@ -277,6 +315,8 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
         head_steps.append(stream)
 
     logits = decode_logits(head_steps, params["head.w"])
+    if cache is not None:
+        cache.length, cache.k, cache.v = past_len + l, new_k, new_v
     if squeeze:
         logits = logits.reshape(l, cfg.vocab_size)
     return logits, trace
@@ -363,6 +403,9 @@ def generate(prompt, n_new: int, cfg: ModelConfig, params: dict,
              temperature: float = 0.0, rng: Rng | None = None) -> GenerateResult:
     """Autoregressive decoding with a sliding context window.
 
+    The prompt is prefilled into a DecodeCache and each new token then runs
+    one position. Once the window slides past max_seq_len every position
+    shifts under pos_emb, so each later token reruns the whole window.
     temperature 0 picks the argmax (lowest id on ties); positive values
     sample from softmax(logits / temperature) using the supplied rng.
     """
@@ -379,13 +422,18 @@ def generate(prompt, n_new: int, cfg: ModelConfig, params: dict,
         raise ConfigError("sampling with temperature > 0 requires an rng")
 
     truncated = 0
-    for _ in range(n_new):
-        window = ids[-cfg.max_seq_len:]
+    cache = DecodeCache()
+    for step in range(n_new):
         if len(ids) > cfg.max_seq_len:
             truncated += 1
-        logits, _ = snn_forward(np.asarray(window, dtype=np.int64), cfg, params,
-                                collect=False)
+            cache, new = None, ids[-cfg.max_seq_len:]
+        else:
+            new = ids[cache.length:]
+        logits, _ = snn_forward(np.asarray(new, dtype=np.int64), cfg, params,
+                                collect=False, cache=cache)
         last = ad.value(logits)[-1]
+        if not np.isfinite(last).all():
+            raise EvaluationError(f"non-finite logits at decode step {step}")
         if temperature == 0.0:
             nxt = int(np.argmax(last))  # first hit, so ties go to the lowest id
         else:
@@ -521,7 +569,7 @@ def load_model(path):
 
     The parameter tensors must match init_params for the stored config by
     name and shape: the teacher layout when the arch field says "dense",
-    the student layout otherwise.
+    the student layout otherwise. Every parameter value must be finite.
     """
     fields, tensors = read_checkpoint(path)
     cfg = config_from_fields(fields)
@@ -540,4 +588,6 @@ def load_model(path):
             raise ValidationError(
                 f"{path}: tensor {name} has shape {params[name].shape}, "
                 f"expected {expected[name].shape}")
+        if not np.isfinite(params[name]).all():
+            raise ValidationError(f"{path}: tensor {name} holds non-finite values")
     return cfg, params, extra, opt

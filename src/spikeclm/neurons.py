@@ -98,6 +98,8 @@ def _binary_spike(u, thr: float, alpha: float, relaxed: bool):
         s = surrogate_forward(ud - thr, alpha)
     else:
         s = (ud >= thr).astype(np.float64)
+    if not autodiff.is_var(u):
+        return s  # no tape to carry the surrogate slope
     return autodiff.custom_unary(u, s, surrogate_grad(ud - thr, alpha))
 
 
@@ -108,6 +110,8 @@ def _ternary_spike(u, amp: float, alpha: float, relaxed: bool):
         s = amp * (surrogate_forward(ud - amp, alpha) + surrogate_forward(ud + amp, alpha) - 1.0)
     else:
         s = amp * ((ud > amp).astype(np.float64) - (ud < -amp).astype(np.float64))
+    if not autodiff.is_var(u):
+        return s
     local = amp * (surrogate_grad(ud - amp, alpha) + surrogate_grad(ud + amp, alpha))
     return autodiff.custom_unary(u, s, local)
 

@@ -6,7 +6,7 @@ import pytest
 from spikeclm import attention, autodiff as ad, numerics
 from spikeclm.attention import AttnWeights, causal_mask, csa_forward, sfsa_forward
 from spikeclm.errors import ConfigError, ShapeError, ValidationError
-from spikeclm.neurons import LifParams, NeuronSpec
+from spikeclm.neurons import LifParams, NeuronSpec, TernaryParams
 
 
 def identity_weights(d):
@@ -44,6 +44,13 @@ class TestCausalMask:
             causal_mask(0)
         with pytest.raises(ShapeError):
             causal_mask(3, pad_mask=[1, 1])
+        with pytest.raises(ShapeError):
+            causal_mask(2, offset=-1)
+
+    def test_offset_gives_last_rows_of_full_mask(self):
+        np.testing.assert_array_equal(causal_mask(2, offset=3), causal_mask(5)[3:])
+        np.testing.assert_array_equal(causal_mask(2, pad_mask=[1, 0, 1, 1], offset=2),
+                                      causal_mask(4, pad_mask=[1, 0, 1, 1])[2:])
 
 
 class TestSfsaHandTrace:
@@ -143,6 +150,18 @@ class TestSfsaProperties:
             sfsa_forward(x, random_weights(4), causal_mask(2),
                          attention.fresh_sfsa_state(), spec(), spec(), 3)
 
+    def test_ternary_spike_counts_accepted(self):
+        """Ternary spikes are +-amp, so sums are signed multiples of amp."""
+        amp = 0.3
+        sn = NeuronSpec(mode="ternary", ternary=TernaryParams(amp=amp))
+        x = np.array([[amp + amp + amp, -amp], [0.0, -amp - amp]])
+        out, _, _ = sfsa_forward(x, random_weights(2, std=1.0), causal_mask(2),
+                                 attention.fresh_sfsa_state(), sn, sn, 1)
+        assert set(np.unique(out)) <= {-amp, 0.0, amp}
+        with pytest.raises(ValidationError, match="not a count of"):
+            sfsa_forward(x + 0.1, random_weights(2), causal_mask(2),
+                         attention.fresh_sfsa_state(), sn, sn, 1)
+
     def test_weight_shape_validation(self):
         w = random_weights(4)
         w.w_q = np.zeros((4, 3))
@@ -234,3 +253,88 @@ class TestSfsaGradients:
         out.sum().backward()
         g = vw.w_q.grad
         assert g is not None and np.isfinite(g).all()
+
+
+class TestSfsaPast:
+    """Queries for the last rows against cached keys and values of earlier ones."""
+
+    def run_steps(self, xs, w, sn, past_len=0, n_heads=2):
+        """Carry the block over the steps in xs; with past_len, run only the
+        rows from past_len on, reading keys and values of the earlier rows
+        from a full run. Returns per-step outputs and attention spikes."""
+        st, full_st = attention.fresh_sfsa_state(), attention.fresh_sfsa_state()
+        l = xs[0].shape[-2]
+        outs, attns = [], []
+        for x in xs:
+            if past_len:
+                _, _, full_st = sfsa_forward(x, w, causal_mask(l), full_st, sn, sn, n_heads)
+                past = (full_st.k.s_prev[..., :past_len, :], full_st.v.s_prev[..., :past_len, :])
+                o, a, st = sfsa_forward(x[..., past_len:, :], w,
+                                        causal_mask(l - past_len, offset=past_len),
+                                        st, sn, sn, n_heads, past=past)
+            else:
+                o, a, st = sfsa_forward(x, w, causal_mask(l), st, sn, sn, n_heads)
+            outs.append(o)
+            attns.append(a)
+        return outs, attns
+
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_past_matches_last_rows_of_full_call(self, mode):
+        rng = np.random.default_rng(11)
+        sn = NeuronSpec(mode=mode)
+        w = random_weights(8, seed=12, std=1.0)
+        w.b_q = w.b_q + 0.9
+        w.b_k = w.b_k + 0.9
+        xs = [(rng.random((3, 6, 8)) < 0.5).astype(np.float64) for _ in range(3)]
+        full_out, full_attn = self.run_steps(xs, w, sn)
+        assert sum(np.count_nonzero(a) for a in full_attn) > 0
+        for p in (1, 4, 5):
+            outs, attns = self.run_steps(xs, w, sn, past_len=p)
+            for t in range(3):
+                np.testing.assert_array_equal(outs[t], full_out[t][:, p:])
+                np.testing.assert_array_equal(attns[t], full_attn[t][:, :, p:, :])
+
+    def test_unbatched_past(self):
+        rng = np.random.default_rng(13)
+        w = random_weights(4, seed=14, std=1.0)
+        xs = [(rng.random((5, 4)) < 0.5).astype(np.float64) for _ in range(2)]
+        full_out, _ = self.run_steps(xs, w, spec())
+        outs, attns = self.run_steps(xs, w, spec(), past_len=3)
+        assert attns[0].shape == (2, 2, 5)
+        for t in range(2):
+            np.testing.assert_array_equal(outs[t], full_out[t][3:])
+
+    def test_rectangular_mask_checked(self):
+        x = np.zeros((1, 2, 4))
+        past = (np.zeros((1, 3, 4)), np.zeros((1, 3, 4)))
+        leaky = causal_mask(2, offset=3)
+        leaky[0, 4] = 1.0  # row 0 is position 3; column 4 is its future
+        with pytest.raises(ValidationError, match="future"):
+            sfsa_forward(x, random_weights(4), leaky,
+                         attention.fresh_sfsa_state(), spec(), spec(), 2, past=past)
+        with pytest.raises(ShapeError):
+            sfsa_forward(x, random_weights(4), causal_mask(2),
+                         attention.fresh_sfsa_state(), spec(), spec(), 2, past=past)
+
+    def test_past_shapes_checked(self):
+        x = np.zeros((1, 2, 4))
+        mask = causal_mask(2, offset=3)
+        for past in ((np.zeros((2, 3, 4)), np.zeros((2, 3, 4))),
+                     (np.zeros((1, 3, 4)), np.zeros((1, 2, 4))),
+                     (np.zeros((1, 3, 2)), np.zeros((1, 3, 2)))):
+            with pytest.raises(ShapeError):
+                sfsa_forward(x, random_weights(4), mask,
+                             attention.fresh_sfsa_state(), spec(), spec(), 2, past=past)
+
+    def test_past_needs_untaped_hard_forward(self):
+        x = np.zeros((1, 1, 4))
+        past = (np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
+        mask = causal_mask(1, offset=1)
+        with pytest.raises(ConfigError):
+            sfsa_forward(x, random_weights(4), mask, attention.fresh_sfsa_state(),
+                         spec(relaxed=True), spec(relaxed=True), 2, past=past)
+        w = random_weights(4)
+        w.w_k = ad.Var(w.w_k, requires_grad=True)
+        with pytest.raises(ConfigError):
+            sfsa_forward(x, w, mask, attention.fresh_sfsa_state(), spec(), spec(), 2,
+                         past=past)

@@ -226,6 +226,17 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "layers.0.ffn.w1" in err
 
+    def test_checkpoint_non_finite_tensor(self, tmp_path, capsys):
+        cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        params = init_params(cfg, 0)
+        params["layers.0.attn.w_q"][0, 0] = np.nan
+        ckpt = str(tmp_path / "nan.ckpt")
+        save_model(ckpt, cfg, params, extra_fields={"arch": "spiking"})
+        assert run_cli("generate", "--checkpoint", ckpt, "--prompt", "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "layers.0.attn.w_q" in err
+
     def test_selftest_command_passes(self, capsys):
         assert run_cli("selftest") == 0
         assert "checks passed" in capsys.readouterr().out

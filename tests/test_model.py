@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spikeclm import autodiff as ad, model, numerics
-from spikeclm.errors import ConfigError, ShapeError, ValidationError
-from spikeclm.model import (GenerateResult, ModelConfig, ann_forward, decode_logits,
-                            generate, init_params, load_model, read_checkpoint,
+from spikeclm.errors import ConfigError, EvaluationError, ShapeError, ValidationError
+from spikeclm.model import (DecodeCache, GenerateResult, ModelConfig, ann_forward,
+                            decode_logits, generate, init_params, load_model, read_checkpoint,
                             save_model, snn_forward, time_mean, write_checkpoint)
 
 
@@ -15,6 +15,22 @@ def tiny_cfg(**kw) -> ModelConfig:
                 max_seq_len=10, t_steps=2)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def firing_params(cfg: ModelConfig, seed: int) -> dict:
+    """init_params scaled so that the spiking attention fires.
+
+    At the default std 0.02 the score neurons never reach threshold, and a
+    test of attention state (the decode cache) would see only zeros.
+    """
+    p = init_params(cfg, seed)
+    p["tok_emb"] *= 50.0
+    p["pos_emb"] *= 50.0
+    for i in range(cfg.n_layers):
+        for name in ("q", "k", "v", "out"):
+            p[f"layers.{i}.attn.w_{name}"] *= 25.0
+            p[f"layers.{i}.attn.b_{name}"] += 0.9
+    return p
 
 
 class TestConfig:
@@ -157,6 +173,17 @@ class TestSnnForward:
         vals = set(np.unique(trace.hidden[0][0]))
         assert vals <= {-cfg.ternary_amp, 0.0, cfg.ternary_amp}
 
+    @pytest.mark.parametrize("amp, attn_thr", [(1.0, 1.0), (0.3, 0.1)])
+    def test_firing_ternary_mode_runs(self, amp, attn_thr):
+        """Residual sums of +-amp spikes are valid attention inputs."""
+        cfg = tiny_cfg(neuron_mode="ternary", ternary_amp=amp, attn_thr=attn_thr)
+        logits, trace = snn_forward(self.ids, cfg, firing_params(cfg, 2))
+        assert np.isfinite(logits).all()
+        assert np.any(trace.embed_steps[0] < 0) and np.any(trace.embed_steps[0] > 0)
+        for i in range(cfg.n_layers):
+            assert sum(np.count_nonzero(a) for a in trace.attn_spikes[i]) > 0
+            assert set(np.unique(trace.hidden[i][0])) <= {-amp, 0.0, amp}
+
 
 class TestDecodeLogits:
     def test_single_step_is_projection(self):
@@ -268,6 +295,109 @@ class TestGenerate:
             generate([1], 1, self.cfg, self.params, temperature=-0.5)
         with pytest.raises(ConfigError):
             generate([1], 1, self.cfg, self.params, temperature=1.0)
+
+
+def reference_generate(prompt, n_new, cfg, params, temperature=0.0, rng=None):
+    """Decode by a full snn_forward over the window for every token."""
+    ids, truncated = list(prompt), 0
+    for _ in range(n_new):
+        if len(ids) > cfg.max_seq_len:
+            truncated += 1
+        logits, _ = snn_forward(np.asarray(ids[-cfg.max_seq_len:]), cfg, params,
+                                collect=False)
+        last = logits[-1]
+        if temperature == 0.0:
+            nxt = int(np.argmax(last))
+        else:
+            p = ad.softmax(last / temperature)
+            nxt = min(int(np.searchsorted(np.cumsum(p), rng.uniform())),
+                      cfg.vocab_size - 1)
+        ids.append(nxt)
+    return ids, truncated
+
+
+class TestIncrementalDecode:
+    """The decode cache against full forwards, with the attention firing."""
+
+    MODES = ["binary", "ternary"]
+
+    def make(self, mode):
+        cfg = tiny_cfg(d_model=16, d_ff=32, max_seq_len=6, t_steps=3, neuron_mode=mode)
+        return cfg, firing_params(cfg, 5)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_attention_fires(self, mode):
+        cfg, p = self.make(mode)
+        _, trace = snn_forward(np.array([1, 4, 2, 9, 0, 5]), cfg, p)
+        for i in range(cfg.n_layers):
+            assert sum(np.count_nonzero(a) for a in trace.attn_spikes[i]) > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cached_forward_matches_full(self, mode):
+        cfg, p = self.make(mode)
+        ids = np.array([[1, 4, 2, 9, 0, 5], [3, 3, 7, 1, 10, 2]])
+        full, full_trace = snn_forward(ids, cfg, p)
+        for split in ([6], [1, 5], [4, 1, 1], [1] * 6):
+            cache, rows, attn = DecodeCache(), [], []
+            for n in split:
+                start = cache.length
+                logits, trace = snn_forward(ids[:, start:start + n], cfg, p, cache=cache)
+                assert cache.length == start + n
+                rows.append(logits)
+                attn.append(trace.attn_spikes[1][2])
+            # logits agree to rounding only: a product over fewer rows may
+            # sum in another order inside BLAS
+            np.testing.assert_allclose(np.concatenate(rows, axis=1), full,
+                                       rtol=1e-12, atol=1e-12)
+            last = split[-1]
+            np.testing.assert_array_equal(
+                attn[-1], full_trace.attn_spikes[1][2][:, :, 6 - last:, :])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("prompt", [[1], [3, 7, 7], [1, 2, 3, 4, 5, 6],
+                                        [9, 8, 7, 6, 5, 4, 3, 2]])
+    def test_tokens_match_full_forward_per_token(self, mode, temperature, prompt):
+        cfg, p = self.make(mode)
+        rng = numerics.Rng(9) if temperature else None
+        ref_rng = numerics.Rng(9) if temperature else None
+        out = generate(prompt, 9, cfg, p, temperature=temperature, rng=rng)
+        want, truncated = reference_generate(prompt, 9, cfg, p, temperature, ref_rng)
+        assert out.tokens == want
+        assert out.truncated_steps == truncated
+        # step k decodes from len(prompt) + k tokens
+        assert truncated == sum(len(prompt) + k > cfg.max_seq_len for k in range(9))
+
+    def test_cache_errors(self):
+        cfg, p = self.make("binary")
+        cache = DecodeCache()
+        snn_forward(np.array([[1, 2, 3, 4]]), cfg, p, cache=cache)
+        with pytest.raises(ShapeError, match="max_seq_len"):
+            snn_forward(np.array([[1, 2, 3]]), cfg, p, cache=cache)
+        with pytest.raises(ShapeError, match="batch"):
+            snn_forward(np.array([[1], [2]]), cfg, p, cache=cache)
+        with pytest.raises(ConfigError):
+            snn_forward(np.array([[1]]), cfg, p, relaxed=True, cache=cache)
+        assert cache.length == 4
+
+
+class TestNonFinite:
+    def test_generate_rejects_non_finite_logits(self):
+        cfg = tiny_cfg()
+        p = init_params(cfg, 0)
+        p["head.w"][:] = np.nan
+        with pytest.raises(EvaluationError, match="decode step 0"):
+            generate([1, 2, 3], 5, cfg, p)
+
+    def test_load_names_non_finite_tensor(self, tmp_path):
+        cfg = tiny_cfg()
+        p = init_params(cfg, 0)
+        p["layers.0.attn.w_q"][0, 0] = np.nan
+        p["layers.1.ffn.w1"][1, 1] = np.inf
+        path = tmp_path / "nan.ckpt"
+        save_model(path, cfg, p)
+        with pytest.raises(ValidationError, match="layers.0.attn.w_q"):
+            load_model(path)
 
 
 class TestCheckpoint:

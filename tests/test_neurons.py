@@ -145,6 +145,15 @@ class TestRelaxedModeAndGradients:
         s, _ = neurons.lif_step(neurons.fresh_state(), np.asarray(2.0), p, relaxed=True)
         np.testing.assert_allclose(float(s), neurons.surrogate_forward(1.0, 2.0))
 
+    def test_untaped_spikes_match_taped(self):
+        """Plain arrays skip the tape and give the same spikes as a Var."""
+        u = np.array([-2.5, -1.0, 0.3, 1.0, 1.5])
+        for step, p in ((neurons.lif_step, LifParams()), (neurons.ternary_step, TernaryParams())):
+            s, _ = step(neurons.fresh_state(), u, p)
+            sv, _ = step(neurons.fresh_state(), ad.Var(u, requires_grad=True), p)
+            assert type(s) is np.ndarray
+            np.testing.assert_array_equal(s, sv.data)
+
     def test_hard_spike_backward_uses_surrogate(self):
         p = LifParams(beta=0.5, u_thr=1.0, surrogate_alpha=2.0)
         u_in = ad.Var(np.array([0.3, 1.5]), requires_grad=True)
