@@ -7,7 +7,9 @@ models need exist here, and each module-level function also accepts plain
 ndarrays so inference paths can skip the tape entirely.
 
 Custom nonlinearities (spike thresholds with surrogate slopes) are built by
-their owning modules through custom_unary rather than being hardcoded here.
+their owning modules through custom_unary rather than being hardcoded here;
+custom_op does the same for a fused multi-operand update such as one
+neuron's membrane step.
 """
 
 from __future__ import annotations
@@ -110,10 +112,19 @@ class Var:
         return out
 
     def __sub__(self, other):
-        return self + (-as_var(other))
+        o = as_var(other)
+        out = Var(self.data - o.data, _parents=(self, o))
+        if out.requires_grad:
+            def bw(g):
+                if self.requires_grad:
+                    _accum(self, _unbroadcast(g, self.data.shape))
+                if o.requires_grad:
+                    _accum(o, -_unbroadcast(g, o.data.shape))
+            out._backward = bw
+        return out
 
     def __rsub__(self, other):
-        return as_var(other) + (-self)
+        return as_var(other) - self
 
     def __mul__(self, other):
         o = as_var(other)
@@ -232,9 +243,19 @@ def value(x) -> np.ndarray:
 
 
 def _accum(node: Var, g: np.ndarray) -> None:
+    # Never in place: one g may be handed to several parents, so a stored g
+    # can be another node's gradient too. A gradient keeps node.data's memory
+    # layout, since a matmul or sum over another layout may round differently,
+    # so g is stored as is only when its strides match.
+    if node.grad is None and g.shape == node.data.shape and g.strides == node.data.strides:
+        node.grad = g
+        return
+    out = np.empty_like(node.data)
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += g
+        np.copyto(out, g)
+    else:
+        np.add(node.grad, g, out=out)
+    node.grad = out
 
 
 # -- elementwise functions (dispatch on taped vs plain input) ----------------
@@ -338,3 +359,21 @@ def custom_unary(x, fwd_value: np.ndarray, local_grad: np.ndarray):
             out._backward = lambda g: _accum(x, g * local_grad)
         return out
     return fwd_value
+
+
+def custom_op(fwd_value: np.ndarray, *operands):
+    """Build one node over several operands from a precomputed forward value.
+
+    operands are (x, vjp) pairs, x a Var or a plain value: vjp maps the
+    node's upstream gradient to x's, before it is summed down to x's shape.
+    Plain operands join no tape and their vjp is never called. The caller
+    evaluates fwd_value on the raw values, as for custom_unary.
+    """
+    out = Var(fwd_value, _parents=tuple(x for x, _ in operands if isinstance(x, Var)))
+    if out.requires_grad:
+        def bw(g):
+            for x, vjp in operands:
+                if isinstance(x, Var) and x.requires_grad:
+                    _accum(x, _unbroadcast(vjp(g), x.data.shape))
+        out._backward = bw
+    return out

@@ -18,8 +18,8 @@ import numpy as np
 from . import data, energy
 from .distill import SpadConfig
 from .errors import ConfigError
-from .model import (ModelConfig, generate, load_model, parse_field, save_model,
-                    snn_forward)
+from .model import (ModelConfig, atomic_open, generate, load_model, parse_field,
+                    save_model, snn_forward)
 from .numerics import Rng
 from .training import TrainConfig, evaluate_ce, train_loop
 
@@ -105,8 +105,16 @@ def _apply_sets(rc: RunConfig, sets) -> None:
 
 
 def _write_snapshot(rc: RunConfig, out_path) -> None:
-    with open(str(out_path) + ".config", "w") as fh:
+    with atomic_open(str(out_path) + ".config") as fh:
         fh.write(to_ini(rc))
+
+
+def _write_output(rc: RunConfig, text: str) -> None:
+    """Write text to run.out, if set, with its .config snapshot beside it."""
+    if rc.out:
+        with atomic_open(rc.out) as fh:
+            fh.write(text)
+        _write_snapshot(rc, rc.out)
 
 
 def _require(rc: RunConfig, *names) -> None:
@@ -242,10 +250,7 @@ def cmd_generate(rc: RunConfig) -> int:
     rng = Rng(rc.gen_seed) if rc.temperature > 0 else None
     res = generate(ids, rc.n_new, cfg, params, temperature=rc.temperature, rng=rng)
     text = data.decode(np.array(res.tokens[len(ids):]))
-    if rc.out:
-        with open(rc.out, "w") as fh:
-            fh.write(text)
-        _write_snapshot(rc, rc.out)
+    _write_output(rc, text)
     sys.stdout.write(text + "\n")
     return 0
 
@@ -268,10 +273,7 @@ def cmd_profile(rc: RunConfig) -> int:
     _, trace = snn_forward(xb, cfg, params)
     report = energy.energy_report(cfg, trace)
     text = energy.render_report(report)
-    if rc.out:
-        with open(rc.out, "w") as fh:
-            fh.write(text)
-        _write_snapshot(rc, rc.out)
+    _write_output(rc, text)
     sys.stdout.write(text)
     return 0
 
@@ -290,10 +292,7 @@ def cmd_eval(rc: RunConfig) -> int:
             lines.append(f"layer{i}.sfsa_rate: {rates['sfsa']:.10g}")
             lines.append(f"layer{i}.sffn_rate: {rates['sffn']:.10g}")
     text = "\n".join(lines) + "\n"
-    if rc.out:
-        with open(rc.out, "w") as fh:
-            fh.write(text)
-        _write_snapshot(rc, rc.out)
+    _write_output(rc, text)
     sys.stdout.write(text)
     return 0
 

@@ -19,7 +19,9 @@ write_checkpoint, with every multi-byte value little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -450,6 +452,24 @@ CKPT_MAGIC = b"SCLM"
 CKPT_VERSION = 1
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a new file beside path for writing ("w" or "wb").
+
+    On a clean exit the file replaces path in one os.replace; if the block
+    raises, the file is removed and path keeps its earlier contents.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"))
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_checkpoint(path, fields: dict, tensors: dict) -> None:
     """Serialize string fields plus named float64 tensors.
 
@@ -460,8 +480,10 @@ def write_checkpoint(path, fields: dict, tensors: dict) -> None:
         nfields u32, then per field:  u16 key_len, key, u32 val_len, value
         ntensors u32, then per tensor (sorted by name):
             u16 name_len, name, u8 rank, u32 dim per axis, raw <f8 data
+
+    The file at path is replaced whole or not at all.
     """
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
         fh.write(struct.pack("<I", len(fields)))

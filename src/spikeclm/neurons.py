@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff
+from .autodiff import Var, value
 from .errors import ConfigError, ValidationError
 
 
@@ -87,30 +88,33 @@ def surrogate_forward(u, alpha: float = 2.0):
 
 def surrogate_grad(u, alpha: float = 2.0):
     """d sigma / d u; even, positive, maximum alpha/2 at u = 0."""
-    x = (np.pi / 2.0) * alpha * np.asarray(u, dtype=np.float64)
-    return (alpha / 2.0) / (1.0 + x * x)
+    x = np.array(u, dtype=np.float64)  # the one temporary; u is left as it was
+    x *= (np.pi / 2.0) * alpha
+    x *= x
+    x += 1.0
+    return np.divide(alpha / 2.0, x, out=x)
 
 
-def _binary_spike(u, thr: float, alpha: float, relaxed: bool):
-    """Threshold with surrogate backward; u may be a Var or an ndarray."""
-    ud = autodiff.value(u)
+def _binary_spike(u, thr: float, alpha: float, relaxed: bool, taped: bool):
+    """Threshold with surrogate backward; u is a Var when taped, else plain."""
+    ud = u.data if taped else u
     if relaxed:
         s = surrogate_forward(ud - thr, alpha)
     else:
-        s = (ud >= thr).astype(np.float64)
-    if not autodiff.is_var(u):
+        s = np.greater_equal(ud, thr).astype(np.float64)
+    if not taped:
         return s  # no tape to carry the surrogate slope
     return autodiff.custom_unary(u, s, surrogate_grad(ud - thr, alpha))
 
 
-def _ternary_spike(u, amp: float, alpha: float, relaxed: bool):
+def _ternary_spike(u, amp: float, alpha: float, relaxed: bool, taped: bool):
     """Three-level threshold; backward sums surrogate slopes at +-amp."""
-    ud = autodiff.value(u)
+    ud = u.data if taped else u
     if relaxed:
         s = amp * (surrogate_forward(ud - amp, alpha) + surrogate_forward(ud + amp, alpha) - 1.0)
     else:
-        s = amp * ((ud > amp).astype(np.float64) - (ud < -amp).astype(np.float64))
-    if not autodiff.is_var(u):
+        s = amp * (np.greater(ud, amp).astype(np.float64) - np.less(ud, -amp).astype(np.float64))
+    if not taped:
         return s
     local = amp * (surrogate_grad(ud - amp, alpha) + surrogate_grad(ud + amp, alpha))
     return autodiff.custom_unary(u, s, local)
@@ -119,21 +123,54 @@ def _ternary_spike(u, amp: float, alpha: float, relaxed: bool):
 # -- step functions ----------------------------------------------------------
 
 
+def _identity(g):
+    return g
+
+
 def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = False):
-    """One LIF update. Returns (spikes, new_state)."""
-    u = input_current + p.beta * state.u - state.s_prev * p.u_thr
-    s = _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed)
+    """One LIF update. Returns (spikes, new_state).
+
+    On the tape the membrane update is one node whose backward sends g to
+    the input, beta * g to U_prev and -U_thr * g to S_prev.
+    """
+    i, u, s = input_current, state.u, state.s_prev
+    taped = isinstance(i, Var) or isinstance(u, Var) or isinstance(s, Var)
+    if taped:
+        operands = (i, _identity), (u, lambda g: g * p.beta), (s, lambda g: g * -p.u_thr)
+        i, u, s = value(i), value(u), value(s)
+    u = i + p.beta * u - s * p.u_thr
+    if taped:
+        u = autodiff.custom_op(u, *operands)
+    s = _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed, taped)
     return s, NeuronState(u=u, s_prev=s)
+
 
 def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: bool = False):
     """One ternary update. Returns (spikes, new_state).
 
     The input integrates onto the carried membrane, the spike is read out,
-    and the membrane is rescaled by (amp - S) with U_reset blended in.
+    and the membrane is rescaled by (amp - S) with U_reset blended in. On
+    the tape the input add and the rescale are one node each.
     """
-    u = input_current + state.u
-    s = _ternary_spike(u, p.amp, p.surrogate_alpha, relaxed)
-    u_next = u * (p.amp - s) + p.u_reset * s
+    i, u = input_current, state.u
+    taped = isinstance(i, Var) or isinstance(u, Var)
+    if taped:
+        operands = (i, _identity), (u, _identity)
+        i, u = value(i), value(u)
+    u = i + u
+    if taped:
+        u = autodiff.custom_op(u, *operands)
+    s = _ternary_spike(u, p.amp, p.surrogate_alpha, relaxed, taped)
+    ud, sd = u, s
+    if taped:
+        ud, sd = u.data, s.data
+    keep = p.amp - sd
+    u_next = ud * keep + p.u_reset * sd
+    if taped:
+        # two terms for the spike, -U*g then U_reset*g, not one combined: its
+        # gradient then sums in the same order as the generic-op expression's
+        u_next = autodiff.custom_op(u_next, (u, lambda g: g * keep),
+                                    (s, lambda g: -(g * ud)), (s, lambda g: g * p.u_reset))
     return s, NeuronState(u=u_next, s_prev=s)
 
 

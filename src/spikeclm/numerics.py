@@ -109,13 +109,13 @@ class count_macs:
         return False
 
 
-def _record_macs(a_shape, b_shape) -> None:
+def _record_macs(lead, a_shape, b_shape) -> None:
+    """Add the MACs of a @ b to every active counter; lead is their batch shape."""
     if not _mac_counter_stack:
         return
     m, k = a_shape[-2], a_shape[-1]
     n = b_shape[-1]
     batch = 1
-    lead = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
     for s in lead:
         batch *= s
     macs = batch * m * k * n
@@ -136,10 +136,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as e:
         raise ShapeError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}") from e
-    _record_macs(a.shape, b.shape)
+    _record_macs(lead, a.shape, b.shape)
     return a @ b
 
 

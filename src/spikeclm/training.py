@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad, data
 from .distill import SpadConfig, layer_map, loss_hard, spad_losses
-from .errors import ConfigError, InternalError, ValidationError
+from .errors import ConfigError, EvaluationError, InternalError, ValidationError
 from .model import ModelConfig, ann_forward, init_params, snn_forward
 
 METRICS_MAGIC = "# spikeclm-metrics v1"
@@ -238,6 +238,8 @@ def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,
             logits, _ = ann_forward(xb, cfg, params)
         else:
             logits, _ = snn_forward(xb, cfg, params, collect=False)
+        if not np.isfinite(ad.value(logits)).all():
+            raise EvaluationError(f"non-finite logits in evaluation batch {b}")
         total += float(ad.value(_flat_ce(logits, yb))) * yb.size
         denom += yb.size
     return total / denom
@@ -319,9 +321,13 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
                     bd_sum[k] += bd[k]
             inv = 1.0 / cfg.grad_accum
             grads = {k: g * inv for k, g in acc.items()}
-            grads, _ = clip_gradients(grads, cfg.grad_clip)
+            grads, norm = clip_gradients(grads, cfg.grad_clip)
+            loss = loss_sum * inv
+            if not (math.isfinite(loss) and math.isfinite(norm)):
+                raise EvaluationError(f"non-finite loss {loss} or gradient norm {norm} "
+                                      f"at training step {step + 1}")
             params = adam_step(params, grads, opt, lr, cfg)
-            row = MetricsRow(step=step + 1, lr=lr, loss=loss_sum * inv,
+            row = MetricsRow(step=step + 1, lr=lr, loss=loss,
                              fire_rate=fire,
                              **{k: v * inv for k, v in bd_sum.items()})
             rows.append(row)

@@ -151,6 +151,30 @@ class TestBackwardMechanics:
         y.backward()
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
+    def test_seed_array_is_not_modified(self):
+        x = ad.Var(np.array([1.0, 2.0]), requires_grad=True)
+        seed = np.array([1.0, -3.0])
+        (x + x * 3.0).backward(seed)
+        np.testing.assert_array_equal(seed, [1.0, -3.0])
+        np.testing.assert_array_equal(x.grad, [4.0, -12.0])
+
+    def test_shared_gradient_is_not_written_through(self):
+        """The add hands one g to x and y; x's later contribution must not reach y."""
+        x = ad.Var(np.array([1.0, 2.0]), requires_grad=True)
+        y = x * 3.0
+        (x + y).sum().backward()
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+
+    def test_sub_is_one_node(self):
+        x = ad.Var(np.array([5.0, 1.0]), requires_grad=True)
+        y = ad.Var(np.array([2.0, 3.0]), requires_grad=True)
+        d = x - y
+        assert d._parents == (x, y)
+        (d * np.array([1.0, 2.0])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0])
+        np.testing.assert_array_equal(y.grad, [-1.0, -2.0])
+
     def test_backward_on_constant_raises(self):
         with pytest.raises(InternalError):
             ad.Var(np.ones(2)).backward()

@@ -436,6 +436,16 @@ class TestCheckpoint:
         save_model(p2, cfg, params)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_checkpoint(path, {"n": "1"}, {"a": np.ones(3)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            # "a" is written before "b" fails to convert
+            write_checkpoint(path, {"n": "2"}, {"a": np.zeros(3), "b": ["x"]})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_corrupt_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOPE" + b"\x00" * 16)

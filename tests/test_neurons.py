@@ -6,7 +6,7 @@ import pytest
 from spikeclm import autodiff as ad
 from spikeclm import neurons, numerics
 from spikeclm.errors import ConfigError, ValidationError
-from spikeclm.neurons import LifParams, NeuronSpec, TernaryParams
+from spikeclm.neurons import LifParams, NeuronSpec, NeuronState, TernaryParams
 
 
 class TestLifHandTraces:
@@ -197,6 +197,103 @@ class TestRelaxedModeAndGradients:
         run(v).backward()
         fd = numerics.finite_diff_grad(lambda z: float(run(ad.Var(z)).data), x0)
         np.testing.assert_allclose(v.grad, fd, rtol=1e-5, atol=1e-8)
+
+
+def generic_lif_step(state, input_current, p, relaxed=False):
+    """lif_step with the membrane update as generic tape ops: the reference."""
+    u = input_current + p.beta * state.u - state.s_prev * p.u_thr
+    s = neurons._binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed, ad.is_var(u))
+    return s, NeuronState(u=u, s_prev=s)
+
+
+def generic_ternary_step(state, input_current, p, relaxed=False):
+    """ternary_step with the input add and the rescale as generic tape ops."""
+    u = input_current + state.u
+    s = neurons._ternary_spike(u, p.amp, p.surrogate_alpha, relaxed, ad.is_var(u))
+    u_next = u * (p.amp - s) + p.u_reset * s
+    return s, NeuronState(u=u_next, s_prev=s)
+
+
+CHAIN_INPUTS = (np.array([0.9, 1.6, -0.4, 2.5, -1.3]),
+                np.array([0.7, -1.2, 1.1, 0.2, -0.6]),
+                np.array([1.3, 0.4, -2.2, 0.8, 1.9]))
+
+
+def run_chain(step, p, relaxed, taped):
+    """Three steps from the fresh 0.0 state; the inputs at `taped` are Vars.
+
+    Returns the taped inputs and every step's spikes and membrane, after a
+    backward pass from a loss that weights each of them.
+    """
+    w = np.array([0.5, -1.0, 2.0, 0.25, -1.5])
+    inputs = [ad.Var(x.copy(), requires_grad=True) if t in taped else x.copy()
+              for t, x in enumerate(CHAIN_INPUTS)]
+    state, loss, outs = neurons.fresh_state(), 0.0, []
+    for t, x in enumerate(inputs):
+        s, state = step(state, x, p, relaxed)
+        outs += [s, state.u]
+        loss = loss + (s * w).sum() * (t + 1.0) + (state.u * w).sum()
+    loss.backward()
+    return [x for x in inputs if ad.is_var(x)], outs
+
+
+class TestFusedSteps:
+    """The fused membrane nodes against the generic-op expressions they replace."""
+
+    @pytest.mark.parametrize("taped", [(0, 1, 2), (0, 2), (1,)])
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("fused,generic,p", [
+        (neurons.lif_step, generic_lif_step, LifParams(beta=0.5, u_thr=1.0)),
+        (neurons.lif_step, generic_lif_step, LifParams(beta=0.9, u_thr=0.7)),
+        (neurons.ternary_step, generic_ternary_step, TernaryParams()),
+        (neurons.ternary_step, generic_ternary_step, TernaryParams(amp=0.5)),
+        (neurons.ternary_step, generic_ternary_step, TernaryParams(amp=1.0, u_reset=0.25)),
+        (neurons.ternary_step, generic_ternary_step, TernaryParams(amp=0.5, u_reset=-0.3)),
+    ])
+    def test_bit_identical_to_generic_ops(self, fused, generic, p, relaxed, taped):
+        got_in, got = run_chain(fused, p, relaxed, taped)
+        want_in, want = run_chain(generic, p, relaxed, taped)
+        assert [ad.is_var(v) for v in got] == [ad.is_var(v) for v in want]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(ad.value(g), ad.value(w))
+            if ad.is_var(g):
+                np.testing.assert_array_equal(g.grad, w.grad)
+        for g, w in zip(got_in, want_in):
+            assert np.any(g.grad != 0.0)
+            np.testing.assert_array_equal(g.grad, w.grad)
+
+    def test_decay_and_reset_paths_carry_gradient(self):
+        """The first step's input reaches the loss only through U_prev and S_prev."""
+        p = LifParams(beta=0.5, u_thr=1.0)
+        x = ad.Var(np.array([1.2, 0.9]), requires_grad=True)
+        _, state = neurons.lif_step(neurons.fresh_state(), x, p)
+        s, state = neurons.lif_step(state, np.zeros(2), p)
+        (s.sum() + state.u.sum()).backward()
+        s0 = np.array([1.0, 0.0])
+        dsurr = neurons.surrogate_grad(np.array([1.2, 0.9]) - 1.0, 2.0)
+        u1 = 0.5 * np.array([1.2, 0.9]) - s0
+        # dL/du1 = 1 + sigma'(u1 - 1); u1 = beta*u0 - thr*s0; s0 = H(u0 - 1)
+        dl_du1 = 1.0 + neurons.surrogate_grad(u1 - 1.0, 2.0)
+        np.testing.assert_allclose(x.grad, dl_du1 * (0.5 - dsurr), rtol=1e-12)
+
+    @pytest.mark.parametrize("state", [
+        neurons.fresh_state(),
+        NeuronState(u=ad.Var(np.array([0.5, 1.5]), requires_grad=True),
+                    s_prev=ad.Var(np.array([0.0, 1.0]), requires_grad=True)),
+    ])
+    def test_taped_lif_step_makes_two_vars(self, state, monkeypatch):
+        made = []
+        init = ad.Var.__init__
+
+        def counting_init(self, *args, **kw):
+            made.append(self)
+            init(self, *args, **kw)
+
+        x = ad.Var(np.array([0.6, 0.2]), requires_grad=True)
+        monkeypatch.setattr(ad.Var, "__init__", counting_init)
+        s, new = neurons.lif_step(state, x, LifParams())
+        assert len(made) == 2
+        assert s._parents == (new.u,)
 
 
 class TestRatesAndTraces:

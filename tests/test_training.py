@@ -5,7 +5,7 @@ import pytest
 
 from spikeclm import autodiff as ad, data
 from spikeclm.distill import SpadConfig
-from spikeclm.errors import ConfigError, InternalError
+from spikeclm.errors import ConfigError, EvaluationError, InternalError
 from spikeclm.model import ModelConfig, init_params
 from spikeclm.neurons import LifParams, eligibility_trace, surrogate_forward, surrogate_grad
 from spikeclm.training import (AdamState, MetricsRow, TrainConfig, adam_step,
@@ -323,6 +323,16 @@ class TestTrainLoop:
             train_loop(TrainConfig(total_steps=1), tiny_model(), tiny_corpus(),
                        mode="qat")
 
+    def test_non_finite_step_is_named(self, tmp_path):
+        params = init_params(tiny_model(), 0)
+        params["head.w"][0, 0] = np.nan
+        path = tmp_path / "m.tsv"
+        cfg = TrainConfig(total_steps=3, batch_size=2, seq_len=8)
+        with pytest.raises(EvaluationError, match="training step 1"):
+            train_loop(cfg, tiny_model(), tiny_corpus(), params=params,
+                       metrics_path=path)
+        assert parse_metrics(path.read_text()) == []
+
 
 class TestEvaluateCe:
     def test_zero_params_give_uniform_ce(self):
@@ -338,6 +348,14 @@ class TestEvaluateCe:
         ws = data.make_windows(tiny_corpus(64), 8)
         ce = evaluate_ce(cfg, params, ws, batch_size=4, dense=True)
         assert np.isfinite(ce) and ce > 0
+
+    def test_non_finite_logits_name_the_batch(self):
+        cfg = tiny_model(d_model=16, d_ff=32)
+        params = init_params(cfg, 0)
+        params["head.w"][:] = np.nan
+        ws = data.make_windows(tiny_corpus(64), 8)
+        with pytest.raises(EvaluationError, match="batch 0"):
+            evaluate_ce(cfg, params, ws, batch_size=4)
 
     def test_max_batches_cap(self):
         cfg = tiny_model()
