@@ -1,9 +1,10 @@
 """Causal attention blocks: a spiking softmax-free one and a dense one.
 
-The spiking block (sfsa_forward) processes one time step per call; the
-outer time loop lives with the model. All mixing happens through binary
-spike trains, so the only products a hardware target would see are
-accumulations:
+The spiking block (sfsa_forward) processes all T time steps in one call:
+its input is a [T, B, L, d] stack of spike trains, each product runs once
+over the stack, and each neuron population runs over t from rest
+(NeuronSpec.run). All mixing happens through binary spike trains, so the
+only products a hardware target would see are accumulations:
 
     1. real projections  q, k, v = X Wq + bq, ...
     2. spike trains      sq, sk, sv = SN(q), SN(k), SN(v)
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError, ValidationError
-from .neurons import NeuronSpec, NeuronState, fresh_state
+from .neurons import NeuronSpec
 
 
 @dataclass
@@ -46,22 +47,6 @@ class AttnWeights:
     b_out: object
 
 
-@dataclass
-class SfsaState:
-    """Neuron states carried across time steps inside one spiking block."""
-
-    q: NeuronState
-    k: NeuronState
-    v: NeuronState
-    attn: NeuronState
-    attn_out: NeuronState
-    out: NeuronState
-
-
-def fresh_sfsa_state() -> SfsaState:
-    return SfsaState(*(fresh_state() for _ in range(6)))
-
-
 def causal_mask(seq_len: int, pad_mask=None, offset: int = 0) -> np.ndarray:
     """Causal 0/1 mask [L, offset + L]; padded positions drop out entirely.
 
@@ -76,7 +61,7 @@ def causal_mask(seq_len: int, pad_mask=None, offset: int = 0) -> np.ndarray:
     if offset < 0:
         raise ShapeError(f"offset must be >= 0, got {offset}")
     width = offset + seq_len
-    m = np.tril(np.ones((seq_len, width), dtype=np.float64), k=offset)
+    m = np.tri(seq_len, width, k=offset)
     if pad_mask is not None:
         pad = np.asarray(pad_mask, dtype=np.float64)
         if pad.shape != (width,):
@@ -89,9 +74,10 @@ def _check_mask(mask: np.ndarray, seq_len: int, offset: int = 0) -> None:
     if mask.shape != (seq_len, offset + seq_len):
         raise ShapeError(f"mask shape {mask.shape} does not match seq_len {seq_len}"
                          + (f" after {offset} cached positions" if offset else ""))
-    if np.any((mask != 0.0) & (mask != 1.0)):
+    nonzero = mask != 0.0
+    if np.any(nonzero & (mask != 1.0)):
         raise ValidationError("mask entries must be 0 or 1")
-    if np.any(np.triu(mask, k=offset + 1) != 0.0):
+    if np.any(nonzero > np.tri(seq_len, offset + seq_len, k=offset, dtype=bool)):
         raise ValidationError("mask allows attention to future positions")
 
 
@@ -114,25 +100,28 @@ def _check_spike_input(x, where: str, sn: NeuronSpec) -> None:
 
 
 def _split_heads(x, n_heads: int):
-    """[B, L, d] -> [B, h, L, d/h]."""
-    b, l, d = x.shape
-    return x.reshape(b, l, n_heads, d // n_heads).swapaxes(1, 2)
+    """[..., L, d] -> [..., h, L, d/h]."""
+    *lead, l, d = x.shape
+    return x.reshape(tuple(lead) + (l, n_heads, d // n_heads)).swapaxes(-2, -3)
 
 
 def _merge_heads(x):
-    """[B, h, L, d/h] -> [B, L, d]."""
-    b, h, l, dh = x.shape
-    return x.swapaxes(1, 2).reshape(b, l, h * dh)
+    """[..., h, L, d/h] -> [..., L, h * d/h]."""
+    *lead, h, l, dh = x.shape
+    return x.swapaxes(-2, -3).reshape(tuple(lead) + (l, h * dh))
 
 
-def _normalize_input(x):
-    """Accept [L, d] or [B, L, d]; return 3-d plus a flag to squeeze back."""
-    if x.ndim == 2:
-        b, l, d = 1, x.shape[0], x.shape[1]
-        return x.reshape(1, l, d), True
-    if x.ndim == 3:
+def _normalize_input(x, rank: int = 3):
+    """Accept [.., L, d] with or without the batch axis before L.
+
+    Returns the input with the batch axis plus a flag to squeeze it back;
+    rank counts the axes with the batch axis left out.
+    """
+    if x.ndim == rank:
+        return x.reshape(x.shape[:-2] + (1,) + x.shape[-2:]), True
+    if x.ndim == rank + 1:
         return x, False
-    raise ShapeError(f"attention input must be rank 2 or 3, got shape {x.shape}")
+    raise ShapeError(f"attention input must be rank {rank} or {rank + 1}, got shape {x.shape}")
 
 
 def _check_weights(w: AttnWeights, d: int) -> None:
@@ -146,66 +135,61 @@ def _check_weights(w: AttnWeights, d: int) -> None:
             raise ShapeError(f"{name} must be [{d}], got {list(shape)}")
 
 
-def sfsa_forward(x, w: AttnWeights, mask: np.ndarray, state: SfsaState,
-                 sn: NeuronSpec, attn_sn: NeuronSpec, n_heads: int, past=None):
-    """One time step of spiking attention.
+def sfsa_forward(x, w: AttnWeights, mask: np.ndarray, sn: NeuronSpec,
+                 attn_sn: NeuronSpec, n_heads: int, past=None):
+    """Spiking attention over all time steps.
 
-    x holds this step's input spikes (or integer spike sums from residual
-    paths), shape [L, d] or [B, L, d]. Returns (out_spikes, attn_spikes,
-    new_state) with attn_spikes shaped [.., h, L, P + L].
+    x holds the input spikes (or integer spike sums from residual paths) of
+    every step, shape [T, L, d] or [T, B, L, d]. Every neuron starts from
+    rest and runs over the T steps. Returns (out_spikes, attn_spikes,
+    (k_spikes, v_spikes)): out and the key and value spikes are shaped like
+    x, and attn_spikes [T, .., h, L, P + L].
 
-    past, if given, is (k_spikes, v_spikes) of P earlier positions at this
-    step, each [P, d] or [B, P, d] like x: the L new queries then score
-    against the keys of all P + L positions, under a mask of shape
-    [L, P + L] (causal_mask(L, offset=P)). Every neuron state belongs to
-    one new position or one (query, key) entry, so running the new rows
-    alone gives the same spikes as the last L rows of the full call.
+    past, if given, is (k_spikes, v_spikes) of P earlier positions, each
+    [T, P, d] or [T, B, P, d] like x: the L new queries then score against
+    the keys of all P + L positions, under a mask of shape [L, P + L]
+    (causal_mask(L, offset=P)). Every neuron state belongs to one new
+    position or one (query, key) entry, so running the new rows alone gives
+    the same spikes as the last L rows of the full call.
     """
     x, squeeze = _normalize_input(x)
-    b, l, d = x.shape
+    t, b, l, d = x.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
     _check_weights(w, d)
     if past is not None:
         past_k, past_v = (_normalize_input(np.asarray(p, dtype=np.float64))[0] for p in past)
-        if past_k.shape != past_v.shape or past_k.shape[::2] != (b, d):
+        if past_k.shape != past_v.shape or past_k.shape[:2] + past_k.shape[3:] != (t, b, d):
             raise ShapeError(f"past keys {past_k.shape} and values {past_v.shape} "
                              f"do not match input {x.shape}")
-    _check_mask(mask, l, 0 if past is None else past_k.shape[1])
+    _check_mask(mask, l, 0 if past is None else past_k.shape[2])
     if not sn.relaxed:
         _check_spike_input(x, "sfsa_forward", sn)
 
-    q = ad.matmul(x, w.w_q) + w.b_q
-    k = ad.matmul(x, w.w_k) + w.b_k
-    v = ad.matmul(x, w.w_v) + w.b_v
-    sq, st_q = sn.step(state.q, q)
-    sk, st_k = sn.step(state.k, k)
-    sv, st_v = sn.step(state.v, v)
+    sq = sn.run(ad.linear(x, w.w_q, w.b_q))
+    sk = sn.run(ad.linear(x, w.w_k, w.b_k))
+    sv = sn.run(ad.linear(x, w.w_v, w.b_v))
     keys, values = sk, sv
     if past is not None:
         if ad.is_var(sk) or sn.relaxed:
             raise ConfigError("past keys and values need an untaped hard-threshold forward")
-        keys = np.concatenate([past_k, sk], axis=1)
-        values = np.concatenate([past_v, sv], axis=1)
+        keys = np.concatenate([past_k, sk], axis=2)
+        values = np.concatenate([past_v, sv], axis=2)
 
     scores = ad.matmul(_split_heads(sq, n_heads),
                        _split_heads(keys, n_heads).swapaxes(-1, -2))
-    masked = scores * mask
-    s_attn, st_attn = attn_sn.step(state.attn, masked)
+    if ad.is_var(scores):
+        scores = scores * mask
+    else:
+        scores *= mask  # a fresh array: no second [T, B, h, L, P + L] buffer
+    s_attn = attn_sn.run(scores)
+    s_ctx = sn.run(ad.matmul(s_attn, _split_heads(values, n_heads)))
+    out = sn.run(ad.linear(_merge_heads(s_ctx), w.w_out, w.b_out))
 
-    ctx = ad.matmul(s_attn, _split_heads(values, n_heads))
-    s_ctx, st_ctx = sn.step(state.attn_out, ctx)
-
-    y = ad.matmul(_merge_heads(s_ctx), w.w_out) + w.b_out
-    out, st_out = sn.step(state.out, y)
-
-    new_state = SfsaState(st_q, st_k, st_v, st_attn, st_ctx, st_out)
-    if squeeze:
-        b_, l_, d_ = out.shape
-        out = out.reshape(l_, d_)
-        h_ = s_attn.shape[1]
-        s_attn = s_attn.reshape(h_, l_, s_attn.shape[-1])
-    return out, s_attn, new_state
+    if squeeze:  # drop the batch axis after T
+        out, s_attn, sk, sv = (z.reshape(z.shape[:1] + z.shape[2:])
+                               for z in (out, s_attn, sk, sv))
+    return out, s_attn, (sk, sv)
 
 
 def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
@@ -215,7 +199,7 @@ def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
     shape [.., h, L, L]. Rows whose mask is entirely zero fall back to
     attending to themselves rather than producing NaNs.
     """
-    x, squeeze = _normalize_input(x)
+    x, squeeze = _normalize_input(x, rank=2)
     b, l, d = x.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
@@ -229,16 +213,16 @@ def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
         idx = np.where(dead_rows)[0]
         eff_mask[idx, idx] = 1.0
 
-    q = _split_heads(ad.matmul(x, w.w_q) + w.b_q, n_heads)
-    k = _split_heads(ad.matmul(x, w.w_k) + w.b_k, n_heads)
-    v = _split_heads(ad.matmul(x, w.w_v) + w.b_v, n_heads)
+    q = _split_heads(ad.linear(x, w.w_q, w.b_q), n_heads)
+    k = _split_heads(ad.linear(x, w.w_k, w.b_k), n_heads)
+    v = _split_heads(ad.linear(x, w.w_v, w.b_v), n_heads)
     d_head = d // n_heads
 
     logits = ad.matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_head))
     # additive masking; -1e9 underflows to 0 after the softmax
     logits = logits + (eff_mask - 1.0) * 1e9
     attn = ad.softmax(logits, axis=-1)
-    out = ad.matmul(_merge_heads(ad.matmul(attn, v)), w.w_out) + w.b_out
+    out = ad.linear(_merge_heads(ad.matmul(attn, v)), w.w_out, w.b_out)
 
     if squeeze:
         b_, l_, d_ = out.shape

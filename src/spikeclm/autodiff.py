@@ -316,6 +316,15 @@ def matmul(a, b):
     return numerics.matmul(a, b)
 
 
+def linear(x, w, b):
+    """x @ w + b on either kind; on plain arrays the bias is added in place."""
+    if isinstance(x, Var) or isinstance(w, Var) or isinstance(b, Var):
+        return as_var(x) @ as_var(w) + b
+    y = numerics.matmul(x, w)
+    y += b
+    return y
+
+
 def take_rows(table, ids):
     """table[ids] where ids is an integer array; rows may repeat."""
     ids = np.asarray(ids)

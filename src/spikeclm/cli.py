@@ -268,6 +268,7 @@ def cmd_profile(rc: RunConfig) -> int:
     cfg, params, _, _ = load_model(rc.checkpoint)
     if rc.eval_t_steps:
         cfg.t_steps = rc.eval_t_steps  # profile at a different T than trained
+        cfg.validate()
     windows, _ = _eval_slice(rc, cfg)
     xb, _ = data.batch_at(windows, 0, min(rc.train.batch_size, len(windows)))
     _, trace = snn_forward(xb, cfg, params)

@@ -113,7 +113,11 @@ def _mse(target: np.ndarray, student):
 
 
 def loss_embedding(e_ann: np.ndarray, e_snn_steps, proj: np.ndarray | None = None):
-    """Mean squared entry of E_ANN minus the projected student time-mean."""
+    """Mean squared entry of E_ANN minus the projected student time-mean.
+
+    Student activity here and in the other alignment losses is a [T, ...]
+    stack of spikes (a Var when taped).
+    """
     e_ann = np.asarray(e_ann, dtype=np.float64)
     mean = time_mean(e_snn_steps)
     if proj is not None:
@@ -133,7 +137,7 @@ def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
         raise AlignmentError(
             f"attention shapes differ after alignment: teacher {a_ann.shape}, "
             f"student {ad.value(mean).shape}")
-    rate_target = spike_encode(a_ann, len(a_snn_steps), p).mean(axis=0)
+    rate_target = spike_encode(a_ann, ad.value(a_snn_steps).shape[0], p).mean(axis=0)
     return gamma * _mse(rate_target, mean) + (1.0 - gamma) * _mse(a_ann, mean)
 
 
@@ -153,7 +157,7 @@ def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float,
             f"student {ad.value(mean).shape}")
 
     mapped_student = mean if proj is None else ad.matmul(mean, proj)
-    rate_target = spike_encode(h_ann, len(h_snn_steps), p).mean(axis=0)
+    rate_target = spike_encode(h_ann, ad.value(h_snn_steps).shape[0], p).mean(axis=0)
     if rate_target.shape == ad.value(mean).shape:
         rate_branch = _mse(rate_target, mean)
     else:
@@ -228,7 +232,7 @@ def spad_losses(student_logits, student_trace, teacher_trace, targets,
         comps[0] = loss_embedding(ad.value(teacher_trace.embed),
                                   student_trace.embed_steps, spad.emb_proj)
     if lam[1] != 0.0:
-        h_s = ad.value(student_trace.attn_spikes[0][0]).shape[-3]
+        h_s = ad.value(student_trace.attn_spikes[0]).shape[-3]
         total = 0.0
         for i, j in enumerate(lmap):
             pooled = pool_heads(ad.value(teacher_trace.attn_maps[j]), h_s)

@@ -1,12 +1,13 @@
 """Causal language models: a spiking student and a dense teacher.
 
 The student stacks residual blocks over binary spike streams. Token plus
-position embeddings drive an encoder neuron population for t_steps; each
-step's spikes flow through every block (spiking attention, then a spiking
-two-layer FFN), the per-step pre-head representations are averaged over
-time, and one real-valued projection produces logits. Residual connections
-add spike trains, so deeper blocks see small integer spike sums; every
-tensor produced inside a block is strictly binary.
+position embeddings drive an encoder neuron population for t_steps; the
+[T, B, L, d] stack of its spikes flows through the blocks layer by layer
+(spiking attention, then a spiking two-layer FFN, each over all T steps in
+one call), the pre-head representations are averaged over time, and one
+real-valued projection produces logits. Residual connections add spike
+trains, so deeper blocks see small integer spike sums; every tensor
+produced inside a block is strictly binary.
 
 The teacher is an ordinary pre-norm transformer (dense attention, ReLU
 FFN, LayerNorm) over the same weight layout, run once per sequence with no
@@ -27,10 +28,9 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttnWeights, SfsaState, causal_mask, csa_forward,
-                        fresh_sfsa_state, sfsa_forward)
+from .attention import AttnWeights, causal_mask, csa_forward, sfsa_forward
 from .errors import ConfigError, EvaluationError, ShapeError, ValidationError
-from .neurons import LifParams, NeuronSpec, NeuronState, TernaryParams, fresh_state
+from .neurons import LifParams, NeuronSpec, TernaryParams
 from .numerics import Rng
 
 LN_EPS = 1e-5
@@ -141,25 +141,17 @@ def _attn_weights(params: dict, layer: int) -> AttnWeights:
 # -- spiking feed-forward ------------------------------------------------------
 
 
-@dataclass
-class SffnState:
-    fc1: NeuronState
-    fc2: NeuronState
+def sffn_forward(x, w1, b1, w2, b2, sn: NeuronSpec):
+    """Spiking FFN over all time steps: two linear maps, a neuron after each.
 
-
-def fresh_sffn_state() -> SffnState:
-    return SffnState(fresh_state(), fresh_state())
-
-
-def sffn_forward(x, w1, b1, w2, b2, state: SffnState, sn: NeuronSpec):
-    """One time step of the spiking FFN: two linear maps, a neuron after each."""
+    x is a [T, ..., d] stack; both neuron populations start from rest.
+    """
     d_in = ad.value(x).shape[-1]
     if ad.value(w1).shape[0] != d_in or ad.value(w2).shape[1] != d_in:
         raise ShapeError(
             f"ffn weights {ad.value(w1).shape}/{ad.value(w2).shape} do not match input width {d_in}")
-    h, st1 = sn.step(state.fc1, ad.matmul(x, w1) + b1)
-    out, st2 = sn.step(state.fc2, ad.matmul(h, w2) + b2)
-    return out, SffnState(st1, st2)
+    h = sn.run(ad.linear(x, w1, b1))
+    return sn.run(ad.linear(h, w2, b2))
 
 
 # -- traces --------------------------------------------------------------------
@@ -169,15 +161,17 @@ def sffn_forward(x, w1, b1, w2, b2, state: SffnState, sn: NeuronSpec):
 class TraceBundle:
     """Per-step activity recorded by snn_forward for distillation/profiling.
 
-    attn_spikes[l][t] is the attention spike map of layer l at step t;
-    hidden[l][t] is that layer's FFN output spikes. The *_active/_total
-    pairs count nonzero entries against all entries of each sublayer's
-    input, accumulated over time steps, for firing-rate estimates.
+    embed_steps is the [T, B, L, d] stack of encoder spikes; attn_spikes[l]
+    is layer l's [T, B, h, L, L] stack of attention spike maps and
+    hidden[l] the [T, B, L, d] stack of its FFN output spikes, so
+    attn_spikes[l][t] is the map at step t. The *_active/_total pairs count
+    nonzero entries against all entries of each sublayer's input, summed
+    over time steps, for firing-rate estimates.
     """
 
     seq_len: int
     t_steps: int
-    embed_steps: list = field(default_factory=list)
+    embed_steps: object = None
     attn_spikes: list = field(default_factory=list)
     hidden: list = field(default_factory=list)
     sfsa_in_active: np.ndarray | None = None
@@ -223,9 +217,10 @@ def _check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
 class DecodeCache:
     """Key and value spikes of the positions an incremental decode has run.
 
-    k[i][t] and v[i][t] hold layer i's key and value spikes at time step t
-    for the first `length` positions, each [B, length, d]. snn_forward reads
-    them as the past of its new positions and appends those positions.
+    k[i] and v[i] are layer i's [T, B, max_seq_len, d] buffers, allocated
+    when a forward starts on an empty cache; positions below `length` hold
+    the key and value spikes at each time step. snn_forward reads them as
+    the past of its new positions and writes those positions in place.
     """
 
     length: int = 0
@@ -239,13 +234,16 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
 
     tokens: int array [L] or [B, L]. Returns (logits, TraceBundle) with
     logits [B, L, vocab] ([L, vocab] when the input was rank 1). Set
-    collect=False to skip storing per-step spike tensors (counters are
-    still filled); relaxed=True replaces every threshold with its smooth
+    collect=False to skip storing the spike stacks (counters are still
+    filled); relaxed=True replaces every threshold with its smooth
     surrogate, making the forward differentiable end to end.
+
+    The forward runs layer by layer: each block takes the [T, B, L, d]
+    stack of its input spikes and returns the stack of its output spikes.
 
     With a cache holding P positions, tokens are positions P..P+L-1 of the
     same sequences: they read pos_emb[P:P+L], attend to the cached keys and
-    values, and are appended to the cache. Logits then match the last L rows
+    values, and are written to the cache. Logits then match the last L rows
     of a full forward over all P+L tokens up to rounding: a product over
     fewer rows may sum in another order inside BLAS, while spikes, scores
     and context sums are exact. Prefill is the same call on an empty cache.
@@ -253,7 +251,7 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     ids = _check_tokens(tokens, cfg)
     squeeze = np.asarray(tokens).ndim == 1
     b, l = ids.shape
-    n = cfg.n_layers
+    n, t_steps = cfg.n_layers, cfg.t_steps
     past_len = 0
     if cache is not None:
         if relaxed:
@@ -262,81 +260,79 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
         if past_len + l > cfg.max_seq_len:
             raise ShapeError(f"{past_len} cached plus {l} new positions exceed "
                              f"max_seq_len {cfg.max_seq_len}")
-        if past_len and cache.k[0][0].shape[0] != b:
-            raise ShapeError(f"cache holds batch {cache.k[0][0].shape[0]}, tokens have {b}")
+        if past_len and cache.k[0].shape[:2] != (t_steps, b):
+            raise ShapeError(f"cache holds {cache.k[0].shape[0]} steps of batch "
+                             f"{cache.k[0].shape[1]}, tokens need {t_steps} of batch {b}")
 
-    emb = ad.take_rows(params["tok_emb"], ids) + params["pos_emb"][past_len:past_len + l]
+    # [1, B, L, d]: one current that drives the encoder at every step
+    emb = ad.take_rows(params["tok_emb"], ids[None]) + params["pos_emb"][past_len:past_len + l]
     mask = causal_mask(l, offset=past_len)
     sn = cfg.neuron_spec(relaxed)
     attn_sn = cfg.attn_spec(relaxed)
 
-    trace = TraceBundle(seq_len=l, t_steps=cfg.t_steps,
-                        attn_spikes=[[] for _ in range(n)],
-                        hidden=[[] for _ in range(n)])
+    trace = TraceBundle(seq_len=l, t_steps=t_steps)
     trace.sfsa_in_active = np.zeros(n)
     trace.sfsa_in_total = np.zeros(n)
     trace.sffn_in_active = np.zeros(n)
     trace.sffn_in_total = np.zeros(n)
+    if cache is not None and not past_len:
+        shape = (t_steps, b, cfg.max_seq_len, cfg.d_model)
+        cache.k = [np.empty(shape) for _ in range(n)]
+        cache.v = [np.empty(shape) for _ in range(n)]
 
-    enc_state = fresh_state()
-    attn_states: list[SfsaState] = [fresh_sfsa_state() for _ in range(n)]
-    ffn_states: list[SffnState] = [fresh_sffn_state() for _ in range(n)]
-    head_steps = []
-    new_k = [[] for _ in range(n)]
-    new_v = [[] for _ in range(n)]
-
-    for t in range(cfg.t_steps):
-        x, enc_state = sn.step(enc_state, emb)
+    stream = sn.run(emb, t_steps)
+    if collect:
+        trace.embed_steps = stream
+    for i in range(n):
+        trace.sfsa_in_active[i], trace.sfsa_in_total[i] = _count_active(stream)
+        past = None
+        if past_len:
+            past = (cache.k[i][:, :, :past_len], cache.v[i][:, :, :past_len])
+        attn_out, attn_spk, (sk, sv) = sfsa_forward(
+            stream, _attn_weights(params, i), mask, sn, attn_sn, cfg.n_heads, past=past)
+        if cache is not None:
+            cache.k[i][:, :, past_len:past_len + l] = sk
+            cache.v[i][:, :, past_len:past_len + l] = sv
+        y = stream + attn_out
+        trace.sffn_in_active[i], trace.sffn_in_total[i] = _count_active(y)
+        pre = f"layers.{i}.ffn."
+        ffn_out = sffn_forward(y, params[pre + "w1"], params[pre + "b1"],
+                               params[pre + "w2"], params[pre + "b2"], sn)
         if collect:
-            trace.embed_steps.append(x)
-        stream = x
-        for i in range(n):
-            a, c = _count_active(stream)
-            trace.sfsa_in_active[i] += a
-            trace.sfsa_in_total[i] += c
-            past = (cache.k[i][t], cache.v[i][t]) if past_len else None
-            attn_out, attn_spk, attn_states[i] = sfsa_forward(
-                stream, _attn_weights(params, i), mask, attn_states[i],
-                sn, attn_sn, cfg.n_heads, past=past)
-            if cache is not None:
-                sk, sv = attn_states[i].k.s_prev, attn_states[i].v.s_prev
-                new_k[i].append(np.concatenate([past[0], sk], axis=1) if past else sk)
-                new_v[i].append(np.concatenate([past[1], sv], axis=1) if past else sv)
-            y = stream + attn_out
-            a, c = _count_active(y)
-            trace.sffn_in_active[i] += a
-            trace.sffn_in_total[i] += c
-            pre = f"layers.{i}.ffn."
-            ffn_out, ffn_states[i] = sffn_forward(
-                y, params[pre + "w1"], params[pre + "b1"],
-                params[pre + "w2"], params[pre + "b2"], ffn_states[i], sn)
-            if collect:
-                trace.attn_spikes[i].append(attn_spk)
-                trace.hidden[i].append(ffn_out)
-            stream = y + ffn_out
-        head_steps.append(stream)
+            trace.attn_spikes.append(attn_spk)
+            trace.hidden.append(ffn_out)
+        stream = y + ffn_out
 
-    logits = decode_logits(head_steps, params["head.w"])
+    logits = decode_logits(stream, params["head.w"])
     if cache is not None:
-        cache.length, cache.k, cache.v = past_len + l, new_k, new_v
+        cache.length = past_len + l
     if squeeze:
         logits = logits.reshape(l, cfg.vocab_size)
     return logits, trace
 
 
 def time_mean(steps):
-    """Mean of per-step tensors (arrays or Vars), summed in step order."""
-    if not steps:
+    """Mean over the leading time axis of a [T, ...] stack (array or Var).
+
+    The steps are summed in t order; a plain array is then divided by T and
+    a Var multiplied by 1/T, as Var division by a number does.
+    """
+    d = ad.value(steps)
+    if d.ndim == 0 or len(d) == 0:
         raise ShapeError("time_mean needs at least one time step")
-    total = steps[0]
-    for s in steps[1:]:
+    total = d[0]
+    for s in d[1:]:
         total = total + s
-    return total / len(steps)
+    n = len(d)
+    if not isinstance(steps, ad.Var):
+        return total / n
+    return ad.custom_op(total * (1.0 / n),
+                        (steps, lambda g: np.broadcast_to(g * (1.0 / n), d.shape)))
 
 
-def decode_logits(per_step_head_inputs, w_head):
-    """Average representations over time, then project to the vocabulary."""
-    return ad.matmul(time_mean(per_step_head_inputs), w_head)
+def decode_logits(head_inputs, w_head):
+    """Average a [T, ...] stack of representations over time, then project."""
+    return ad.matmul(time_mean(head_inputs), w_head)
 
 
 # -- dense teacher -------------------------------------------------------------
@@ -379,8 +375,8 @@ def ann_forward(tokens, cfg: ModelConfig, params: dict):
         attn_out, attn_map = csa_forward(h, _attn_weights(params, i), mask, cfg.n_heads)
         x = x + attn_out
         h2 = layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        mid = ad.relu(ad.matmul(h2, params[pre + "ffn.w1"]) + params[pre + "ffn.b1"])
-        x = x + (ad.matmul(mid, params[pre + "ffn.w2"]) + params[pre + "ffn.b2"])
+        mid = ad.relu(ad.linear(h2, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
+        x = x + ad.linear(mid, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
         trace.attn_maps.append(attn_map)
         trace.hidden.append(x)
 

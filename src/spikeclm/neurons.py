@@ -21,9 +21,12 @@ The ternary neuron emits {-amp, 0, +amp} by comparing the membrane against
 Inputs accumulate onto the rescaled membrane with no extra decay term;
 the rescaling itself plays that role.
 
-All step functions accept either plain ndarrays or autodiff Vars and keep
-whatever kind they were given, so the same dynamics code serves inference
-and backprop-through-time.
+The step functions accept either plain ndarrays or autodiff Vars and keep
+whatever kind they were given. A network runs each neuron population over
+all T steps at once through NeuronSpec.run: its forward loops the step
+function over t on plain arrays, and on the tape it is one node whose
+backward runs the BPTT recurrence in reverse over t (Neftci, Mostafa &
+Zenke 2019), through the input, decay, reset and surrogate paths.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Var, value
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 
 
 @dataclass
@@ -67,15 +70,14 @@ class TernaryParams:
 
 @dataclass
 class NeuronState:
-    """Carried state of one neuron population (membrane and last spike)."""
+    """Carried state of one neuron population (membrane and last spike).
+
+    The defaults are the fresh state: zero membrane, no prior spike, which
+    broadcast against any input shape.
+    """
 
     u: object = 0.0
     s_prev: object = 0.0
-
-
-def fresh_state() -> NeuronState:
-    """Zero membrane, no prior spike; broadcasts against any input shape."""
-    return NeuronState(u=0.0, s_prev=0.0)
 
 
 # -- surrogate --------------------------------------------------------------
@@ -138,7 +140,14 @@ def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = Fa
     if taped:
         operands = (i, _identity), (u, lambda g: g * p.beta), (s, lambda g: g * -p.u_thr)
         i, u, s = value(i), value(u), value(s)
-    u = i + p.beta * u - s * p.u_thr
+    # i + beta * U_prev - S_prev * U_thr, in place on the one new array where
+    # shapes allow (a + b == b + a exactly): fewer large temporaries to free
+    u = p.beta * u
+    if isinstance(u, np.ndarray) and isinstance(i, np.ndarray) and u.shape == i.shape:
+        u += i
+    else:
+        u = i + u
+    u -= s * p.u_thr
     if taped:
         u = autodiff.custom_op(u, *operands)
     s = _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed, taped)
@@ -174,6 +183,77 @@ def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: b
     return s, NeuronState(u=u_next, s_prev=s)
 
 
+# -- multi-step runner ---------------------------------------------------------
+
+
+def _lif_bptt(g, currents, u, s, p: LifParams):
+    """Reverse LIF recurrence: dL/dI [T, ...] from dL/dS [T, ...].
+
+    u and s are the forward membranes and spikes. S_t reaches the loss
+    directly and through U_{t+1} (-U_thr); U_t through S_t (the surrogate
+    slope) and through U_{t+1} (beta).
+    """
+    slope = surrogate_grad(u - p.u_thr, p.surrogate_alpha)
+    gi = np.empty(u.shape)
+    gi[-1] = g[-1] * slope[-1]
+    for t in range(len(u) - 2, -1, -1):
+        nxt = gi[t + 1]
+        gi[t] = (g[t] + nxt * -p.u_thr) * slope[t] + nxt * p.beta
+    return gi
+
+
+def _ternary_bptt(g, currents, u, s, p: TernaryParams):
+    """Reverse ternary recurrence: dL/dI [T, ...] from dL/dS [T, ...].
+
+    u holds the rescaled membranes U_t; the pre-spike membrane V_t =
+    I_t + U_{t-1} is rebuilt from them. U_t = V_t (amp - S_t) + U_reset S_t
+    feeds V_{t+1}, so S_t reaches the loss directly and through U_t with
+    -V_t and U_reset, and V_t through S_t and through U_t with amp - S_t.
+    """
+    v = np.empty(u.shape)
+    v[0] = currents[0] + 0.0
+    v[1:] = currents[1:] + u[:-1]
+    slope = p.amp * (surrogate_grad(v - p.amp, p.surrogate_alpha)
+                     + surrogate_grad(v + p.amp, p.surrogate_alpha))
+    gi = np.empty(u.shape)
+    gi[-1] = g[-1] * slope[-1]
+    for t in range(len(u) - 2, -1, -1):
+        gu = gi[t + 1]
+        gs = g[t] + -(gu * v[t]) + gu * p.u_reset
+        gi[t] = gu * (p.amp - s[t]) + slope[t] * gs
+    return gi
+
+
+def _run_population(step, bptt, currents, p, relaxed: bool = False, t_steps: int | None = None):
+    """Spike trains [T, ...] of one neuron population from rest.
+
+    currents is a [T, ...] stack, or [1, ...] for a drive held constant
+    over t_steps. The forward calls step at each t on plain arrays; when
+    currents is a Var the result is one tape node whose backward is bptt.
+    """
+    taped = isinstance(currents, Var)
+    data = currents.data if taped else np.asarray(currents, dtype=np.float64)
+    t_steps = len(data) if t_steps is None else t_steps
+    if t_steps < 1:
+        raise ValidationError(f"t_steps must be >= 1, got {t_steps}")
+    if len(data) != t_steps:
+        if len(data) != 1:
+            raise ShapeError(f"{len(data)} input steps do not drive {t_steps} time steps")
+        data = np.broadcast_to(data, (t_steps,) + data.shape[1:])
+    spikes = np.empty(data.shape)
+    membranes = np.empty(data.shape) if taped else None
+    state = NeuronState()
+    for t, current in enumerate(data):
+        s, state = step(state, current, p, relaxed)
+        spikes[t] = s
+        if taped:
+            membranes[t] = state.u
+    if not taped:
+        return spikes
+    return autodiff.custom_op(
+        spikes, (currents, lambda g: bptt(g, data, membranes, spikes, p)))
+
+
 @dataclass
 class NeuronSpec:
     """Which neuron a network runs, plus its parameters and forward mode."""
@@ -194,6 +274,14 @@ class NeuronSpec:
             return lif_step(state, input_current, self.lif, relaxed=self.relaxed)
         return ternary_step(state, input_current, self.ternary, relaxed=self.relaxed)
 
+    def run(self, currents, t_steps: int | None = None):
+        """Spikes [T, ...] of a population from rest; see _run_population."""
+        if self.mode == "binary":
+            return _run_population(lif_step, _lif_bptt, currents, self.lif,
+                                   self.relaxed, t_steps)
+        return _run_population(ternary_step, _ternary_bptt, currents, self.ternary,
+                               self.relaxed, t_steps)
+
     def with_threshold(self, u_thr: float) -> "NeuronSpec":
         """Copy with a different firing threshold (binary) or band (ternary)."""
         if self.mode == "binary":
@@ -211,15 +299,7 @@ def lif_constant_drive(a: np.ndarray, t_steps: int, p: LifParams) -> np.ndarray:
 
     Starts from a zero membrane and returns spikes of shape (t_steps, *a.shape).
     """
-    if t_steps < 1:
-        raise ValidationError(f"t_steps must be >= 1, got {t_steps}")
-    a = np.asarray(a, dtype=np.float64)
-    state = fresh_state()
-    out = np.empty((t_steps,) + a.shape, dtype=np.float64)
-    for t in range(t_steps):
-        s, state = lif_step(state, a, p)
-        out[t] = s
-    return out
+    return NeuronSpec(lif=p).run(np.asarray(a, dtype=np.float64)[None], t_steps)
 
 
 def empirical_rate(a: float, t_steps: int, p: LifParams) -> float:

@@ -111,8 +111,6 @@ class count_macs:
 
 def _record_macs(lead, a_shape, b_shape) -> None:
     """Add the MACs of a @ b to every active counter; lead is their batch shape."""
-    if not _mac_counter_stack:
-        return
     m, k = a_shape[-2], a_shape[-1]
     n = b_shape[-1]
     batch = 1
@@ -127,20 +125,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched matrix product with shape validation and MAC counting.
 
     Leading dimensions broadcast numpy-style; the trailing two must chain
-    ([..., m, k] @ [..., k, n]).
+    ([..., m, k] @ [..., k, n]). Shapes are diagnosed only when numpy
+    rejects the product.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands need rank >= 2, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     try:
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = a @ b
     except ValueError as e:
+        if a.shape[-1] != b.shape[-2]:
+            raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}") from e
         raise ShapeError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}") from e
-    _record_macs(lead, a.shape, b.shape)
-    return a @ b
+    if _mac_counter_stack:
+        _record_macs(out.shape[:-2], a.shape, b.shape)
+    return out
 
 
 def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad, data, energy
-from .attention import causal_mask, csa_forward, fresh_sfsa_state, sfsa_forward
+from .attention import causal_mask, csa_forward, sfsa_forward
 from .distill import (SpadConfig, layer_map, loss_attention, loss_embedding,
                       loss_feature, loss_hard, loss_soft, loss_total, pool_heads,
                       spike_encode)
@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .model import (ModelConfig, ann_forward, count_params, expected_param_count,
                     generate, init_params, load_model, save_model, snn_forward)
 from .neurons import (LifParams, NeuronState, TernaryParams, eligibility_trace,
-                      empirical_rate, fresh_state, lif_step, surrogate_forward,
+                      empirical_rate, lif_step, surrogate_forward,
                       surrogate_grad, ternary_step)
 from .numerics import Rng, count_macs, finite_diff_grad, matmul
 from .training import TrainConfig, adam_step, clip_gradients, global_norm, init_adam, lr_schedule
@@ -78,7 +78,7 @@ def check_autodiff_fd():
 
 def check_lif_hand_traces():
     p = LifParams(beta=1.0, u_thr=1.0)
-    st = fresh_state()
+    st = NeuronState()
     us, ss = [], []
     for _ in range(4):
         s, st = lif_step(st, 0.5, p)
@@ -87,7 +87,7 @@ def check_lif_hand_traces():
     assert us == [0.5, 1.0, 0.5, 1.0] and ss == [0, 1, 0, 1], (us, ss)
 
     p = LifParams(beta=0.5, u_thr=1.0)
-    st = fresh_state()
+    st = NeuronState()
     us = []
     for _ in range(4):
         s, st = lif_step(st, 1.0, p)
@@ -141,23 +141,20 @@ def check_sfsa_structure():
     params = init_params(cfg, 0)
     w = params
     rng = np.random.default_rng(1)
-    x = (rng.random((6, cfg.d_model)) < 0.5).astype(float)
+    x = (rng.random((cfg.t_steps, 6, cfg.d_model)) < 0.5).astype(float)
     mask = causal_mask(6)
     from .model import _attn_weights
     sn, attn_sn = cfg.neuron_spec(), cfg.attn_spec()
-    st = fresh_sfsa_state()
-    out, s_attn, _ = sfsa_forward(x, _attn_weights(w, 0), mask, st, sn, attn_sn,
-                                  cfg.n_heads)
+    out, s_attn, _ = sfsa_forward(x, _attn_weights(w, 0), mask, sn, attn_sn, cfg.n_heads)
     a = ad.value(s_attn)
     o = ad.value(out)
     assert set(np.unique(a)) <= {0.0, 1.0}, "attention spikes not binary"
     assert set(np.unique(o)) <= {0.0, 1.0}, "output spikes not binary"
     # causality: perturb the last row of x, prefix must be bit-identical
     x2 = x.copy()
-    x2[-1] = 1 - x2[-1]
-    out2, _, _ = sfsa_forward(x2, _attn_weights(w, 0), mask, fresh_sfsa_state(),
-                              sn, attn_sn, cfg.n_heads)
-    assert np.array_equal(ad.value(out2)[:-1], o[:-1]), "suffix leaked backward"
+    x2[:, -1] = 1 - x2[:, -1]
+    out2, _, _ = sfsa_forward(x2, _attn_weights(w, 0), mask, sn, attn_sn, cfg.n_heads)
+    assert np.array_equal(ad.value(out2)[:, :-1], o[:, :-1]), "suffix leaked backward"
 
 
 def check_csa_rows():

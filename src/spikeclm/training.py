@@ -1,9 +1,9 @@
 """Optimization: BPTT through the unrolled time steps, Adam, schedules.
 
 The backward pass is plain reverse-mode differentiation over the taped
-forward; spike nonlinearities contribute their surrogate derivative, and
-the membrane recurrence (decay and reset paths both) is unrolled through
-all T steps by the tape. The eligibility-trace form exists in the neuron
+forward; each neuron population is one tape node whose backward runs the
+membrane recurrence (surrogate, decay and reset paths) in reverse through
+all T steps. The eligibility-trace form exists in the neuron
 module as a cross-check for single-layer cases, not as the training path.
 
 Training modes:
@@ -227,6 +227,10 @@ def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,
     n = len(windows)
     if n == 0:
         raise ValidationError("no evaluation windows")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if max_batches is not None and max_batches < 1:
+        raise ConfigError(f"max_batches must be >= 1, got {max_batches}")
     n_batches = (n + batch_size - 1) // batch_size
     if max_batches is not None:
         n_batches = min(n_batches, max_batches)

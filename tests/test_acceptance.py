@@ -13,14 +13,14 @@ import numpy as np
 
 from spikeclm import autodiff as ad
 from spikeclm import data, energy, numerics
-from spikeclm.attention import causal_mask, fresh_sfsa_state, sfsa_forward
+from spikeclm.attention import causal_mask, sfsa_forward
 from spikeclm.distill import (SpadConfig, loss_attention, loss_embedding,
                               loss_feature, loss_hard, loss_soft, loss_total,
                               spad_losses, spike_encode)
 from spikeclm.model import (ModelConfig, _attn_weights, ann_forward, generate,
                             init_params, save_model, snn_forward)
 from spikeclm.neurons import (LifParams, NeuronState, TernaryParams,
-                              eligibility_trace, empirical_rate, fresh_state,
+                              eligibility_trace, empirical_rate,
                               lif_constant_drive, lif_step, surrogate_forward,
                               surrogate_grad, ternary_step)
 from spikeclm.numerics import Rng, count_macs
@@ -43,18 +43,18 @@ def test_criterion_01_neuron_fidelity():
     ok = True
 
     # zero input from rest stays silent with a zero membrane
-    st = fresh_state()
+    st = NeuronState()
     for _ in range(5):
         s, st = lif_step(st, np.array(0.0), p)
         ok &= float(s) == 0.0 and float(st.u) == 0.0
 
     # single step at I=2: membrane 2.0, immediate spike
-    s, st = lif_step(fresh_state(), np.array(2.0), p)
+    s, st = lif_step(NeuronState(), np.array(2.0), p)
     ok &= float(st.u) == 2.0 and float(s) == 1.0
 
     # beta=1, I=0.5: membranes 0.5, 1.0, 0.5, 1.0 -> spikes 0,1,0,1
     p2 = LifParams(beta=1.0, u_thr=1.0)
-    st = fresh_state()
+    st = NeuronState()
     got_s, got_u = [], []
     for _ in range(4):
         s, st = lif_step(st, np.array(0.5), p2)
@@ -194,15 +194,14 @@ def test_criterion_06_sfsa_structure():
         x = (rng.random((8, cfg.d_model)) < 0.5).astype(float)
         mask = causal_mask(8)
         w = _attn_weights(params, 0)
-        out, s_attn, _ = sfsa_forward(x, w, mask, fresh_sfsa_state(), sn,
-                                      attn_sn, cfg.n_heads)
-        out, s_attn = ad.value(out), ad.value(s_attn)
+        out, s_attn, _ = sfsa_forward(x[None], w, mask, sn, attn_sn, cfg.n_heads)
+        out, s_attn = ad.value(out)[0], ad.value(s_attn)[0]
         ok &= set(np.unique(out)) <= {0.0, 1.0}
         ok &= set(np.unique(s_attn)) <= {0.0, 1.0}
 
         # integer scores: replay the q/k branch and take the binary dot products
-        sq, _ = sn.step(fresh_state(), x @ w.w_q + w.b_q)
-        sk, _ = sn.step(fresh_state(), x @ w.w_k + w.b_k)
+        sq, _ = sn.step(NeuronState(), x @ w.w_q + w.b_q)
+        sk, _ = sn.step(NeuronState(), x @ w.w_k + w.b_k)
         sq = sq.reshape(8, cfg.n_heads, d_head).swapaxes(0, 1)
         sk = sk.reshape(8, cfg.n_heads, d_head).swapaxes(0, 1)
         scores = sq @ sk.swapaxes(-1, -2)
@@ -212,10 +211,9 @@ def test_criterion_06_sfsa_structure():
         # suffix perturbation: flip the last row, prefix must be bit-exact
         x2 = x.copy()
         x2[-1] = 1.0 - x2[-1]
-        out2, s_attn2, _ = sfsa_forward(x2, w, mask, fresh_sfsa_state(), sn,
-                                        attn_sn, cfg.n_heads)
-        ok &= bool(np.array_equal(ad.value(out2)[:-1], out[:-1]))
-        ok &= bool(np.array_equal(ad.value(s_attn2)[..., :-1, :], s_attn[..., :-1, :]))
+        out2, s_attn2, _ = sfsa_forward(x2[None], w, mask, sn, attn_sn, cfg.n_heads)
+        ok &= bool(np.array_equal(ad.value(out2)[0, :-1], out[:-1]))
+        ok &= bool(np.array_equal(ad.value(s_attn2)[0, ..., :-1, :], s_attn[..., :-1, :]))
         if not ok:
             break
     assert verdict(6, "sfsa structure", ok, "100 causality trials")

@@ -175,6 +175,12 @@ class TestProfileEval:
         rep = energy.parse_report(capsys.readouterr().out)
         assert rep["t_steps"] == 4
 
+    def test_profile_bad_t_steps_is_one_error_line(self, ckpt, corpus_file, capsys):
+        capsys.readouterr()
+        assert run_cli("profile", "--checkpoint", ckpt, "--corpus", corpus_file,
+                       "--seq-len", "8", "--t-steps", "-3") == 2
+        assert capsys.readouterr().err == "error: t_steps must be >= 1, got -3\n"
+
     def test_eval_reports_ce_and_rates(self, ckpt, corpus_file, capsys):
         assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus_file,
                        "--seq-len", "8") == 0

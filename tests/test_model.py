@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from spikeclm import autodiff as ad, model, numerics
+from spikeclm import attention, autodiff as ad, data, energy, model, numerics, training
 from spikeclm.errors import ConfigError, EvaluationError, ShapeError, ValidationError
 from spikeclm.model import (DecodeCache, GenerateResult, ModelConfig, ann_forward,
                             decode_logits, generate, init_params, load_model, read_checkpoint,
                             save_model, snn_forward, time_mean, write_checkpoint)
+from spikeclm.neurons import NeuronState
 
 
 def tiny_cfg(**kw) -> ModelConfig:
@@ -297,14 +298,15 @@ class TestGenerate:
             generate([1], 1, self.cfg, self.params, temperature=1.0)
 
 
-def reference_generate(prompt, n_new, cfg, params, temperature=0.0, rng=None):
-    """Decode by a full snn_forward over the window for every token."""
+def reference_generate(prompt, n_new, cfg, params, temperature=0.0, rng=None,
+                       forward=snn_forward):
+    """Decode by a full forward over the window for every token."""
     ids, truncated = list(prompt), 0
     for _ in range(n_new):
         if len(ids) > cfg.max_seq_len:
             truncated += 1
-        logits, _ = snn_forward(np.asarray(ids[-cfg.max_seq_len:]), cfg, params,
-                                collect=False)
+        logits, _ = forward(np.asarray(ids[-cfg.max_seq_len:]), cfg, params,
+                            collect=False)
         last = logits[-1]
         if temperature == 0.0:
             nxt = int(np.argmax(last))
@@ -379,6 +381,103 @@ class TestIncrementalDecode:
         with pytest.raises(ConfigError):
             snn_forward(np.array([[1]]), cfg, p, relaxed=True, cache=cache)
         assert cache.length == 4
+
+
+def per_step_snn_forward(tokens, cfg, params, collect=True):
+    """The spiking model run one time step at a time: the untaped oracle.
+
+    Each step's spikes pass through every block before the next step
+    starts, and every neuron population carries its NeuronState across
+    steps. Returns (logits, TraceBundle) with the firing counters filled.
+    """
+    ids = np.asarray(tokens)
+    squeeze = ids.ndim == 1
+    ids = np.atleast_2d(ids)
+    b, l = ids.shape
+    n, h, t_steps = cfg.n_layers, cfg.n_heads, cfg.t_steps
+    specs = {"attn": cfg.attn_spec()}
+    states = {}
+
+    def fire(name, current):
+        sn = specs.get(name[-1], cfg.neuron_spec())
+        s, states[name] = sn.step(states.get(name, NeuronState()), current)
+        return s
+
+    def split(x):
+        return x.reshape(b, -1, h, cfg.d_model // h).swapaxes(1, 2)
+
+    emb = params["tok_emb"][ids] + params["pos_emb"][:l]
+    mask = attention.causal_mask(l)
+    trace = model.TraceBundle(seq_len=l, t_steps=t_steps)
+    counters = [np.zeros(n) for _ in range(4)]
+    (trace.sfsa_in_active, trace.sfsa_in_total,
+     trace.sffn_in_active, trace.sffn_in_total) = counters
+    head = []
+    for t in range(t_steps):
+        stream = fire(("enc",), emb)
+        for i in range(n):
+            counters[0][i] += np.count_nonzero(stream)
+            counters[1][i] += stream.size
+            w = model._attn_weights(params, i)
+            sq = fire((i, "q"), stream @ w.w_q + w.b_q)
+            sk = fire((i, "k"), stream @ w.w_k + w.b_k)
+            sv = fire((i, "v"), stream @ w.w_v + w.b_v)
+            s_attn = fire((i, "attn"), (split(sq) @ split(sk).swapaxes(-1, -2)) * mask)
+            s_ctx = fire((i, "ctx"), s_attn @ split(sv))
+            merged = s_ctx.swapaxes(1, 2).reshape(b, l, cfg.d_model)
+            y = stream + fire((i, "out"), merged @ w.w_out + w.b_out)
+            counters[2][i] += np.count_nonzero(y)
+            counters[3][i] += y.size
+            pre = f"layers.{i}.ffn."
+            hid = fire((i, "fc1"), y @ params[pre + "w1"] + params[pre + "b1"])
+            stream = y + fire((i, "fc2"), hid @ params[pre + "w2"] + params[pre + "b2"])
+        head.append(stream)
+    total = head[0]
+    for x in head[1:]:
+        total = total + x
+    logits = (total / t_steps) @ params["head.w"]
+    return (logits[0] if squeeze else logits), trace
+
+
+class TestMultiStepMatchesPerStep:
+    """Untaped outputs are bit-identical to the per-step forward."""
+
+    def make(self, mode, t_steps):
+        cfg = tiny_cfg(vocab_size=257, d_model=16, d_ff=32, max_seq_len=6, t_steps=t_steps,
+                       neuron_mode=mode, ternary_reset=0.25 if mode == "ternary" else 0.0)
+        return cfg, firing_params(cfg, 5 + t_steps)
+
+    @pytest.mark.parametrize("t_steps", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_logits_and_energy_report(self, mode, t_steps):
+        cfg, p = self.make(mode, t_steps)
+        ids = np.array([[1, 4, 2, 9, 0, 5], [3, 3, 7, 1, 10, 2]])
+        logits, trace = snn_forward(ids, cfg, p)
+        want, want_trace = per_step_snn_forward(ids, cfg, p)
+        assert all(np.count_nonzero(a) for a in trace.attn_spikes)
+        np.testing.assert_array_equal(logits, want)
+        assert (energy.render_report(energy.energy_report(cfg, trace))
+                == energy.render_report(energy.energy_report(cfg, want_trace)))
+
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("prompt", [[1, 2], [9, 8, 7, 6, 5, 4, 3, 2]])
+    def test_generate_tokens(self, mode, temperature, prompt):
+        cfg, p = self.make(mode, 2)
+        rng = numerics.Rng(3) if temperature else None
+        ref_rng = numerics.Rng(3) if temperature else None
+        out = generate(prompt, 8, cfg, p, temperature=temperature, rng=rng)
+        want, truncated = reference_generate(prompt, 8, cfg, p, temperature, ref_rng,
+                                             forward=per_step_snn_forward)
+        assert out.tokens == want and out.truncated_steps == truncated > 0
+
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_evaluate_ce(self, mode, monkeypatch):
+        cfg, p = self.make(mode, 3)
+        ws = data.make_windows(numerics.Rng(2).integers(0, 256, (90,)), 6)
+        got = training.evaluate_ce(cfg, p, ws, batch_size=4)
+        monkeypatch.setattr(training, "snn_forward", per_step_snn_forward)
+        assert got == training.evaluate_ce(cfg, p, ws, batch_size=4)
 
 
 class TestNonFinite:

@@ -5,7 +5,7 @@ import pytest
 
 from spikeclm import autodiff as ad
 from spikeclm import neurons, numerics
-from spikeclm.errors import ConfigError, ValidationError
+from spikeclm.errors import ConfigError, ShapeError, ValidationError
 from spikeclm.neurons import LifParams, NeuronSpec, NeuronState, TernaryParams
 
 
@@ -13,14 +13,14 @@ class TestLifHandTraces:
     def test_single_strong_input_spikes(self):
         """I=2.0 from rest: U=2.0 >= 1.0, so the neuron fires."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        s, st = neurons.lif_step(neurons.fresh_state(), np.asarray(2.0), p)
+        s, st = neurons.lif_step(NeuronState(), np.asarray(2.0), p)
         assert float(s) == 1.0
         assert float(st.u) == 2.0
 
     def test_no_decay_half_drive_alternates(self):
         """beta=1, I=0.5: membrane 0.5, 1.0, 0.5, 1.0; spikes 0,1,0,1."""
         p = LifParams(beta=1.0, u_thr=1.0)
-        state = neurons.fresh_state()
+        state = NeuronState()
         us, ss = [], []
         for _ in range(4):
             s, state = neurons.lif_step(state, np.asarray(0.5), p)
@@ -32,7 +32,7 @@ class TestLifHandTraces:
     def test_leaky_unit_drive_membrane_trace(self):
         """beta=0.5, I=1.0: membranes 1.0, 0.5, 1.25, 0.625; rate 1/2."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        state = neurons.fresh_state()
+        state = NeuronState()
         us = []
         for _ in range(4):
             s, state = neurons.lif_step(state, np.asarray(1.0), p)
@@ -43,7 +43,7 @@ class TestLifHandTraces:
     def test_subthreshold_decay(self):
         """One weak kick then silence: membrane halves each step, no spikes."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        state = neurons.fresh_state()
+        state = NeuronState()
         drives = [0.8, 0.0, 0.0]
         us, ss = [], []
         for d in drives:
@@ -56,7 +56,7 @@ class TestLifHandTraces:
     def test_outputs_exactly_binary(self):
         p = LifParams()
         rng = np.random.default_rng(42)
-        state = neurons.fresh_state()
+        state = NeuronState()
         for _ in range(10):
             s, state = neurons.lif_step(state, rng.normal(size=(4, 5)) * 3, p)
             assert set(np.unique(s)) <= {0.0, 1.0}
@@ -101,19 +101,19 @@ class TestTernary:
     def test_positive_spike_resets(self):
         """U=2, amp=1, reset=0: S=+1 and membrane rescales to 0."""
         p = TernaryParams(amp=1.0, u_reset=0.0)
-        s, st = neurons.ternary_step(neurons.fresh_state(), np.asarray(2.0), p)
+        s, st = neurons.ternary_step(NeuronState(), np.asarray(2.0), p)
         assert float(s) == 1.0
         assert float(st.u) == 0.0
 
     def test_three_levels(self):
         p = TernaryParams(amp=1.0)
         u = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        s, _ = neurons.ternary_step(neurons.fresh_state(), u, p)
+        s, _ = neurons.ternary_step(NeuronState(), u, p)
         np.testing.assert_array_equal(s, [-1.0, 0.0, 0.0, 0.0, 1.0])
 
     def test_amplitude_scales_output(self):
         p = TernaryParams(amp=0.5)
-        s, st = neurons.ternary_step(neurons.fresh_state(), np.asarray(3.0), p)
+        s, st = neurons.ternary_step(NeuronState(), np.asarray(3.0), p)
         assert float(s) == 0.5
         # U <- U*(amp - S) + 0 = 3 * 0 = 0
         assert float(st.u) == 0.0
@@ -121,19 +121,19 @@ class TestTernary:
     def test_silent_band_keeps_membrane(self):
         """|U| <= amp emits nothing and the membrane scales by amp."""
         p = TernaryParams(amp=1.0)
-        s, st = neurons.ternary_step(neurons.fresh_state(), np.asarray(0.6), p)
+        s, st = neurons.ternary_step(NeuronState(), np.asarray(0.6), p)
         assert float(s) == 0.0
         assert float(st.u) == pytest.approx(0.6)
 
     def test_reset_blend(self):
         p = TernaryParams(amp=1.0, u_reset=0.25)
-        _, st = neurons.ternary_step(neurons.fresh_state(), np.asarray(2.0), p)
+        _, st = neurons.ternary_step(NeuronState(), np.asarray(2.0), p)
         assert float(st.u) == pytest.approx(0.25)
 
     def test_outputs_in_three_point_set(self):
         p = TernaryParams(amp=1.0)
         rng = np.random.default_rng(1)
-        state = neurons.fresh_state()
+        state = NeuronState()
         for _ in range(8):
             s, state = neurons.ternary_step(state, rng.normal(size=(3, 3)) * 2, p)
             assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}
@@ -142,22 +142,22 @@ class TestTernary:
 class TestRelaxedModeAndGradients:
     def test_relaxed_forward_is_surrogate(self):
         p = LifParams(beta=0.5, u_thr=1.0, surrogate_alpha=2.0)
-        s, _ = neurons.lif_step(neurons.fresh_state(), np.asarray(2.0), p, relaxed=True)
+        s, _ = neurons.lif_step(NeuronState(), np.asarray(2.0), p, relaxed=True)
         np.testing.assert_allclose(float(s), neurons.surrogate_forward(1.0, 2.0))
 
     def test_untaped_spikes_match_taped(self):
         """Plain arrays skip the tape and give the same spikes as a Var."""
         u = np.array([-2.5, -1.0, 0.3, 1.0, 1.5])
         for step, p in ((neurons.lif_step, LifParams()), (neurons.ternary_step, TernaryParams())):
-            s, _ = step(neurons.fresh_state(), u, p)
-            sv, _ = step(neurons.fresh_state(), ad.Var(u, requires_grad=True), p)
+            s, _ = step(NeuronState(), u, p)
+            sv, _ = step(NeuronState(), ad.Var(u, requires_grad=True), p)
             assert type(s) is np.ndarray
             np.testing.assert_array_equal(s, sv.data)
 
     def test_hard_spike_backward_uses_surrogate(self):
         p = LifParams(beta=0.5, u_thr=1.0, surrogate_alpha=2.0)
         u_in = ad.Var(np.array([0.3, 1.5]), requires_grad=True)
-        s, _ = neurons.lif_step(neurons.fresh_state(), u_in, p)
+        s, _ = neurons.lif_step(NeuronState(), u_in, p)
         np.testing.assert_array_equal(s.data, [0.0, 1.0])
         s.sum().backward()
         np.testing.assert_allclose(
@@ -169,7 +169,7 @@ class TestRelaxedModeAndGradients:
         x0 = np.array([0.8, 1.2, 0.4])
 
         def run(v):
-            state = neurons.fresh_state()
+            state = NeuronState()
             total = None
             for _ in range(3):
                 s, state = neurons.lif_step(state, v, p, relaxed=True)
@@ -186,7 +186,7 @@ class TestRelaxedModeAndGradients:
         x0 = np.array([0.5, -1.4, 2.0])
 
         def run(v):
-            state = neurons.fresh_state()
+            state = NeuronState()
             total = None
             for _ in range(2):
                 s, state = neurons.ternary_step(state, v, p, relaxed=True)
@@ -228,7 +228,7 @@ def run_chain(step, p, relaxed, taped):
     w = np.array([0.5, -1.0, 2.0, 0.25, -1.5])
     inputs = [ad.Var(x.copy(), requires_grad=True) if t in taped else x.copy()
               for t, x in enumerate(CHAIN_INPUTS)]
-    state, loss, outs = neurons.fresh_state(), 0.0, []
+    state, loss, outs = NeuronState(), 0.0, []
     for t, x in enumerate(inputs):
         s, state = step(state, x, p, relaxed)
         outs += [s, state.u]
@@ -266,7 +266,7 @@ class TestFusedSteps:
         """The first step's input reaches the loss only through U_prev and S_prev."""
         p = LifParams(beta=0.5, u_thr=1.0)
         x = ad.Var(np.array([1.2, 0.9]), requires_grad=True)
-        _, state = neurons.lif_step(neurons.fresh_state(), x, p)
+        _, state = neurons.lif_step(NeuronState(), x, p)
         s, state = neurons.lif_step(state, np.zeros(2), p)
         (s.sum() + state.u.sum()).backward()
         s0 = np.array([1.0, 0.0])
@@ -277,7 +277,7 @@ class TestFusedSteps:
         np.testing.assert_allclose(x.grad, dl_du1 * (0.5 - dsurr), rtol=1e-12)
 
     @pytest.mark.parametrize("state", [
-        neurons.fresh_state(),
+        NeuronState(),
         NeuronState(u=ad.Var(np.array([0.5, 1.5]), requires_grad=True),
                     s_prev=ad.Var(np.array([0.0, 1.0]), requires_grad=True)),
     ])
@@ -296,12 +296,127 @@ class TestFusedSteps:
         assert s._parents == (new.u,)
 
 
+def chained_reference(step, p, relaxed, currents, t_steps):
+    """The runner's oracle: step chained over t from rest, one call per step.
+
+    currents is [T, ...] or [1, ...] (held constant); when it is a Var each
+    step reads its row through the tape. Returns the spike and membrane
+    lists.
+    """
+    state, spikes, membranes = NeuronState(), [], []
+    for t in range(t_steps):
+        row = currents[t if currents.shape[0] > 1 else 0]
+        s, state = step(state, row, p, relaxed)
+        spikes.append(s)
+        membranes.append(state.u)
+    return spikes, membranes
+
+
+RUNNER_SPECS = [
+    NeuronSpec("binary", lif=LifParams(beta=0.5, u_thr=1.0)),
+    NeuronSpec("binary", lif=LifParams(beta=0.9, u_thr=0.7)),
+    NeuronSpec("ternary", ternary=TernaryParams(amp=1.0, u_reset=0.0)),
+    NeuronSpec("ternary", ternary=TernaryParams(amp=1.0, u_reset=0.25)),
+    NeuronSpec("ternary", ternary=TernaryParams(amp=0.5, u_reset=-0.3)),
+]
+
+
+class TestRunner:
+    """NeuronSpec.run against lif_step/ternary_step chained over t."""
+
+    @staticmethod
+    def currents(t_steps, constant):
+        rng = np.random.default_rng(20 + t_steps)
+        return rng.normal(size=(1 if constant else t_steps, 3, 4)) * 1.5
+
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("t_steps", [1, 2, 3])
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("spec", RUNNER_SPECS)
+    def test_forward_matches_chained_steps(self, spec, relaxed, t_steps, constant,
+                                           monkeypatch):
+        spec = NeuronSpec(spec.mode, spec.lif, spec.ternary, relaxed)
+        step = neurons.lif_step if spec.mode == "binary" else neurons.ternary_step
+        p = spec.lif if spec.mode == "binary" else spec.ternary
+        x = self.currents(t_steps, constant)
+        want_s, want_u = chained_reference(step, p, relaxed, x, t_steps)
+        seen = []
+
+        def recording_step(state, current, *args):
+            s, new = step(state, current, *args)
+            seen.append(new.u)
+            return s, new
+        monkeypatch.setattr(neurons, step.__name__, recording_step)
+        got = spec.run(x, t_steps)
+        assert type(got) is np.ndarray and got.shape == (t_steps, 3, 4)
+        np.testing.assert_array_equal(got, np.stack(want_s))
+        np.testing.assert_array_equal(np.stack(seen), np.stack(want_u))
+        monkeypatch.undo()
+        taped = spec.run(ad.Var(x, requires_grad=True), t_steps)
+        np.testing.assert_array_equal(taped.data, got)
+
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("t_steps", [1, 2, 3])
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("spec", RUNNER_SPECS)
+    def test_input_gradient_matches_chained_steps(self, spec, relaxed, t_steps, constant):
+        spec = NeuronSpec(spec.mode, spec.lif, spec.ternary, relaxed)
+        step = neurons.lif_step if spec.mode == "binary" else neurons.ternary_step
+        p = spec.lif if spec.mode == "binary" else spec.ternary
+        x = self.currents(t_steps, constant)
+        weights = np.random.default_rng(7).normal(size=(t_steps, 3, 4))
+
+        ref_in = ad.Var(x.copy(), requires_grad=True)
+        spikes, _ = chained_reference(step, p, relaxed, ref_in, t_steps)
+        loss = 0.0
+        for t, s in enumerate(spikes):
+            loss = loss + (s * weights[t]).sum()
+        loss.backward()
+
+        got_in = ad.Var(x.copy(), requires_grad=True)
+        (spec.run(got_in, t_steps) * weights).sum().backward()
+        assert np.any(ref_in.grad != 0.0)
+        np.testing.assert_allclose(got_in.grad, ref_in.grad, rtol=1e-12, atol=0.0)
+
+    def test_relaxed_gradient_matches_finite_differences(self):
+        for spec in (NeuronSpec("binary", relaxed=True),
+                     NeuronSpec("ternary", ternary=TernaryParams(u_reset=0.25), relaxed=True)):
+            x0 = self.currents(3, False)
+
+            def f(x):
+                out = spec.run(x)
+                return (out * out).sum()
+            v = ad.Var(x0.copy(), requires_grad=True)
+            f(v).backward()
+            fd = numerics.finite_diff_grad(lambda z: float(f(z)), x0)
+            np.testing.assert_allclose(v.grad, fd, rtol=1e-5, atol=1e-8)
+
+    def test_taped_run_is_one_tape_node(self, monkeypatch):
+        made = []
+        init = ad.Var.__init__
+
+        def counting_init(self, *args, **kw):
+            made.append(self)
+            init(self, *args, **kw)
+
+        x = ad.Var(self.currents(3, False), requires_grad=True)
+        monkeypatch.setattr(ad.Var, "__init__", counting_init)
+        out = NeuronSpec("ternary").run(x)
+        assert made == [out] and out._parents == (x,)
+
+    def test_step_count_checked(self):
+        with pytest.raises(ShapeError, match="2 input steps"):
+            NeuronSpec().run(np.zeros((2, 3)), 3)
+        with pytest.raises(ValidationError, match="t_steps must be >= 1"):
+            NeuronSpec().run(np.zeros((1, 3)), 0)
+
+
 class TestRatesAndTraces:
     def test_constant_drive_matches_stepwise(self):
         p = LifParams(beta=0.5, u_thr=1.0)
         a = np.array([[0.3, 1.0], [2.5, 0.9]])
         got = neurons.lif_constant_drive(a, 6, p)
-        state = neurons.fresh_state()
+        state = NeuronState()
         for t in range(6):
             s, state = neurons.lif_step(state, a, p)
             np.testing.assert_array_equal(got[t], s)
@@ -360,8 +475,8 @@ class TestNeuronSpec:
 
     def test_step_dispatch(self):
         x = np.asarray(2.0)
-        sb, _ = NeuronSpec(mode="binary").step(neurons.fresh_state(), x)
-        st, _ = NeuronSpec(mode="ternary").step(neurons.fresh_state(), x)
+        sb, _ = NeuronSpec(mode="binary").step(NeuronState(), x)
+        st, _ = NeuronSpec(mode="ternary").step(NeuronState(), x)
         assert float(sb) == 1.0 and float(st) == 1.0
 
     def test_param_validation(self):

@@ -93,6 +93,24 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             numerics.matmul(np.ones((2, 2, 3)), np.ones((3, 3, 2)))
 
+    @pytest.mark.parametrize("a_shape,b_shape,text", [
+        ((3,), (3, 2), "matmul: operands need rank >= 2, got (3,) and (3, 2)"),
+        ((2, 3), (4, 2), "matmul: inner dims differ, (2, 3) @ (4, 2)"),
+        ((2, 2, 3), (3, 4, 2), "matmul: inner dims differ, (2, 2, 3) @ (3, 4, 2)"),
+        ((2, 2, 3), (3, 3, 2), "matmul: batch dims do not broadcast, (2, 2, 3) @ (3, 3, 2)"),
+    ])
+    def test_shape_error_messages(self, a_shape, b_shape, text):
+        with pytest.raises(ShapeError) as err:
+            numerics.matmul(np.ones(a_shape), np.ones(b_shape))
+        assert str(err.value) == text
+
+    def test_mac_count_of_broadcast_product(self):
+        """Batch axes broadcast against each other: [2, 1] x [5] is 10 products."""
+        with numerics.count_macs() as c:
+            out = numerics.matmul(np.ones((2, 1, 3, 4)), np.ones((5, 4, 6)))
+        assert out.shape == (2, 5, 3, 6)
+        assert c.macs == 2 * 5 * 3 * 4 * 6
+
     def test_batched_broadcast(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(4, 2, 3))
