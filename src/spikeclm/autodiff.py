@@ -6,10 +6,10 @@ once in reverse topological order. Only the handful of operations the
 models need exist here, and each module-level function also accepts plain
 ndarrays so inference paths can skip the tape entirely.
 
-Custom nonlinearities (spike thresholds with surrogate slopes) are built by
-their owning modules through custom_unary rather than being hardcoded here;
-custom_op does the same for a fused multi-operand update such as one
-neuron's membrane step.
+Custom nonlinearities (a spike threshold with its surrogate slope) are
+built by their owning modules through custom_unary rather than being
+hardcoded here; custom_op does the same for a multi-operand or fused op,
+such as a neuron population's run over all time steps.
 """
 
 from __future__ import annotations

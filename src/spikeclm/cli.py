@@ -175,8 +175,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seq-len", type=int)
     sp.add_argument("--out")
 
-    sp = sub.add_parser("selftest")
-    common(sp)
+    sub.add_parser("selftest")
     return p
 
 
@@ -186,13 +185,11 @@ def resolve(args) -> RunConfig:
         load_ini(rc, args.config)
     _apply_sets(rc, getattr(args, "set", None))
     rc.command = args.command
-    direct = {"corpus": "corpus", "out": "out", "metrics": "metrics",
-              "teacher": "teacher", "checkpoint": "checkpoint",
-              "prompt": "prompt", "n_new": "n_new", "temperature": "temperature"}
-    for attr, key in direct.items():
-        v = getattr(args, attr, None)
+    for name in ("corpus", "out", "metrics", "teacher", "checkpoint", "prompt",
+                 "n_new", "temperature"):
+        v = getattr(args, name, None)
         if v is not None:
-            setattr(rc, key, v)
+            setattr(rc, name, v)
     if getattr(args, "steps", None) is not None:
         rc.train.total_steps = args.steps
     if getattr(args, "batch_size", None) is not None:

@@ -21,12 +21,12 @@ The ternary neuron emits {-amp, 0, +amp} by comparing the membrane against
 Inputs accumulate onto the rescaled membrane with no extra decay term;
 the rescaling itself plays that role.
 
-The step functions accept either plain ndarrays or autodiff Vars and keep
-whatever kind they were given. A network runs each neuron population over
-all T steps at once through NeuronSpec.run: its forward loops the step
-function over t on plain arrays, and on the tape it is one node whose
-backward runs the BPTT recurrence in reverse over t (Neftci, Mostafa &
-Zenke 2019), through the input, decay, reset and surrogate paths.
+The step functions take plain ndarrays (or floats) and advance one time
+step. A network runs each neuron population over all T steps at once
+through NeuronSpec.run: its forward loops the step function over t, and on
+the tape it is the population's one node, whose backward runs the BPTT
+recurrence in reverse over t (Neftci, Mostafa & Zenke 2019), through the
+input, decay, reset and surrogate paths.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff
-from .autodiff import Var, value
+from .autodiff import Var
 from .errors import ConfigError, ShapeError, ValidationError
 
 
@@ -97,49 +97,26 @@ def surrogate_grad(u, alpha: float = 2.0):
     return np.divide(alpha / 2.0, x, out=x)
 
 
-def _binary_spike(u, thr: float, alpha: float, relaxed: bool, taped: bool):
-    """Threshold with surrogate backward; u is a Var when taped, else plain."""
-    ud = u.data if taped else u
+def _binary_spike(u, thr: float, alpha: float, relaxed: bool):
+    """Threshold spike of membrane u; relaxed mode emits the surrogate."""
     if relaxed:
-        s = surrogate_forward(ud - thr, alpha)
-    else:
-        s = np.greater_equal(ud, thr).astype(np.float64)
-    if not taped:
-        return s  # no tape to carry the surrogate slope
-    return autodiff.custom_unary(u, s, surrogate_grad(ud - thr, alpha))
+        return surrogate_forward(u - thr, alpha)
+    return np.greater_equal(u, thr).astype(np.float64)
 
 
-def _ternary_spike(u, amp: float, alpha: float, relaxed: bool, taped: bool):
-    """Three-level threshold; backward sums surrogate slopes at +-amp."""
-    ud = u.data if taped else u
+def _ternary_spike(u, amp: float, alpha: float, relaxed: bool):
+    """Three-level spike of membrane u at the band edges +-amp."""
     if relaxed:
-        s = amp * (surrogate_forward(ud - amp, alpha) + surrogate_forward(ud + amp, alpha) - 1.0)
-    else:
-        s = amp * (np.greater(ud, amp).astype(np.float64) - np.less(ud, -amp).astype(np.float64))
-    if not taped:
-        return s
-    local = amp * (surrogate_grad(ud - amp, alpha) + surrogate_grad(ud + amp, alpha))
-    return autodiff.custom_unary(u, s, local)
+        return amp * (surrogate_forward(u - amp, alpha) + surrogate_forward(u + amp, alpha) - 1.0)
+    return amp * (np.greater(u, amp).astype(np.float64) - np.less(u, -amp).astype(np.float64))
 
 
 # -- step functions ----------------------------------------------------------
 
 
-def _identity(g):
-    return g
-
-
 def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = False):
-    """One LIF update. Returns (spikes, new_state).
-
-    On the tape the membrane update is one node whose backward sends g to
-    the input, beta * g to U_prev and -U_thr * g to S_prev.
-    """
+    """One LIF update on plain arrays. Returns (spikes, new_state)."""
     i, u, s = input_current, state.u, state.s_prev
-    taped = isinstance(i, Var) or isinstance(u, Var) or isinstance(s, Var)
-    if taped:
-        operands = (i, _identity), (u, lambda g: g * p.beta), (s, lambda g: g * -p.u_thr)
-        i, u, s = value(i), value(u), value(s)
     # i + beta * U_prev - S_prev * U_thr, in place on the one new array where
     # shapes allow (a + b == b + a exactly): fewer large temporaries to free
     u = p.beta * u
@@ -148,38 +125,19 @@ def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = Fa
     else:
         u = i + u
     u -= s * p.u_thr
-    if taped:
-        u = autodiff.custom_op(u, *operands)
-    s = _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed, taped)
+    s = _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed)
     return s, NeuronState(u=u, s_prev=s)
 
 
 def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: bool = False):
-    """One ternary update. Returns (spikes, new_state).
+    """One ternary update on plain arrays. Returns (spikes, new_state).
 
     The input integrates onto the carried membrane, the spike is read out,
-    and the membrane is rescaled by (amp - S) with U_reset blended in. On
-    the tape the input add and the rescale are one node each.
+    and the membrane is rescaled by (amp - S) with U_reset blended in.
     """
-    i, u = input_current, state.u
-    taped = isinstance(i, Var) or isinstance(u, Var)
-    if taped:
-        operands = (i, _identity), (u, _identity)
-        i, u = value(i), value(u)
-    u = i + u
-    if taped:
-        u = autodiff.custom_op(u, *operands)
-    s = _ternary_spike(u, p.amp, p.surrogate_alpha, relaxed, taped)
-    ud, sd = u, s
-    if taped:
-        ud, sd = u.data, s.data
-    keep = p.amp - sd
-    u_next = ud * keep + p.u_reset * sd
-    if taped:
-        # two terms for the spike, -U*g then U_reset*g, not one combined: its
-        # gradient then sums in the same order as the generic-op expression's
-        u_next = autodiff.custom_op(u_next, (u, lambda g: g * keep),
-                                    (s, lambda g: -(g * ud)), (s, lambda g: g * p.u_reset))
+    u = input_current + state.u
+    s = _ternary_spike(u, p.amp, p.surrogate_alpha, relaxed)
+    u_next = u * (p.amp - s) + p.u_reset * s
     return s, NeuronState(u=u_next, s_prev=s)
 
 

@@ -5,7 +5,9 @@ the property tests in tests/ at reduced size so a user can validate an
 install in seconds via `spikeclm selftest`.
 """
 
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -183,11 +185,13 @@ def check_forward_determinism():
     assert np.array_equal(ad.value(a), ad.value(b))
 
 
-def check_checkpoint_roundtrip(tmp="/tmp/spikeclm-selftest.ckpt"):
+def check_checkpoint_roundtrip():
     cfg = _tiny_cfg()
     params = init_params(cfg, 4)
-    save_model(tmp, cfg, params, extra_fields={"arch": "spiking"})
-    cfg2, params2, extra, _ = load_model(tmp)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "selftest.ckpt")
+        save_model(path, cfg, params, extra_fields={"arch": "spiking"})
+        cfg2, params2, extra, _ = load_model(path)
     assert cfg2 == cfg and extra["arch"] == "spiking"
     for k in params:
         assert np.array_equal(params[k], params2[k]), k

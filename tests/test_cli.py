@@ -1,9 +1,12 @@
 """End-to-end CLI tests, run in-process through main()."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
-from spikeclm import data, energy
+from spikeclm import data, energy, selftest
 from spikeclm.cli import RunConfig, apply_setting, load_ini, main, to_ini
 from spikeclm.errors import ConfigError
 from spikeclm.model import (ModelConfig, init_params, load_model, read_checkpoint,
@@ -246,3 +249,23 @@ class TestErrorPaths:
     def test_selftest_command_passes(self, capsys):
         assert run_cli("selftest") == 0
         assert "checks passed" in capsys.readouterr().out
+
+    def test_selftest_rejects_config_flags(self, tmp_path, capsys):
+        """selftest reads no config: --config and --set are unknown flags."""
+        assert run_cli("selftest", "--config", str(tmp_path / "missing.ini"),
+                       "--set", "bogus.key=1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_selftest_checkpoint_leaves_no_file(self, tmp_path, monkeypatch):
+        written = []
+
+        def recording_save(path, *args, **kw):
+            written.append(path)
+            return save_model(path, *args, **kw)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(selftest, "save_model", recording_save)
+        selftest.check_checkpoint_roundtrip()
+        assert len(written) == 1 and os.path.commonpath([written[0], tmp_path]) == str(tmp_path)
+        assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikeclm import attention, autodiff as ad, data, energy, model, numerics, training
+from spikeclm.distill import loss_hard
 from spikeclm.errors import ConfigError, EvaluationError, ShapeError, ValidationError
 from spikeclm.model import (DecodeCache, GenerateResult, ModelConfig, ann_forward,
                             decode_logits, generate, init_params, load_model, read_checkpoint,
@@ -173,6 +174,28 @@ class TestSnnForward:
         assert np.isfinite(logits).all()
         vals = set(np.unique(trace.hidden[0][0]))
         assert vals <= {-cfg.ternary_amp, 0.0, cfg.ternary_amp}
+
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_tape_size_independent_of_t_steps(self, mode, monkeypatch):
+        """Each neuron population is one tape node, however many steps it runs."""
+        made = []
+        init = ad.Var.__init__
+
+        def counting_init(self, *args, **kw):
+            made.append(self)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(ad.Var, "__init__", counting_init)
+        counts = []
+        for t_steps in (1, 2, 4):
+            cfg = tiny_cfg(t_steps=t_steps, neuron_mode=mode)
+            vparams = {k: ad.Var(v, requires_grad=True)
+                       for k, v in firing_params(cfg, 2).items()}
+            made.clear()
+            logits, _ = snn_forward(self.ids, cfg, vparams)
+            loss_hard(logits, np.roll(self.ids, -1))
+            counts.append(len(made))
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
     @pytest.mark.parametrize("amp, attn_thr", [(1.0, 1.0), (0.3, 0.1)])
     def test_firing_ternary_mode_runs(self, amp, attn_thr):
