@@ -47,27 +47,18 @@ class AttnWeights:
     b_out: object
 
 
-def causal_mask(seq_len: int, pad_mask=None, offset: int = 0) -> np.ndarray:
-    """Causal 0/1 mask [L, offset + L]; padded positions drop out entirely.
+def causal_mask(seq_len: int, offset: int = 0) -> np.ndarray:
+    """Causal 0/1 mask [L, offset + L].
 
     Row i is the query at position offset + i, so it sees columns 0 through
     offset + i: the lower triangle when offset is 0, and the rectangle an
     incremental decode step needs when offset earlier positions are cached.
-    pad_mask, if given, holds 1 for real tokens and 0 for padding over all
-    offset + L positions; padded positions neither attend nor are attended to.
     """
     if seq_len < 1:
         raise ShapeError(f"seq_len must be >= 1, got {seq_len}")
     if offset < 0:
         raise ShapeError(f"offset must be >= 0, got {offset}")
-    width = offset + seq_len
-    m = np.tri(seq_len, width, k=offset)
-    if pad_mask is not None:
-        pad = np.asarray(pad_mask, dtype=np.float64)
-        if pad.shape != (width,):
-            raise ShapeError(f"pad_mask must have shape ({width},), got {pad.shape}")
-        m = m * pad[None, :] * pad[offset:, None]
-    return m
+    return np.tri(seq_len, offset + seq_len, k=offset)
 
 
 def _check_mask(mask: np.ndarray, seq_len: int, offset: int = 0) -> None:
@@ -79,6 +70,8 @@ def _check_mask(mask: np.ndarray, seq_len: int, offset: int = 0) -> None:
         raise ValidationError("mask entries must be 0 or 1")
     if np.any(nonzero > np.tri(seq_len, offset + seq_len, k=offset, dtype=bool)):
         raise ValidationError("mask allows attention to future positions")
+    if not nonzero.any(axis=-1).all():
+        raise ValidationError("mask has a row with no visible position")
 
 
 def _check_spike_input(x, where: str, sn: NeuronSpec) -> None:
@@ -196,8 +189,7 @@ def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
     """Dense causal attention (softmax over scaled dot products).
 
     Returns (out, attn) where attn holds the post-softmax attention maps,
-    shape [.., h, L, L]. Rows whose mask is entirely zero fall back to
-    attending to themselves rather than producing NaNs.
+    shape [.., h, L, L].
     """
     x, squeeze = _normalize_input(x, rank=2)
     b, l, d = x.shape
@@ -206,13 +198,6 @@ def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
     _check_weights(w, d)
     _check_mask(mask, l)
 
-    eff_mask = mask
-    dead_rows = mask.sum(axis=-1) == 0
-    if dead_rows.any():
-        eff_mask = mask.copy()
-        idx = np.where(dead_rows)[0]
-        eff_mask[idx, idx] = 1.0
-
     q = _split_heads(ad.linear(x, w.w_q, w.b_q), n_heads)
     k = _split_heads(ad.linear(x, w.w_k, w.b_k), n_heads)
     v = _split_heads(ad.linear(x, w.w_v, w.b_v), n_heads)
@@ -220,7 +205,7 @@ def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
 
     logits = ad.matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_head))
     # additive masking; -1e9 underflows to 0 after the softmax
-    logits = logits + (eff_mask - 1.0) * 1e9
+    logits = logits + (mask - 1.0) * 1e9
     attn = ad.softmax(logits, axis=-1)
     out = ad.linear(_merge_heads(ad.matmul(attn, v)), w.w_out, w.b_out)
 

@@ -6,10 +6,11 @@ once in reverse topological order. Only the handful of operations the
 models need exist here, and each module-level function also accepts plain
 ndarrays so inference paths can skip the tape entirely.
 
-Custom nonlinearities (a spike threshold with its surrogate slope) are
-built by their owning modules through custom_unary rather than being
-hardcoded here; custom_op does the same for a multi-operand or fused op,
-such as a neuron population's run over all time steps.
+Ops whose gradient is not built from these primitives are wired in by
+their owning modules through custom_op: the caller supplies the forward
+value and, per operand, a vector-Jacobian product. A neuron population's
+run over all time steps is one such node, whose backward is the BPTT
+recurrence.
 """
 
 from __future__ import annotations
@@ -356,27 +357,13 @@ def gather_last(x, ids):
     return np.take_along_axis(np.asarray(x), ids[..., None], axis=-1)[..., 0]
 
 
-def custom_unary(x, fwd_value: np.ndarray, local_grad: np.ndarray):
-    """Build a unary op from precomputed forward values and dY/dX.
-
-    The caller supplies both arrays (evaluated on value(x)); this wires them
-    into the tape when x is a Var, otherwise returns fwd_value unchanged.
-    """
-    if isinstance(x, Var):
-        out = Var(fwd_value, _parents=(x,))
-        if out.requires_grad:
-            out._backward = lambda g: _accum(x, g * local_grad)
-        return out
-    return fwd_value
-
-
 def custom_op(fwd_value: np.ndarray, *operands):
     """Build one node over several operands from a precomputed forward value.
 
     operands are (x, vjp) pairs, x a Var or a plain value: vjp maps the
     node's upstream gradient to x's, before it is summed down to x's shape.
     Plain operands join no tape and their vjp is never called. The caller
-    evaluates fwd_value on the raw values, as for custom_unary.
+    evaluates fwd_value on the raw values.
     """
     out = Var(fwd_value, _parents=tuple(x for x, _ in operands if isinstance(x, Var)))
     if out.requires_grad:

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError, ValidationError
 
 

@@ -227,11 +227,6 @@ class NeuronSpec:
         self.lif.validate()
         self.ternary.validate()
 
-    def step(self, state: NeuronState, input_current):
-        if self.mode == "binary":
-            return lif_step(state, input_current, self.lif, relaxed=self.relaxed)
-        return ternary_step(state, input_current, self.ternary, relaxed=self.relaxed)
-
     def run(self, currents, t_steps: int | None = None):
         """Spikes [T, ...] of a population from rest; see _run_population."""
         if self.mode == "binary":

@@ -301,7 +301,7 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     rows = []
     fh = open(metrics_path, "w") if metrics_path is not None else None
     if fh:
-        fh.write(METRICS_MAGIC + "\n" + "\t".join(METRICS_COLUMNS) + "\n")
+        fh.write(format_metrics([]))
     try:
         for step in range(cfg.total_steps):
             lr = lr_schedule(step + 1, cfg)

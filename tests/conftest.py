@@ -7,7 +7,6 @@ trains each model exactly once.
 
 import time
 
-import numpy as np
 import pytest
 
 from spikeclm import data

@@ -35,22 +35,14 @@ class TestCausalMask:
         np.testing.assert_array_equal(causal_mask(3),
                                       [[1, 0, 0], [1, 1, 0], [1, 1, 1]])
 
-    def test_pad_mask_zeroes_rows_and_columns(self):
-        m = causal_mask(3, pad_mask=[1, 1, 0])
-        np.testing.assert_array_equal(m, [[1, 0, 0], [1, 1, 0], [0, 0, 0]])
-
     def test_bad_args(self):
         with pytest.raises(ShapeError):
             causal_mask(0)
-        with pytest.raises(ShapeError):
-            causal_mask(3, pad_mask=[1, 1])
         with pytest.raises(ShapeError):
             causal_mask(2, offset=-1)
 
     def test_offset_gives_last_rows_of_full_mask(self):
         np.testing.assert_array_equal(causal_mask(2, offset=3), causal_mask(5)[3:])
-        np.testing.assert_array_equal(causal_mask(2, pad_mask=[1, 0, 1, 1], offset=2),
-                                      causal_mask(4, pad_mask=[1, 0, 1, 1])[2:])
 
 
 class TestSfsaHandTrace:
@@ -184,12 +176,14 @@ class TestCsa:
         for i in range(4):
             np.testing.assert_allclose(attn[0, i, :i + 1], 1.0 / (i + 1), rtol=1e-12)
 
-    def test_fully_masked_row_attends_to_self(self):
-        x = np.random.default_rng(2).normal(size=(3, 4))
-        m = causal_mask(3, pad_mask=[1, 1, 0])
-        _, attn = csa_forward(x, random_weights(4, seed=7, std=0.3), m, 1)
-        np.testing.assert_allclose(attn[0, 2], [0, 0, 1], atol=1e-30)
-        assert np.isfinite(attn).all()
+    def test_row_with_no_visible_position_rejected(self):
+        """A fully masked row has nothing to attend to in either block."""
+        blind = causal_mask(3)
+        blind[2] = 0.0
+        with pytest.raises(ValidationError, match="no visible position"):
+            csa_forward(np.zeros((3, 4)), random_weights(4), blind, 1)
+        with pytest.raises(ValidationError, match="no visible position"):
+            sfsa_forward(np.zeros((1, 3, 4)), random_weights(4), blind, spec(), spec(), 1)
 
     def test_taped_csa_matches_finite_differences(self):
         rng = np.random.default_rng(4)

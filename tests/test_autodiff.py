@@ -197,9 +197,16 @@ class TestBackwardMechanics:
 
         check_against_fd(f, w1, rtol=1e-4, atol=1e-6)
 
-    def test_custom_unary_wiring(self):
+    def test_custom_op_wiring(self):
+        """Each taped operand gets its vjp summed down to its shape; plain
+        operands join no tape."""
         x = ad.Var(np.array([1.0, -1.0]), requires_grad=True)
+        b = ad.Var(np.array(3.0), requires_grad=True)
         local = np.array([0.5, 0.25])
-        out = ad.custom_unary(x, np.array([1.0, 0.0]), local)
+        out = ad.custom_op(np.array([1.0, 0.0]), (x, lambda g: g * local),
+                           (b, lambda g: g * 4.0), (np.ones(2), None))
+        assert out._parents == (x, b)
+        np.testing.assert_array_equal(out.data, [1.0, 0.0])
         (out * np.array([2.0, 2.0])).sum().backward()
         np.testing.assert_allclose(x.grad, 2.0 * local)
+        assert b.grad.shape == () and float(b.grad) == 16.0

@@ -1,13 +1,16 @@
-"""End-to-end CLI tests, run in-process through main()."""
+"""End-to-end CLI tests, run through main(): in-process, and selftest once in a
+fresh process that cannot import pytest."""
 
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 
-from spikeclm import data, energy, selftest
-from spikeclm.cli import RunConfig, apply_setting, load_ini, main, to_ini
+from spikeclm import energy, selftest
+from spikeclm.cli import RunConfig, apply_setting, main, to_ini
 from spikeclm.errors import ConfigError
 from spikeclm.model import (ModelConfig, init_params, load_model, read_checkpoint,
                             save_model, write_checkpoint)
@@ -246,9 +249,28 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "layers.0.attn.w_q" in err
 
-    def test_selftest_command_passes(self, capsys):
-        assert run_cli("selftest") == 0
-        assert "checks passed" in capsys.readouterr().out
+    def test_selftest_command_passes(self):
+        """One line per check and exit 0, in a process that cannot import pytest."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selftest.__file__)))
+        code = ("import sys; sys.modules['pytest'] = None; "
+                "from spikeclm.cli import main; sys.exit(main(['selftest']))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        n = len(selftest.CHECKS)
+        assert [line.split()[1] for line in lines[:-1]] == [name for name, _ in selftest.CHECKS]
+        assert all(line.startswith("ok   ") for line in lines[:-1])
+        assert lines[-1] == f"{n}/{n} checks passed"
+
+    def test_selftest_failure_reported_and_others_run(self, monkeypatch, capsys):
+        def boom():
+            raise AssertionError("broken on purpose")
+        monkeypatch.setattr(selftest, "CHECKS", [("boom", boom),
+                                                 ("rng-uniform", selftest.check_rng_uniform)])
+        assert run_cli("selftest") == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL boom: broken on purpose", "ok   rng-uniform", "1/2 checks passed"]
 
     def test_selftest_rejects_config_flags(self, tmp_path, capsys):
         """selftest reads no config: --config and --set are unknown flags."""
@@ -258,7 +280,12 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    def test_selftest_checkpoint_leaves_no_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("check,n_saved", [
+        (selftest.check_checkpoint_roundtrip, 1),
+        (selftest.check_determinism, 2),
+    ], ids=["checkpoint-roundtrip", "determinism"])
+    def test_selftest_checkpoint_leaves_no_file(self, check, n_saved, tmp_path, monkeypatch):
+        """Checkpoints and metrics go to a temporary directory that is removed."""
         written = []
 
         def recording_save(path, *args, **kw):
@@ -266,6 +293,7 @@ class TestErrorPaths:
             return save_model(path, *args, **kw)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(selftest, "save_model", recording_save)
-        selftest.check_checkpoint_roundtrip()
-        assert len(written) == 1 and os.path.commonpath([written[0], tmp_path]) == str(tmp_path)
+        check()
+        assert len(written) == n_saved
+        assert all(os.path.commonpath([p, tmp_path]) == str(tmp_path) for p in written)
         assert list(tmp_path.iterdir()) == []

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from spikeclm import data
 from spikeclm.data import (BOS_ID, VOCAB_SIZE, batch_at, decode, encode,
                            load_corpus, make_windows, split_corpus)
 from spikeclm.errors import ConfigError, ValidationError

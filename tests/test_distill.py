@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikeclm import autodiff as ad, distill, numerics
+from spikeclm import autodiff as ad, numerics
 from spikeclm.distill import (SpadConfig, layer_map, loss_attention, loss_embedding,
                               loss_feature, loss_hard, loss_soft, loss_total,
                               pool_heads, spad_losses, spike_encode)

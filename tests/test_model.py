@@ -6,10 +6,10 @@ import pytest
 from spikeclm import attention, autodiff as ad, data, energy, model, numerics, training
 from spikeclm.distill import loss_hard
 from spikeclm.errors import ConfigError, EvaluationError, ShapeError, ValidationError
-from spikeclm.model import (DecodeCache, GenerateResult, ModelConfig, ann_forward,
+from spikeclm.model import (DecodeCache, ModelConfig, ann_forward,
                             decode_logits, generate, init_params, load_model, read_checkpoint,
                             save_model, snn_forward, time_mean, write_checkpoint)
-from spikeclm.neurons import NeuronState
+from spikeclm.neurons import NeuronState, lif_step, ternary_step
 
 
 def tiny_cfg(**kw) -> ModelConfig:
@@ -423,7 +423,11 @@ def per_step_snn_forward(tokens, cfg, params, collect=True):
 
     def fire(name, current):
         sn = specs.get(name[-1], cfg.neuron_spec())
-        s, states[name] = sn.step(states.get(name, NeuronState()), current)
+        state = states.get(name, NeuronState())
+        if sn.mode == "binary":
+            s, states[name] = lif_step(state, current, sn.lif, sn.relaxed)
+        else:
+            s, states[name] = ternary_step(state, current, sn.ternary, sn.relaxed)
         return s
 
     def split(x):

@@ -8,10 +8,10 @@ from spikeclm.distill import SpadConfig
 from spikeclm.errors import ConfigError, EvaluationError, InternalError
 from spikeclm.model import ModelConfig, init_params
 from spikeclm.neurons import LifParams, eligibility_trace, surrogate_forward, surrogate_grad
-from spikeclm.training import (AdamState, MetricsRow, TrainConfig, adam_step,
-                               bptt_backward, check_compat, clip_gradients,
-                               evaluate_ce, format_metrics, global_norm,
-                               init_adam, lr_schedule, parse_metrics, train_loop)
+from spikeclm.training import (MetricsRow, TrainConfig, adam_step, bptt_backward,
+                               check_compat, clip_gradients, evaluate_ce,
+                               format_metrics, global_norm, init_adam, lr_schedule,
+                               parse_metrics, train_loop)
 
 
 class TestTrainConfig:
@@ -178,9 +178,9 @@ class TestBpttBackward:
             us.append(float(ad.value(u)))
             centered = u - p.u_thr
             cval = ad.value(centered)
-            sig = ad.custom_unary(centered,
-                                  surrogate_forward(cval, p.surrogate_alpha),
-                                  surrogate_grad(cval, p.surrogate_alpha))
+            local = surrogate_grad(cval, p.surrogate_alpha)
+            sig = ad.custom_op(surrogate_forward(cval, p.surrogate_alpha),
+                               (centered, lambda g, local=local: g * local))
             loss = loss + sig * float(c)
         loss.backward()
 
