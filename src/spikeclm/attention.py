@@ -19,7 +19,8 @@ and zeroed scores simply never drive the attention neuron. No 1/sqrt(d)
 scaling is applied anywhere; thresholds play that role.
 
 The dense block (csa_forward) is the ordinary scaled-dot-product causal
-attention used by the teacher, sharing the same weight container.
+attention used by the teacher, sharing the same weight container. Both
+blocks build their own mask with causal_mask and take batched input only.
 """
 
 from __future__ import annotations
@@ -61,19 +62,6 @@ def causal_mask(seq_len: int, offset: int = 0) -> np.ndarray:
     return np.tri(seq_len, offset + seq_len, k=offset)
 
 
-def _check_mask(mask: np.ndarray, seq_len: int, offset: int = 0) -> None:
-    if mask.shape != (seq_len, offset + seq_len):
-        raise ShapeError(f"mask shape {mask.shape} does not match seq_len {seq_len}"
-                         + (f" after {offset} cached positions" if offset else ""))
-    nonzero = mask != 0.0
-    if np.any(nonzero & (mask != 1.0)):
-        raise ValidationError("mask entries must be 0 or 1")
-    if np.any(nonzero > np.tri(seq_len, offset + seq_len, k=offset, dtype=bool)):
-        raise ValidationError("mask allows attention to future positions")
-    if not nonzero.any(axis=-1).all():
-        raise ValidationError("mask has a row with no visible position")
-
-
 def _check_spike_input(x, where: str, sn: NeuronSpec) -> None:
     """Spiking blocks consume spike counts: finite integer multiples of a spike.
 
@@ -104,19 +92,6 @@ def _merge_heads(x):
     return x.swapaxes(-2, -3).reshape(tuple(lead) + (l, h * dh))
 
 
-def _normalize_input(x, rank: int = 3):
-    """Accept [.., L, d] with or without the batch axis before L.
-
-    Returns the input with the batch axis plus a flag to squeeze it back;
-    rank counts the axes with the batch axis left out.
-    """
-    if x.ndim == rank:
-        return x.reshape(x.shape[:-2] + (1,) + x.shape[-2:]), True
-    if x.ndim == rank + 1:
-        return x, False
-    raise ShapeError(f"attention input must be rank {rank} or {rank + 1}, got shape {x.shape}")
-
-
 def _check_weights(w: AttnWeights, d: int) -> None:
     for name in ("w_q", "w_k", "w_v", "w_out"):
         shape = ad.value(getattr(w, name)).shape
@@ -128,34 +103,35 @@ def _check_weights(w: AttnWeights, d: int) -> None:
             raise ShapeError(f"{name} must be [{d}], got {list(shape)}")
 
 
-def sfsa_forward(x, w: AttnWeights, mask: np.ndarray, sn: NeuronSpec,
-                 attn_sn: NeuronSpec, n_heads: int, past=None):
-    """Spiking attention over all time steps.
+def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
+                 n_heads: int, past=None):
+    """Causal spiking attention over all time steps.
 
     x holds the input spikes (or integer spike sums from residual paths) of
-    every step, shape [T, L, d] or [T, B, L, d]. Every neuron starts from
-    rest and runs over the T steps. Returns (out_spikes, attn_spikes,
-    (k_spikes, v_spikes)): out and the key and value spikes are shaped like
-    x, and attn_spikes [T, .., h, L, P + L].
+    every step, shape [T, B, L, d]; any other rank is a ShapeError. Every
+    neuron starts from rest and runs over the T steps. Returns (out_spikes,
+    attn_spikes, (k_spikes, v_spikes)): out and the key and value spikes are
+    shaped like x, and attn_spikes [T, B, h, L, P + L].
 
     past, if given, is (k_spikes, v_spikes) of P earlier positions, each
-    [T, P, d] or [T, B, P, d] like x: the L new queries then score against
-    the keys of all P + L positions, under a mask of shape [L, P + L]
-    (causal_mask(L, offset=P)). Every neuron state belongs to one new
-    position or one (query, key) entry, so running the new rows alone gives
-    the same spikes as the last L rows of the full call.
+    [T, B, P, d]: the L new queries then score against the keys of all
+    P + L positions under the block's mask causal_mask(L, offset=P). Every
+    neuron state belongs to one new position or one (query, key) entry, so
+    running the new rows alone gives the same spikes as the last L rows of
+    the full call.
     """
-    x, squeeze = _normalize_input(x)
+    if x.ndim != 4:
+        raise ShapeError(f"sfsa_forward input must be [T, B, L, d], got shape {x.shape}")
     t, b, l, d = x.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
     _check_weights(w, d)
     if past is not None:
-        past_k, past_v = (_normalize_input(np.asarray(p, dtype=np.float64))[0] for p in past)
+        past_k, past_v = (np.asarray(p, dtype=np.float64) for p in past)
         if past_k.shape != past_v.shape or past_k.shape[:2] + past_k.shape[3:] != (t, b, d):
             raise ShapeError(f"past keys {past_k.shape} and values {past_v.shape} "
                              f"do not match input {x.shape}")
-    _check_mask(mask, l, 0 if past is None else past_k.shape[2])
+    mask = causal_mask(l, 0 if past is None else past_k.shape[2])
     if not sn.relaxed:
         _check_spike_input(x, "sfsa_forward", sn)
 
@@ -178,25 +154,22 @@ def sfsa_forward(x, w: AttnWeights, mask: np.ndarray, sn: NeuronSpec,
     s_attn = attn_sn.run(scores)
     s_ctx = sn.run(ad.matmul(s_attn, _split_heads(values, n_heads)))
     out = sn.run(ad.linear(_merge_heads(s_ctx), w.w_out, w.b_out))
-
-    if squeeze:  # drop the batch axis after T
-        out, s_attn, sk, sv = (z.reshape(z.shape[:1] + z.shape[2:])
-                               for z in (out, s_attn, sk, sv))
     return out, s_attn, (sk, sv)
 
 
-def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
+def csa_forward(x, w: AttnWeights, n_heads: int):
     """Dense causal attention (softmax over scaled dot products).
 
-    Returns (out, attn) where attn holds the post-softmax attention maps,
-    shape [.., h, L, L].
+    x is [B, L, d]; any other rank is a ShapeError. Returns (out, attn):
+    out [B, L, d] and the post-softmax attention maps attn [B, h, L, L].
     """
-    x, squeeze = _normalize_input(x, rank=2)
+    if x.ndim != 3:
+        raise ShapeError(f"csa_forward input must be [B, L, d], got shape {x.shape}")
     b, l, d = x.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
     _check_weights(w, d)
-    _check_mask(mask, l)
+    mask = causal_mask(l)
 
     q = _split_heads(ad.linear(x, w.w_q, w.b_q), n_heads)
     k = _split_heads(ad.linear(x, w.w_k, w.b_k), n_heads)
@@ -208,10 +181,4 @@ def csa_forward(x, w: AttnWeights, mask: np.ndarray, n_heads: int):
     logits = logits + (mask - 1.0) * 1e9
     attn = ad.softmax(logits, axis=-1)
     out = ad.linear(_merge_heads(ad.matmul(attn, v)), w.w_out, w.b_out)
-
-    if squeeze:
-        b_, l_, d_ = out.shape
-        out = out.reshape(l_, d_)
-        h_ = attn.shape[1]
-        attn = attn.reshape(h_, l_, l_)
     return out, attn

@@ -190,5 +190,8 @@ def parse_report(text: str) -> dict:
         try:
             out[key.strip()] = int(val)
         except ValueError:
-            out[key.strip()] = float(val)
+            try:
+                out[key.strip()] = float(val)
+            except ValueError:
+                raise ValidationError(f"malformed energy report line: {line!r}") from None
     return out

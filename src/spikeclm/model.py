@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttnWeights, causal_mask, csa_forward, sfsa_forward
+from .attention import AttnWeights, csa_forward, sfsa_forward
 from .errors import ConfigError, EvaluationError, ShapeError, ValidationError
 from .neurons import LifParams, NeuronSpec, TernaryParams
 from .numerics import Rng
@@ -266,7 +266,6 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
 
     # [1, B, L, d]: one current that drives the encoder at every step
     emb = ad.take_rows(params["tok_emb"], ids[None]) + params["pos_emb"][past_len:past_len + l]
-    mask = causal_mask(l, offset=past_len)
     sn = cfg.neuron_spec(relaxed)
     attn_sn = cfg.attn_spec(relaxed)
 
@@ -289,7 +288,7 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
         if past_len:
             past = (cache.k[i][:, :, :past_len], cache.v[i][:, :, :past_len])
         attn_out, attn_spk, (sk, sv) = sfsa_forward(
-            stream, _attn_weights(params, i), mask, sn, attn_sn, cfg.n_heads, past=past)
+            stream, _attn_weights(params, i), sn, attn_sn, cfg.n_heads, past=past)
         if cache is not None:
             cache.k[i][:, :, past_len:past_len + l] = sk
             cache.v[i][:, :, past_len:past_len + l] = sv
@@ -364,7 +363,6 @@ def ann_forward(tokens, cfg: ModelConfig, params: dict):
     ids = _check_tokens(tokens, cfg)
     squeeze = np.asarray(tokens).ndim == 1
     b, l = ids.shape
-    mask = causal_mask(l)
 
     x = ad.take_rows(params["tok_emb"], ids) + params["pos_emb"][:l]
     trace = TeacherTrace(logits=None, embed=x, attn_maps=[], hidden=[])
@@ -372,7 +370,7 @@ def ann_forward(tokens, cfg: ModelConfig, params: dict):
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         h = layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        attn_out, attn_map = csa_forward(h, _attn_weights(params, i), mask, cfg.n_heads)
+        attn_out, attn_map = csa_forward(h, _attn_weights(params, i), cfg.n_heads)
         x = x + attn_out
         h2 = layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         mid = ad.relu(ad.linear(h2, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))

@@ -1,10 +1,12 @@
 """Built-in check suite, runnable without pytest: `spikeclm selftest`.
 
 A check is a plain function of no arguments. It raises
-AssertionError(detail) on failure, and otherwise may return a detail
-string for its report line. The suite holds small invariant checks of the
-building blocks and, at full size, every acceptance criterion that needs
-no trained model (01-08, 12 and the model-free half of 11).
+AssertionError(detail) on failure, through require() or an explicit
+raise and never a bare assert, so `python -O` checks just as much. It
+may otherwise return a detail string for its report line. The suite
+holds small invariant checks of the building blocks and, at full size,
+every acceptance criterion that needs no trained model (01-08, 12 and
+the model-free half of 11).
 tests/test_acceptance.py calls those criterion checks for its verdict
 lines, so each criterion is written once; the criteria that need trained
 models stay there, on the session fixtures.
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad, data, energy
-from .attention import causal_mask, sfsa_forward
+from .attention import sfsa_forward
 from .distill import (SpadConfig, layer_map, loss_attention, loss_embedding,
                       loss_feature, loss_hard, loss_soft, loss_total, pool_heads,
                       spad_losses, spike_encode)
@@ -42,6 +44,13 @@ def _tiny_cfg(**kw):
     return ModelConfig(**base)
 
 
+def require(ok, detail: str = "") -> str:
+    """Return detail when ok holds; otherwise raise AssertionError(detail)."""
+    if not ok:
+        raise AssertionError(detail)
+    return detail
+
+
 def check_rng_reference():
     def ref(state):
         state = (state + 0x9E3779B97F4A7C15) & (1 << 64) - 1
@@ -55,20 +64,20 @@ def check_rng_reference():
     for _ in range(5):
         state, want = ref(state)
         got = int(rng.next_u64())
-        assert got == want, f"splitmix64 mismatch: {got} != {want}"
+        require(got == want, f"splitmix64 mismatch: {got} != {want}")
 
 
 def check_rng_uniform():
     rng = Rng(7)
     u = rng.uniform(1000)
-    assert u.min() >= 0.0 and u.max() < 1.0
-    assert np.array_equal(Rng(7).uniform(1000), u), "rng not deterministic"
+    require(u.min() >= 0.0 and u.max() < 1.0, "uniform draws outside [0, 1)")
+    require(np.array_equal(Rng(7).uniform(1000), u), "rng not deterministic")
 
 
 def check_matmul_macs():
     with count_macs() as c:
         matmul(np.ones((3, 4)), np.ones((4, 5)))
-    assert c.macs == 3 * 4 * 5, f"mac count {c.macs} != 60"
+    require(c.macs == 3 * 4 * 5, f"mac count {c.macs} != 60")
 
 
 def check_autodiff_fd():
@@ -84,7 +93,7 @@ def check_autodiff_fd():
     (ad.softmax(v @ v + 0.5) * ad.relu(v)).sum().backward()
     fd = finite_diff_grad(f, x0.copy())
     err = np.abs(v.grad - fd).max()
-    assert err < 1e-6, f"autodiff vs fd error {err}"
+    require(err < 1e-6, f"autodiff vs fd error {err}")
 
 
 def check_csa_rows():
@@ -93,15 +102,16 @@ def check_csa_rows():
     ids = np.arange(5)
     _, trace = ann_forward(ids, cfg, params)
     a = trace.attn_maps[0]
-    assert np.allclose(a.sum(axis=-1), 1.0), "attention rows must sum to 1"
-    assert np.allclose(np.triu(a, k=1), 0.0), "causality violated"
+    require(np.allclose(a.sum(axis=-1), 1.0), "attention rows must sum to 1")
+    require(np.allclose(np.triu(a, k=1), 0.0), "causality violated")
 
 
 def check_param_count():
     for kind in ("student", "teacher"):
         cfg = _tiny_cfg(n_layers=2)
         params = init_params(cfg, 0, kind=kind)
-        assert count_params(params) == expected_param_count(cfg, kind)
+        require(count_params(params) == expected_param_count(cfg, kind),
+                f"{kind} parameter count {count_params(params)}")
 
 
 def check_checkpoint_roundtrip():
@@ -111,15 +121,15 @@ def check_checkpoint_roundtrip():
         path = os.path.join(tmp, "selftest.ckpt")
         save_model(path, cfg, params, extra_fields={"arch": "spiking"})
         cfg2, params2, extra, _ = load_model(path)
-    assert cfg2 == cfg and extra["arch"] == "spiking"
+    require(cfg2 == cfg and extra["arch"] == "spiking", "config or arch changed")
     for k in params:
-        assert np.array_equal(params[k], params2[k]), k
+        require(np.array_equal(params[k], params2[k]), f"{k} changed")
 
 
 def check_layer_alignment():
-    assert layer_map(2, 4) == [1, 3]
-    assert layer_map(3, 6) == [1, 3, 5]
-    assert layer_map(4, 4) == [0, 1, 2, 3]
+    require(layer_map(2, 4) == [1, 3], "layer_map(2, 4)")
+    require(layer_map(3, 6) == [1, 3, 5], "layer_map(3, 6)")
+    require(layer_map(4, 4) == [0, 1, 2, 3], "layer_map(4, 4)")
     try:
         layer_map(4, 2)
     except ConfigError:
@@ -127,7 +137,7 @@ def check_layer_alignment():
     else:
         raise AssertionError("student deeper than teacher must fail")
     a = np.stack([np.full((2, 2), v) for v in (1.0, 3.0)])
-    assert np.array_equal(pool_heads(a, 1)[0], np.full((2, 2), 2.0))
+    require(np.array_equal(pool_heads(a, 1)[0], np.full((2, 2), 2.0)), "pool_heads mean")
 
 
 def check_spike_encode_rate():
@@ -135,45 +145,38 @@ def check_spike_encode_rate():
     grid = np.linspace(0, 2, 5)
     enc = spike_encode(grid, 32, p).mean(axis=0)
     for g, r in zip(grid, enc):
-        assert r == empirical_rate(g, 32, p)
+        require(r == empirical_rate(g, 32, p), f"encoded rate at drive {g}")
 
 
 def check_schedule_and_clip():
     cfg = TrainConfig(total_steps=100, lr_peak=5e-4, warmup_ratio=0.2)
-    assert lr_schedule(0, cfg) == 0.0
-    assert abs(lr_schedule(20, cfg) - 5e-4) < 1e-18
-    assert abs(lr_schedule(100, cfg)) < 1e-12
+    require(lr_schedule(0, cfg) == 0.0, "lr at step 0")
+    require(abs(lr_schedule(20, cfg) - 5e-4) < 1e-18, "lr at the warmup peak")
+    require(abs(lr_schedule(100, cfg)) < 1e-12, "lr at the last step")
     g = {"a": np.array([3.0]), "b": np.array([2.0, 6.0])}
     out, norm = clip_gradients(g, 0.7)
-    assert abs(norm - 7.0) < 1e-12
-    assert abs(global_norm(out) - 0.7) < 1e-9
+    require(abs(norm - 7.0) < 1e-12, f"gradient norm {norm} != 7")
+    require(abs(global_norm(out) - 0.7) < 1e-9, "clipped norm != 0.7")
     params = {"w": np.array([1.0])}
     st = init_adam(params)
     out = adam_step(params, {"w": np.zeros(1)}, st, 1e-3, TrainConfig())
-    assert out["w"][0] == 1.0
+    require(out["w"][0] == 1.0, "zero gradient moved a weight")
 
 
 def check_data_pipeline():
     s = "spikes are sparse ✓"
-    assert data.decode(data.encode(s)) == s
+    require(data.decode(data.encode(s)) == s, "byte round trip")
     ws = data.make_windows(np.arange(16), 4)
-    assert np.array_equal(ws.inputs[:, 1:], ws.targets[:, :-1])
-    assert (ws.inputs[:, 0] == data.BOS_ID).all()
+    require(np.array_equal(ws.inputs[:, 1:], ws.targets[:, :-1]), "targets not shifted inputs")
+    require((ws.inputs[:, 0] == data.BOS_ID).all(), "window does not start with BOS")
     train, val = data.split_corpus(np.arange(100), 0.1)
-    assert len(train) == 90 and len(val) == 10
+    require(len(train) == 90 and len(val) == 10, f"split {len(train)}/{len(val)}")
 
 
 # -- acceptance criteria without a trained model --------------------------------
 
 # drive grid shared by the rate-monotonicity and concentration checks
 DRIVE_GRID = np.array([-1.0, -0.5] + [0.25 * i for i in range(13)])
-
-
-def require(ok, detail: str = "") -> str:
-    """Return detail when ok holds; otherwise raise AssertionError(detail)."""
-    if not ok:
-        raise AssertionError(detail)
-    return detail
 
 
 def check_neuron_fidelity():
@@ -344,19 +347,18 @@ def check_sfsa_structure():
     t, l, h = cfg.t_steps, 8, cfg.n_heads
     d_head = cfg.d_model // h
     w = _attn_weights(params, 0)
-    mask = causal_mask(l)
     ok = True
 
     for trial in range(100):
         # a fresh spike pattern at each of the T steps
-        x = (rng.random((t, l, cfg.d_model)) < 0.5).astype(float)
-        out, s_attn, _ = sfsa_forward(x, w, mask, sn, attn_sn, h)
+        x = (rng.random((t, 1, l, cfg.d_model)) < 0.5).astype(float)
+        out, s_attn, _ = sfsa_forward(x, w, sn, attn_sn, h)
         ok &= set(np.unique(out)) <= {0.0, 1.0}
         ok &= set(np.unique(s_attn)) <= {0.0, 1.0}
 
         # integer scores: replay the q/k branch and take the binary dot products
-        sq = sn.run(x @ w.w_q + w.b_q).reshape(t, l, h, d_head).swapaxes(1, 2)
-        sk = sn.run(x @ w.w_k + w.b_k).reshape(t, l, h, d_head).swapaxes(1, 2)
+        sq = sn.run(x @ w.w_q + w.b_q).reshape(t, 1, l, h, d_head).swapaxes(2, 3)
+        sk = sn.run(x @ w.w_k + w.b_k).reshape(t, 1, l, h, d_head).swapaxes(2, 3)
         scores = sq @ sk.swapaxes(-1, -2)
         ok &= bool(np.array_equal(scores, np.round(scores))
                    and scores.min() >= 0 and scores.max() <= d_head)
@@ -364,9 +366,9 @@ def check_sfsa_structure():
         # suffix perturbation: flip the last row at every step; the prefix
         # must be bit-exact
         x2 = x.copy()
-        x2[:, -1] = 1.0 - x2[:, -1]
-        out2, s_attn2, _ = sfsa_forward(x2, w, mask, sn, attn_sn, h)
-        ok &= bool(np.array_equal(out2[:, :-1], out[:, :-1]))
+        x2[:, :, -1] = 1.0 - x2[:, :, -1]
+        out2, s_attn2, _ = sfsa_forward(x2, w, sn, attn_sn, h)
+        ok &= bool(np.array_equal(out2[:, :, :-1], out[:, :, :-1]))
         ok &= bool(np.array_equal(s_attn2[..., :-1, :], s_attn[..., :-1, :]))
         if not ok:
             break

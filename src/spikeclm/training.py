@@ -204,7 +204,10 @@ def parse_metrics(text: str):
         parts = ln.split("\t")
         if len(parts) != len(METRICS_COLUMNS):
             raise ValidationError(f"malformed metrics row: {ln!r}")
-        rows.append(MetricsRow(int(parts[0]), *(float(p) for p in parts[1:])))
+        try:
+            rows.append(MetricsRow(int(parts[0]), *(float(p) for p in parts[1:])))
+        except ValueError:
+            raise ValidationError(f"malformed metrics row: {ln!r}") from None
     return rows
 
 

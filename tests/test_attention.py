@@ -1,4 +1,8 @@
-"""Attention block tests: masking, spike algebra, causality, gradients."""
+"""Attention block tests: the causal mask, spike algebra, causality, gradients.
+
+Both blocks build their own causal mask and take batched inputs only:
+sfsa_forward a [T, B, L, d] stack, csa_forward a [B, L, d] batch.
+"""
 
 import numpy as np
 import pytest
@@ -48,18 +52,17 @@ class TestCausalMask:
 class TestSfsaHandTrace:
     def test_identity_projection_trace(self):
         """Tiny block worked through by hand, one time step."""
-        x = np.array([[[1.0, 0.0], [1.0, 1.0]]])
-        out, attn, _ = sfsa_forward(x, identity_weights(2), causal_mask(2), spec(), spec(), 1)
+        x = np.array([[[[1.0, 0.0], [1.0, 1.0]]]])
+        out, attn, _ = sfsa_forward(x, identity_weights(2), spec(), spec(), 1)
         # q=k=v=x spike unchanged; scores [[1,1],[1,2]] masked to [[1,0],[1,2]]
-        np.testing.assert_array_equal(attn[0], [[[1, 0], [1, 1]]])
-        np.testing.assert_array_equal(out[0], [[1, 0], [1, 1]])
+        np.testing.assert_array_equal(attn[0, 0], [[[1, 0], [1, 1]]])
+        np.testing.assert_array_equal(out[0, 0], [[1, 0], [1, 1]])
 
     def test_zero_input_zero_output(self):
-        x = np.zeros((1, 3, 4))
-        out, attn, _ = sfsa_forward(x, random_weights(4, std=0.0), causal_mask(3),
-                                    spec(), spec(), 2)
-        np.testing.assert_array_equal(out[0], np.zeros((3, 4)))
-        np.testing.assert_array_equal(attn[0], np.zeros((2, 3, 3)))
+        x = np.zeros((1, 1, 3, 4))
+        out, attn, _ = sfsa_forward(x, random_weights(4, std=0.0), spec(), spec(), 2)
+        np.testing.assert_array_equal(out[0, 0], np.zeros((3, 4)))
+        np.testing.assert_array_equal(attn[0, 0], np.zeros((2, 3, 3)))
 
 
 class TestSfsaProperties:
@@ -72,9 +75,9 @@ class TestSfsaProperties:
     def test_all_stage_outputs_binary(self):
         """Outputs and attention spikes stay in {0,1} over carried steps."""
         w = random_weights(8, seed=1, std=1.0)
-        x = self.random_spikes((4, 5, 8))
-        out, attn, _ = sfsa_forward(x, w, causal_mask(5), spec(), spec(), 2)
-        assert out.shape == (4, 5, 8) and attn.shape == (4, 2, 5, 5)
+        x = self.random_spikes((4, 1, 5, 8))
+        out, attn, _ = sfsa_forward(x, w, spec(), spec(), 2)
+        assert out.shape == (4, 1, 5, 8) and attn.shape == (4, 1, 2, 5, 5)
         assert set(np.unique(out)) <= {0.0, 1.0}
         assert set(np.unique(attn)) <= {0.0, 1.0}
 
@@ -90,111 +93,102 @@ class TestSfsaProperties:
     def test_causality_probe(self):
         """Perturbing position j leaves outputs at positions < j unchanged."""
         w = random_weights(4, seed=3, std=1.0)
-        x = np.stack([self.random_spikes((5, 4))] * 3)
+        x = np.stack([self.random_spikes((5, 4))] * 3)[:, None]
         x2 = x.copy()
-        x2[:, 4] = 1.0 - x2[:, 4]
-        o1, a1, _ = sfsa_forward(x, w, causal_mask(5), spec(), spec(), 2)
-        o2, a2, _ = sfsa_forward(x2, w, causal_mask(5), spec(), spec(), 2)
-        np.testing.assert_array_equal(o1[:, :4], o2[:, :4])
-        np.testing.assert_array_equal(a1[:, :, :4, :], a2[:, :, :4, :])
+        x2[:, :, 4] = 1.0 - x2[:, :, 4]
+        o1, a1, _ = sfsa_forward(x, w, spec(), spec(), 2)
+        o2, a2, _ = sfsa_forward(x2, w, spec(), spec(), 2)
+        np.testing.assert_array_equal(o1[:, :, :4], o2[:, :, :4])
+        np.testing.assert_array_equal(a1[..., :4, :], a2[..., :4, :])
 
     def test_batched_matches_per_sequence(self):
         w = random_weights(4, seed=5, std=1.0)
         xb = self.random_spikes((2, 3, 5, 4))
         outs = []
         for i in range(3):
-            o, _, _ = sfsa_forward(xb[:, i], w, causal_mask(5), spec(), spec(), 2)
+            o, _, _ = sfsa_forward(xb[:, i:i + 1], w, spec(), spec(), 2)
             outs.append(o)
-        ob, _, _ = sfsa_forward(xb, w, causal_mask(5), spec(), spec(), 2)
-        np.testing.assert_array_equal(ob, np.stack(outs, axis=1))
+        ob, _, _ = sfsa_forward(xb, w, spec(), spec(), 2)
+        np.testing.assert_array_equal(ob, np.concatenate(outs, axis=1))
 
     def test_integer_residual_counts_accepted(self):
         """Spike sums from residual paths (small ints) are valid inputs."""
-        x = np.array([[[2.0, 0.0], [1.0, 3.0]]])
-        out, _, _ = sfsa_forward(x, identity_weights(2), causal_mask(2), spec(), spec(), 1)
+        x = np.array([[[[2.0, 0.0], [1.0, 3.0]]]])
+        out, _, _ = sfsa_forward(x, identity_weights(2), spec(), spec(), 1)
         assert set(np.unique(out)) <= {0.0, 1.0}
 
     def test_non_spike_input_rejected(self):
-        bad = np.full((1, 2, 2), 0.5)
+        bad = np.full((1, 1, 2, 2), 0.5)
         with pytest.raises(ValidationError):
-            sfsa_forward(bad, identity_weights(2), causal_mask(2), spec(), spec(), 1)
-        neg = np.array([[[-1.0, 0.0], [0.0, 0.0]]])
+            sfsa_forward(bad, identity_weights(2), spec(), spec(), 1)
+        neg = np.array([[[[-1.0, 0.0], [0.0, 0.0]]]])
         with pytest.raises(ValidationError):
-            sfsa_forward(neg, identity_weights(2), causal_mask(2), spec(), spec(), 1)
+            sfsa_forward(neg, identity_weights(2), spec(), spec(), 1)
         # every step of the stack is checked, not only the first
         late = np.concatenate([np.zeros_like(neg), neg])
         with pytest.raises(ValidationError):
-            sfsa_forward(late, identity_weights(2), causal_mask(2), spec(), spec(), 1)
+            sfsa_forward(late, identity_weights(2), spec(), spec(), 1)
 
     def test_input_rank_checked(self):
-        with pytest.raises(ShapeError, match="rank 3 or 4"):
-            sfsa_forward(np.zeros((2, 4)), random_weights(4), causal_mask(2),
-                         spec(), spec(), 2)
+        with pytest.raises(ShapeError, match=r"\[T, B, L, d\]"):
+            sfsa_forward(np.zeros((2, 4)), random_weights(4), spec(), spec(), 2)
 
-    def test_bad_mask_and_heads(self):
-        x = np.zeros((1, 2, 4))
-        leaky = causal_mask(2)
-        leaky[0, 1] = 1.0
-        with pytest.raises(ValidationError):
-            sfsa_forward(x, random_weights(4), leaky, spec(), spec(), 2)
+    def test_empty_sequence_reaches_causal_mask_check(self):
+        with pytest.raises(ShapeError, match="seq_len must be >= 1"):
+            sfsa_forward(np.zeros((1, 1, 0, 4)), random_weights(4), spec(), spec(), 2)
+        with pytest.raises(ShapeError, match="seq_len must be >= 1"):
+            csa_forward(np.zeros((1, 0, 4)), random_weights(4), 2)
+
+    def test_bad_heads(self):
+        x = np.zeros((1, 1, 2, 4))
         with pytest.raises(ConfigError):
-            sfsa_forward(x, random_weights(4), causal_mask(2), spec(), spec(), 3)
+            sfsa_forward(x, random_weights(4), spec(), spec(), 3)
 
     def test_ternary_spike_counts_accepted(self):
         """Ternary spikes are +-amp, so sums are signed multiples of amp."""
         amp = 0.3
         sn = NeuronSpec(mode="ternary", ternary=TernaryParams(amp=amp))
-        x = np.array([[[amp + amp + amp, -amp], [0.0, -amp - amp]]])
-        out, _, _ = sfsa_forward(x, random_weights(2, std=1.0), causal_mask(2), sn, sn, 1)
+        x = np.array([[[[amp + amp + amp, -amp], [0.0, -amp - amp]]]])
+        out, _, _ = sfsa_forward(x, random_weights(2, std=1.0), sn, sn, 1)
         assert set(np.unique(out)) <= {-amp, 0.0, amp}
         with pytest.raises(ValidationError, match="not a count of"):
-            sfsa_forward(x + 0.1, random_weights(2), causal_mask(2), sn, sn, 1)
+            sfsa_forward(x + 0.1, random_weights(2), sn, sn, 1)
 
     def test_weight_shape_validation(self):
         w = random_weights(4)
         w.w_q = np.zeros((4, 3))
         with pytest.raises(ShapeError):
-            sfsa_forward(np.zeros((1, 2, 4)), w, causal_mask(2), spec(), spec(), 2)
+            sfsa_forward(np.zeros((1, 1, 2, 4)), w, spec(), spec(), 2)
 
 
 class TestCsa:
     def test_rows_sum_to_one_and_causal(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(6, 8))
-        out, attn = csa_forward(x, random_weights(8, seed=2, std=0.3), causal_mask(6), 2)
-        np.testing.assert_allclose(attn.sum(axis=-1), np.ones((2, 6)), rtol=1e-12)
+        x = rng.normal(size=(1, 6, 8))
+        out, attn = csa_forward(x, random_weights(8, seed=2, std=0.3), 2)
+        np.testing.assert_allclose(attn.sum(axis=-1), np.ones((1, 2, 6)), rtol=1e-12)
         assert np.all(attn * (1 - causal_mask(6)) == 0)
-        assert out.shape == (6, 8)
+        assert out.shape == (1, 6, 8)
 
     def test_uniform_attention_with_zero_weights(self):
         """Zero q/k projections make each row uniform over its visible prefix."""
-        x = np.random.default_rng(1).normal(size=(4, 4))
+        x = np.random.default_rng(1).normal(size=(1, 4, 4))
         w = identity_weights(4)
         w.w_q = np.zeros((4, 4))
         w.w_k = np.zeros((4, 4))
-        _, attn = csa_forward(x, w, causal_mask(4), 1)
+        _, attn = csa_forward(x, w, 1)
         for i in range(4):
-            np.testing.assert_allclose(attn[0, i, :i + 1], 1.0 / (i + 1), rtol=1e-12)
-
-    def test_row_with_no_visible_position_rejected(self):
-        """A fully masked row has nothing to attend to in either block."""
-        blind = causal_mask(3)
-        blind[2] = 0.0
-        with pytest.raises(ValidationError, match="no visible position"):
-            csa_forward(np.zeros((3, 4)), random_weights(4), blind, 1)
-        with pytest.raises(ValidationError, match="no visible position"):
-            sfsa_forward(np.zeros((1, 3, 4)), random_weights(4), blind, spec(), spec(), 1)
+            np.testing.assert_allclose(attn[0, 0, i, :i + 1], 1.0 / (i + 1), rtol=1e-12)
 
     def test_taped_csa_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 4))
+        x = rng.normal(size=(1, 3, 4))
         w0 = rng.normal(size=(4, 4)) * 0.5
 
         def f(wq):
             w = identity_weights(4)
             w.w_q = wq
-            out, _ = csa_forward(ad.Var(x) if isinstance(wq, ad.Var) else x,
-                                 w, causal_mask(3), 2)
+            out, _ = csa_forward(ad.Var(x) if isinstance(wq, ad.Var) else x, w, 2)
             return (out ** 2).sum() if isinstance(out, ad.Var) else float((out ** 2).sum())
 
         v = ad.Var(w0.copy(), requires_grad=True)
@@ -208,14 +202,14 @@ class TestSfsaGradients:
         """BPTT through two carried time steps of the relaxed block."""
         rng = np.random.default_rng(6)
         d, l = 2, 3
-        x_steps = np.stack([rng.normal(size=(l, d)) * 0.8 for _ in range(2)])
+        x_steps = np.stack([rng.normal(size=(l, d)) * 0.8 for _ in range(2)])[:, None]
         w0 = rng.normal(size=(d, d)) * 0.7
         sn = spec(relaxed=True)
 
         def run(wq):
             w = identity_weights(d)
             w.w_q = wq
-            out, _, _ = sfsa_forward(x_steps, w, causal_mask(l), sn, sn, 1)
+            out, _, _ = sfsa_forward(x_steps, w, sn, sn, 1)
             return (out * out).sum()
 
         v = ad.Var(w0.copy(), requires_grad=True)
@@ -227,12 +221,12 @@ class TestSfsaGradients:
         """Surrogate path produces finite grads even with hard thresholds."""
         rng = np.random.default_rng(8)
         d = 4
-        x = (rng.random((1, 3, d)) < 0.5).astype(np.float64)
+        x = (rng.random((1, 1, 3, d)) < 0.5).astype(np.float64)
         w = random_weights(d, seed=9, std=0.5)
         vw = AttnWeights(*[ad.Var(ad.value(getattr(w, f)), requires_grad=True)
                            for f in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
                                      "w_out", "b_out")])
-        out, _, _ = sfsa_forward(x, vw, causal_mask(3), spec(), spec(), 2)
+        out, _, _ = sfsa_forward(x, vw, spec(), spec(), 2)
         out.sum().backward()
         g = vw.w_q.grad
         assert g is not None and np.isfinite(g).all()
@@ -245,15 +239,12 @@ class TestSfsaPast:
         """Run the block over the step stack xs; with past_len, run only the
         rows from past_len on, reading keys and values of the earlier rows
         from a full run. Returns the output and attention spike stacks."""
-        l = xs.shape[-2]
         if not past_len:
-            out, attn, _ = sfsa_forward(xs, w, causal_mask(l), sn, sn, n_heads)
+            out, attn, _ = sfsa_forward(xs, w, sn, sn, n_heads)
             return out, attn
-        _, _, (k, v) = sfsa_forward(xs, w, causal_mask(l), sn, sn, n_heads)
+        _, _, (k, v) = sfsa_forward(xs, w, sn, sn, n_heads)
         past = (k[..., :past_len, :], v[..., :past_len, :])
-        out, attn, _ = sfsa_forward(xs[..., past_len:, :], w,
-                                    causal_mask(l - past_len, offset=past_len),
-                                    sn, sn, n_heads, past=past)
+        out, attn, _ = sfsa_forward(xs[..., past_len:, :], w, sn, sn, n_heads, past=past)
         return out, attn
 
     @pytest.mark.parametrize("mode", ["binary", "ternary"])
@@ -272,44 +263,37 @@ class TestSfsaPast:
                 np.testing.assert_array_equal(outs[t], full_out[t][:, p:])
                 np.testing.assert_array_equal(attns[t], full_attn[t][:, :, p:, :])
 
-    def test_unbatched_past(self):
-        rng = np.random.default_rng(13)
-        w = random_weights(4, seed=14, std=1.0)
-        xs = (rng.random((2, 5, 4)) < 0.5).astype(np.float64)
-        full_out, _ = self.run_steps(xs, w, spec())
-        outs, attns = self.run_steps(xs, w, spec(), past_len=3)
-        assert attns[0].shape == (2, 2, 5)
-        for t in range(2):
-            np.testing.assert_array_equal(outs[t], full_out[t][3:])
-
-    def test_rectangular_mask_checked(self):
-        x = np.zeros((1, 1, 2, 4))
+    def test_unbatched_layouts_rejected(self):
+        """Without the batch axis, inputs and cached keys are ShapeErrors."""
         past = (np.zeros((1, 1, 3, 4)), np.zeros((1, 1, 3, 4)))
-        leaky = causal_mask(2, offset=3)
-        leaky[0, 4] = 1.0  # row 0 is position 3; column 4 is its future
-        with pytest.raises(ValidationError, match="future"):
-            sfsa_forward(x, random_weights(4), leaky, spec(), spec(), 2, past=past)
         with pytest.raises(ShapeError):
-            sfsa_forward(x, random_weights(4), causal_mask(2), spec(), spec(), 2, past=past)
+            sfsa_forward(np.zeros((1, 2, 4)), random_weights(4), spec(), spec(), 2)
+        with pytest.raises(ShapeError):
+            sfsa_forward(np.zeros((1, 2, 4)), random_weights(4), spec(), spec(), 2,
+                         past=past)
+        unbatched = (np.zeros((1, 3, 4)), np.zeros((1, 3, 4)))
+        with pytest.raises(ShapeError):
+            sfsa_forward(np.zeros((1, 1, 2, 4)), random_weights(4), spec(), spec(), 2,
+                         past=unbatched)
+        with pytest.raises(ShapeError, match=r"\[B, L, d\]"):
+            csa_forward(np.zeros((3, 4)), random_weights(4), 1)
 
     def test_past_shapes_checked(self):
         x = np.zeros((1, 1, 2, 4))
-        mask = causal_mask(2, offset=3)
         for past in ((np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3, 4))),
                      (np.zeros((1, 1, 3, 4)), np.zeros((1, 1, 2, 4))),
                      (np.zeros((1, 1, 3, 2)), np.zeros((1, 1, 3, 2))),
                      (np.zeros((2, 1, 3, 4)), np.zeros((2, 1, 3, 4)))):
             with pytest.raises(ShapeError):
-                sfsa_forward(x, random_weights(4), mask, spec(), spec(), 2, past=past)
+                sfsa_forward(x, random_weights(4), spec(), spec(), 2, past=past)
 
     def test_past_needs_untaped_hard_forward(self):
         x = np.zeros((1, 1, 1, 4))
         past = (np.zeros((1, 1, 1, 4)), np.zeros((1, 1, 1, 4)))
-        mask = causal_mask(1, offset=1)
         with pytest.raises(ConfigError):
-            sfsa_forward(x, random_weights(4), mask, spec(relaxed=True),
-                         spec(relaxed=True), 2, past=past)
+            sfsa_forward(x, random_weights(4), spec(relaxed=True), spec(relaxed=True), 2,
+                         past=past)
         w = random_weights(4)
         w.w_k = ad.Var(w.w_k, requires_grad=True)
         with pytest.raises(ConfigError):
-            sfsa_forward(x, w, mask, spec(), spec(), 2, past=past)
+            sfsa_forward(x, w, spec(), spec(), 2, past=past)

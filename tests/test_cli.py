@@ -272,6 +272,19 @@ class TestErrorPaths:
         assert capsys.readouterr().out.splitlines() == [
             "FAIL boom: broken on purpose", "ok   rng-uniform", "1/2 checks passed"]
 
+    def test_selftest_fails_under_optimize_flag(self):
+        """python -O strips bare asserts; the checks must still fail."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selftest.__file__)))
+        code = ("import sys; from spikeclm import data, selftest; "
+                "data.decode = lambda ids: 'garbage'; "
+                "selftest.CHECKS = [('data-pipeline', selftest.check_data_pipeline)]; "
+                "from spikeclm.cli import main; sys.exit(main(['selftest']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == ["FAIL data-pipeline: byte round trip",
+                                            "0/1 checks passed"]
+
     def test_selftest_rejects_config_flags(self, tmp_path, capsys):
         """selftest reads no config: --config and --set are unknown flags."""
         assert run_cli("selftest", "--config", str(tmp_path / "missing.ini"),

@@ -146,6 +146,11 @@ class TestEnergyReport:
         with pytest.raises(ValidationError):
             energy.parse_report("bogus\n")
 
+    @pytest.mark.parametrize("line", ["seq_len: abc", "seq_len 16"])
+    def test_parse_rejects_line_without_number(self, line):
+        with pytest.raises(ValidationError, match=repr(line)):
+            energy.parse_report(f"snn-energy-report v1\n{line}\n")
+
     def test_bad_rate_counters_rejected(self):
         tr = synthetic_trace(self.cfg, 1, [(0.5, 0.25)])
         tr.sfsa_in_active[0] = 2000.0  # impossible: more active than total

@@ -1,0 +1,35 @@
+"""Static check: every name the package or its tests import is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(p for p in (ROOT / "src" / "spikeclm").glob("*.py") if p.name != "__init__.py")
+FILES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by import statements that no expression refers to."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_scanner_finds_an_unused_name():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
+        "line 1: os", "line 2: b"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -5,9 +5,8 @@ import pytest
 
 from spikeclm import autodiff as ad, data
 from spikeclm.distill import SpadConfig
-from spikeclm.errors import ConfigError, EvaluationError, InternalError
+from spikeclm.errors import ConfigError, EvaluationError, InternalError, ValidationError
 from spikeclm.model import ModelConfig, init_params
-from spikeclm.neurons import LifParams, eligibility_trace, surrogate_forward, surrogate_grad
 from spikeclm.training import (MetricsRow, TrainConfig, adam_step, bptt_backward,
                                check_compat, clip_gradients, evaluate_ce,
                                format_metrics, global_norm, init_adam, lr_schedule,
@@ -156,39 +155,6 @@ class TestBpttBackward:
         with pytest.raises(InternalError):
             bptt_backward(1.0, {})
 
-    def test_eligibility_form_matches_tape_without_reset(self):
-        """No-reset leaky integrator: sum_t delta_t * e_t == BPTT exactly.
-
-        U_t = beta U_{t-1} + w x_t, per-step readout c_t * sigma(U_t - thr);
-        the eligibility recursion is exact here because no reset path
-        couples S back into U.
-        """
-        p = LifParams(beta=0.6, u_thr=1.0, surrogate_alpha=2.0)
-        rng = np.random.default_rng(7)
-        xs = rng.normal(size=12)
-        cs = rng.normal(size=12)
-        w0 = 0.8
-
-        w = ad.Var(np.array(w0), requires_grad=True)
-        u = ad.as_var(np.array(0.0))
-        loss = ad.as_var(np.array(0.0))
-        us = []
-        for x, c in zip(xs, cs):
-            u = u * p.beta + w * float(x)
-            us.append(float(ad.value(u)))
-            centered = u - p.u_thr
-            cval = ad.value(centered)
-            local = surrogate_grad(cval, p.surrogate_alpha)
-            sig = ad.custom_op(surrogate_forward(cval, p.surrogate_alpha),
-                               (centered, lambda g, local=local: g * local))
-            loss = loss + sig * float(c)
-        loss.backward()
-
-        e = eligibility_trace([np.array(x) for x in xs], p.beta)
-        hand = sum(c * surrogate_grad(np.array(ut - p.u_thr), p.surrogate_alpha) * et
-                   for c, ut, et in zip(cs, us, e))
-        np.testing.assert_allclose(w.grad, hand, rtol=1e-10, atol=1e-14)
-
 
 class TestCheckCompat:
     def test_ok_pair(self):
@@ -234,6 +200,12 @@ class TestMetricsFormat:
     def test_bad_magic(self):
         with pytest.raises(Exception):
             parse_metrics("step\tlr\n1\t0.1\n")
+
+    def test_non_numeric_field_names_row(self):
+        good = format_metrics([MetricsRow(1, 1e-4, 5.5, 0.1, 0.2, 0.3, 0.4, 4.5, 0.12)])
+        for bad in (good.replace("\n1\t", "\nx\t"), good.replace("\t5.5\t", "\tabc\t")):
+            with pytest.raises(ValidationError, match="malformed metrics row"):
+                parse_metrics(bad)
 
 
 def tiny_corpus(n=400):
