@@ -3,14 +3,15 @@
 A Var wraps a float64 ndarray plus a closure that routes an upstream
 gradient to its parents. Ops build the tape eagerly; Var.backward walks it
 once in reverse topological order. Only the handful of operations the
-models need exist here, and each module-level function also accepts plain
-ndarrays so inference paths can skip the tape entirely.
+models need exist here.
 
-Ops whose gradient is not built from these primitives are wired in by
-their owning modules through custom_op: the caller supplies the forward
-value and, per operand, a vector-Jacobian product. A neuron population's
-run over all time steps is one such node, whose backward is the BPTT
-recurrence.
+custom_op is the one constructor of tape nodes: every op, here or in its
+owning module, computes its forward value on raw arrays and hands it to
+custom_op with one vector-Jacobian product per operand. Each op is thus
+written once for plain and taped input: with no Var operand custom_op
+returns the plain value, so inference paths skip the tape entirely. A
+neuron population's run over all time steps is one such node, whose
+backward is the BPTT recurrence.
 """
 
 from __future__ import annotations
@@ -32,19 +33,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 class Var:
-    """Node in the gradient tape."""
+    """Node in the gradient tape; constructed directly it is a leaf."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     # keep numpy from absorbing Vars into object arrays; reflected ops run instead
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self.requires_grad = requires_grad
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
@@ -93,87 +94,39 @@ class Var:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = as_var(other)
-        out = Var(self.data + o.data, _parents=(self, o))
-        if out.requires_grad:
-            def bw(g):
-                if self.requires_grad:
-                    _accum(self, _unbroadcast(g, self.data.shape))
-                if o.requires_grad:
-                    _accum(o, _unbroadcast(g, o.data.shape))
-            out._backward = bw
-        return out
+        return custom_op(self.data + value(other), (self, _identity), (other, _identity))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Var(-self.data, _parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: _accum(self, -g)
-        return out
+        return custom_op(-self.data, (self, np.negative))
 
     def __sub__(self, other):
-        o = as_var(other)
-        out = Var(self.data - o.data, _parents=(self, o))
-        if out.requires_grad:
-            def bw(g):
-                if self.requires_grad:
-                    _accum(self, _unbroadcast(g, self.data.shape))
-                if o.requires_grad:
-                    _accum(o, -_unbroadcast(g, o.data.shape))
-            out._backward = bw
-        return out
+        return custom_op(self.data - value(other), (self, _identity), (other, np.negative))
 
     def __rsub__(self, other):
-        return as_var(other) - self
+        return custom_op(value(other) - self.data, (self, np.negative))
 
     def __mul__(self, other):
-        o = as_var(other)
-        out = Var(self.data * o.data, _parents=(self, o))
-        if out.requires_grad:
-            def bw(g):
-                if self.requires_grad:
-                    _accum(self, _unbroadcast(g * o.data, self.data.shape))
-                if o.requires_grad:
-                    _accum(o, _unbroadcast(g * self.data, o.data.shape))
-            out._backward = bw
-        return out
+        o = value(other)
+        return custom_op(self.data * o, (self, lambda g: g * o),
+                         (other, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return self * (1.0 / other)
-        return self * as_var(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return as_var(other) * self ** -1.0
+        return self * (other ** -1.0 if isinstance(other, Var) else value(other) ** -1.0)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise ShapeError("Var ** exponent must be a Python scalar")
-        out = Var(self.data ** p, _parents=(self,))
-        if out.requires_grad:
-            base = self.data
-            out._backward = lambda g: _accum(self, g * p * base ** (p - 1))
-        return out
+        base = self.data
+        return custom_op(base ** p, (self, lambda g: g * p * base ** (p - 1)))
 
     def __matmul__(self, other):
-        o = as_var(other)
-        out = Var(numerics.matmul(self.data, o.data), _parents=(self, o))
-        if out.requires_grad:
-            def bw(g):
-                if self.requires_grad:
-                    ga = g @ o.data.swapaxes(-1, -2)
-                    _accum(self, _unbroadcast(ga, self.data.shape))
-                if o.requires_grad:
-                    gb = self.data.swapaxes(-1, -2) @ g
-                    _accum(o, _unbroadcast(gb, o.data.shape))
-            out._backward = bw
-        return out
-
-    def __rmatmul__(self, other):
-        return as_var(other) @ self
+        return matmul(self, other)
 
     # -- shape ops ----------------------------------------------------------
 
@@ -181,43 +134,24 @@ class Var:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         orig = self.data.shape
-        out = Var(self.data.reshape(shape), _parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: _accum(self, g.reshape(orig))
-        return out
+        return custom_op(self.data.reshape(shape), (self, lambda g: g.reshape(orig)))
 
     def swapaxes(self, a: int, b: int):
-        out = Var(self.data.swapaxes(a, b), _parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: _accum(self, g.swapaxes(a, b))
-        return out
+        return custom_op(self.data.swapaxes(a, b), (self, lambda g: g.swapaxes(a, b)))
 
     def __getitem__(self, idx):
-        out = Var(self.data[idx], _parents=(self,))
-        if out.requires_grad:
-            def bw(g):
-                buf = np.zeros_like(self.data)
-                np.add.at(buf, idx, g)
-                _accum(self, buf)
-            out._backward = bw
-        return out
+        return _pick(self, idx)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = Var(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,))
-        if out.requires_grad:
-            shape = self.data.shape
+        shape = self.data.shape
 
-            def bw(g):
-                if axis is None:
-                    _accum(self, np.broadcast_to(g, shape).copy())
-                    return
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                gg = g if keepdims else np.expand_dims(g, axes)
-                _accum(self, np.broadcast_to(gg, shape).copy())
-            out._backward = bw
-        return out
+        def vjp(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, shape).copy()
+        return custom_op(self.data.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -230,10 +164,6 @@ class Var:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
 def is_var(x) -> bool:
     return isinstance(x, Var)
 
@@ -241,6 +171,10 @@ def is_var(x) -> bool:
 def value(x) -> np.ndarray:
     """Raw ndarray behind x, whether taped or not."""
     return x.data if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def _identity(g):
+    return g
 
 
 def _accum(node: Var, g: np.ndarray) -> None:
@@ -259,117 +193,91 @@ def _accum(node: Var, g: np.ndarray) -> None:
     node.grad = out
 
 
-# -- elementwise functions (dispatch on taped vs plain input) ----------------
-
-
-def relu(x):
-    if isinstance(x, Var):
-        out = Var(np.maximum(x.data, 0.0), _parents=(x,))
-        if out.requires_grad:
-            mask = (x.data > 0.0).astype(np.float64)
-            out._backward = lambda g: _accum(x, g * mask)
-        return out
-    return np.maximum(x, 0.0)
-
-
-def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
-def softmax(x, axis: int = -1):
-    if isinstance(x, Var):
-        s = _softmax_np(x.data, axis=axis)
-        out = Var(s, _parents=(x,))
-        if out.requires_grad:
-            def bw(g):
-                dot = (g * s).sum(axis=axis, keepdims=True)
-                _accum(x, (g - dot) * s)
-            out._backward = bw
-        return out
-    return _softmax_np(x, axis=axis)
-
-
-def log_softmax(x, axis: int = -1):
-    if isinstance(x, Var):
-        y = _log_softmax_np(x.data, axis=axis)
-        out = Var(y, _parents=(x,))
-        if out.requires_grad:
-            sm = np.exp(y)
-
-            def bw(g):
-                _accum(x, g - sm * g.sum(axis=axis, keepdims=True))
-            out._backward = bw
-        return out
-    return _log_softmax_np(x, axis=axis)
-
-
-def matmul(a, b):
-    """a @ b on either kind; plain arrays still hit the MAC counter."""
-    if isinstance(a, Var) or isinstance(b, Var):
-        return as_var(a) @ as_var(b)
-    return numerics.matmul(a, b)
-
-
-def linear(x, w, b):
-    """x @ w + b on either kind; on plain arrays the bias is added in place."""
-    if isinstance(x, Var) or isinstance(w, Var) or isinstance(b, Var):
-        return as_var(x) @ as_var(w) + b
-    y = numerics.matmul(x, w)
-    y += b
-    return y
-
-
-def take_rows(table, ids):
-    """table[ids] where ids is an integer array; rows may repeat."""
-    ids = np.asarray(ids)
-    if isinstance(table, Var):
-        out = Var(table.data[ids], _parents=(table,))
-        if out.requires_grad:
-            def bw(g):
-                buf = np.zeros_like(table.data)
-                np.add.at(buf, ids, g)
-                _accum(table, buf)
-            out._backward = bw
-        return out
-    return np.asarray(table, dtype=np.float64)[ids]
-
-
-def gather_last(x, ids):
-    """Pick x[..., ids[...]] along the trailing axis (one pick per row)."""
-    ids = np.asarray(ids)
-    if isinstance(x, Var):
-        picked = np.take_along_axis(x.data, ids[..., None], axis=-1)[..., 0]
-        out = Var(picked, _parents=(x,))
-        if out.requires_grad:
-            def bw(g):
-                buf = np.zeros_like(x.data)
-                np.put_along_axis(buf, ids[..., None], g[..., None], axis=-1)
-                _accum(x, buf)
-            out._backward = bw
-        return out
-    return np.take_along_axis(np.asarray(x), ids[..., None], axis=-1)[..., 0]
-
-
 def custom_op(fwd_value: np.ndarray, *operands):
     """Build one node over several operands from a precomputed forward value.
 
     operands are (x, vjp) pairs, x a Var or a plain value: vjp maps the
     node's upstream gradient to x's, before it is summed down to x's shape.
     Plain operands join no tape and their vjp is never called. The caller
-    evaluates fwd_value on the raw values.
+    evaluates fwd_value on the raw values; with no Var operand it is
+    returned as is.
     """
-    out = Var(fwd_value, _parents=tuple(x for x, _ in operands if isinstance(x, Var)))
-    if out.requires_grad:
+    parents = [x for x, _ in operands if isinstance(x, Var)]
+    if not parents:
+        return fwd_value
+    out = Var(fwd_value)
+    if any(p.requires_grad for p in parents):
         def bw(g):
             for x, vjp in operands:
                 if isinstance(x, Var) and x.requires_grad:
                     _accum(x, _unbroadcast(vjp(g), x.data.shape))
+        out.requires_grad = True
+        out._parents = tuple(parents)
         out._backward = bw
     return out
+
+
+# -- module-level ops (plain or taped input) ----------------------------------
+
+
+def relu(x):
+    xv = value(x)
+    return custom_op(np.maximum(xv, 0.0), (x, lambda g: g * (xv > 0.0)))
+
+
+def softmax(x, axis: int = -1):
+    z = value(x)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
+    return custom_op(s, (x, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
+
+
+def log_softmax(x, axis: int = -1):
+    z = value(x)
+    z = z - z.max(axis=axis, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    return custom_op(y, (x, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True)))
+
+
+def matmul(a, b):
+    """a @ b on either kind; numerics.matmul computes it, so it hits the MAC counter."""
+    av, bv = value(a), value(b)
+    return custom_op(numerics.matmul(av, bv), (a, lambda g: g @ bv.swapaxes(-1, -2)),
+                     (b, lambda g: av.swapaxes(-1, -2) @ g))
+
+
+def linear(x, w, b):
+    """x @ w + b on either kind, as one node; the bias is added in place."""
+    xv, wv = value(x), value(w)
+    y = numerics.matmul(xv, wv)
+    y += value(b)
+    return custom_op(y, (x, lambda g: g @ wv.swapaxes(-1, -2)),
+                     (w, lambda g: xv.swapaxes(-1, -2) @ g), (b, _identity))
+
+
+def _pick(x, idx):
+    """x[idx] on either kind; picks that repeat sum their gradients."""
+    xv = value(x)
+
+    def vjp(g):
+        buf = np.zeros_like(xv)
+        np.add.at(buf, idx, g)
+        return buf
+    return custom_op(xv[idx], (x, vjp))
+
+
+def take_rows(table, ids):
+    """table[ids] where ids is an integer array; rows may repeat."""
+    return _pick(table, np.asarray(ids))
+
+
+def gather_last(x, ids):
+    """Pick x[..., ids[...]] along the trailing axis (one pick per row)."""
+    ids = np.asarray(ids)[..., None]
+    xv = value(x)
+
+    def vjp(g):
+        buf = np.zeros_like(xv)
+        np.put_along_axis(buf, ids, g[..., None], axis=-1)
+        return buf
+    return custom_op(np.take_along_axis(xv, ids, axis=-1)[..., 0], (x, vjp))

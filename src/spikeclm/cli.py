@@ -262,7 +262,9 @@ def _eval_slice(rc: RunConfig, cfg: ModelConfig):
 
 def cmd_profile(rc: RunConfig) -> int:
     _require(rc, "checkpoint", "corpus")
-    cfg, params, _, _ = load_model(rc.checkpoint)
+    cfg, params, extra, _ = load_model(rc.checkpoint)
+    if extra.get("arch") == "dense":
+        raise ConfigError("profile needs a spiking checkpoint, got a dense one")
     if rc.eval_t_steps:
         cfg.t_steps = rc.eval_t_steps  # profile at a different T than trained
         cfg.validate()
@@ -302,6 +304,7 @@ def run_command(args) -> int:
     rc = resolve(args)
     rc.model.validate()
     rc.train.validate()
+    rc.spad.validate()
     if args.command == "train-teacher":
         return cmd_train(rc, "teacher")
     if args.command == "train":

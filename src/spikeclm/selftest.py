@@ -316,8 +316,8 @@ def check_eligibility():
     xs = rng.normal(size=12)
     cs = rng.normal(size=12)
     w = ad.Var(np.array(0.8), requires_grad=True)
-    u = ad.as_var(np.array(0.0))
-    loss = ad.as_var(np.array(0.0))
+    u = ad.Var(np.array(0.0))
+    loss = ad.Var(np.array(0.0))
     us = []
     for x, c in zip(xs, cs):
         u = u * p.beta + w * float(x)

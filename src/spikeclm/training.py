@@ -225,18 +225,14 @@ def _flat_ce(logits, targets):
 
 
 def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,
-                dense: bool = False, max_batches: int | None = None) -> float:
+                dense: bool = False) -> float:
     """Mean next-token cross-entropy over a window set, taped nowhere."""
     n = len(windows)
     if n == 0:
         raise ValidationError("no evaluation windows")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if max_batches is not None and max_batches < 1:
-        raise ConfigError(f"max_batches must be >= 1, got {max_batches}")
     n_batches = (n + batch_size - 1) // batch_size
-    if max_batches is not None:
-        n_batches = min(n_batches, max_batches)
     total, denom = 0.0, 0
     for b in range(n_batches):
         rows = np.arange(b * batch_size, min(n, (b + 1) * batch_size))

@@ -22,6 +22,23 @@ def check_against_fd(f, x, rtol=1e-5, atol=1e-7):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture()
+def built_vars(monkeypatch):
+    """Every Var constructed while the test runs, in order."""
+    built = []
+    init = ad.Var.__init__
+
+    def counting_init(var, *args, **kwargs):
+        built.append(var)
+        init(var, *args, **kwargs)
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    return built
+
+
 class TestElementwise:
     def setup_method(self):
         self.rng = np.random.default_rng(42)
@@ -75,6 +92,26 @@ class TestMatmulShapes:
         fd = numerics.finite_diff_grad(lambda v: float(((x @ v) ** 2).sum()), w)
         np.testing.assert_allclose(vw.grad, fd, rtol=1e-4, atol=1e-6)
 
+    def test_linear_is_one_node(self):
+        """linear(x, w, b) is one node over (x, w, b) whose gradients equal
+        the two-node (x @ w) + b bit for bit."""
+        rng = np.random.default_rng(11)
+        arrays = rng.normal(size=(2, 5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        seed = rng.normal(size=(2, 5, 4))
+
+        def run(f):
+            leaves = [ad.Var(a.copy(), requires_grad=True) for a in arrays]
+            out = f(*leaves)
+            out.backward(seed)
+            return out, leaves
+
+        one, leaves = run(ad.linear)
+        assert one._parents == tuple(leaves)
+        two, ref = run(lambda x, w, b: (x @ w) + b)
+        assert same_bits(one.data, two.data)
+        for got, want in zip(leaves, ref):
+            assert same_bits(got.grad, want.grad)
+
     def test_reshape_swapaxes_getitem(self):
         x = self.rng.normal(size=(4, 6))
         check_against_fd(lambda v: v.reshape(2, 12).sum(axis=0).sum(), x)
@@ -107,10 +144,39 @@ class TestSoftmaxFamily:
         np.testing.assert_allclose(s.sum(axis=-1), np.ones(4), rtol=1e-12)
         assert np.isfinite(ad.log_softmax(x)).all()
 
-    def test_plain_array_dispatch(self):
+    def test_plain_array_dispatch(self, built_vars):
+        """On plain inputs every module op and custom_op returns an ndarray,
+        builds no Var and equals the taped op's value bit for bit."""
         x = self.rng.normal(size=(2, 3))
-        assert not isinstance(ad.softmax(x), ad.Var)
-        np.testing.assert_allclose(ad.softmax(x), ad.softmax(ad.Var(x)).data)
+        w = self.rng.normal(size=(3, 4))
+        b = self.rng.normal(size=4)
+        table = self.rng.normal(size=(5, 3))
+        cases = [
+            (ad.relu, (x,)),
+            (ad.softmax, (x,)),
+            (ad.log_softmax, (x,)),
+            (ad.matmul, (x, w)),
+            (ad.linear, (x, w, b)),
+            (lambda t: ad.take_rows(t, np.array([[4, 0], [4, 2]])), (table,)),
+            (lambda v: ad.gather_last(v, np.array([2, 0])), (x,)),
+            (lambda v: ad.custom_op(ad.value(v) * 2.0, (v, None)), (x,)),
+        ]
+        for op, args in cases:
+            plain = op(*args)
+            assert type(plain) is np.ndarray and built_vars == []
+            taped = op(*(ad.Var(a, requires_grad=True) for a in args))
+            assert same_bits(plain, taped.data)
+            built_vars.clear()
+
+    def test_plain_operand_builds_one_var(self, built_vars):
+        """A plain operand of a taped op is read as is, not wrapped in a Var."""
+        x = ad.Var(np.array([1.0, -2.0]), requires_grad=True)
+        built_vars.clear()
+        c = np.array([0.5, 3.0])
+        for op in (lambda: x * c, lambda: x + c, lambda: c - x):
+            out = op()
+            assert built_vars == [out] and out._parents == (x,)
+            built_vars.clear()
 
 
 class TestGatherOps:

@@ -187,6 +187,17 @@ class TestProfileEval:
                        "--seq-len", "8", "--t-steps", "-3") == 2
         assert capsys.readouterr().err == "error: t_steps must be >= 1, got -3\n"
 
+    def test_profile_rejects_dense_checkpoint(self, tmp_path, corpus_file, capsys):
+        t = str(tmp_path / "t.ckpt")
+        assert run_cli("train-teacher", "--corpus", corpus_file, "--out", t, "--steps",
+                       "1", "--seq-len", "8", "--batch-size", "2", *MODEL_FLAGS) == 0
+        capsys.readouterr()
+        assert run_cli("profile", "--checkpoint", t, "--corpus", corpus_file,
+                       "--seq-len", "8") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: profile needs a spiking checkpoint, got a dense one\n"
+
     def test_eval_reports_ce_and_rates(self, ckpt, corpus_file, capsys):
         assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus_file,
                        "--seq-len", "8") == 0
@@ -220,6 +231,14 @@ class TestErrorPaths:
     def test_bad_set_syntax(self, capsys):
         assert run_cli("train", "--set", "no_equals") == 2
         assert run_cli("train", "--set", "flat=1") == 2
+
+    def test_bad_spad_section_rejected_by_every_command(self, tmp_path, corpus_file, capsys):
+        """[spad] is in every snapshot, so train must not write one that distill rejects."""
+        out = tmp_path / "h.ckpt"
+        assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "1",
+                       "--set", "spad.lambdas=1,2", *MODEL_FLAGS) == 2
+        assert capsys.readouterr().err == "error: need 5 loss weights, got 2\n"
+        assert not out.exists() and not (tmp_path / "h.ckpt.config").exists()
 
     def test_malformed_config_file(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"

@@ -8,6 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "spikeclm").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
+FILES += sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

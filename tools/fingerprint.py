@@ -1,0 +1,75 @@
+"""Fingerprint a fixed-seed CLI walkthrough: the sha256 of every file it writes.
+
+    PYTHONPATH=src python tools/fingerprint.py OUTDIR
+
+Writes a small repeating corpus to OUTDIR, then runs train-teacher, binary
+and ternary train, distill (each 20 steps with --metrics), greedy and
+seeded generate, eval and profile there. Thresholds are low enough that
+every neuron population fires. Prints `sha256  name` for each of the 21
+files, sorted by name. spikeclm is imported from PYTHONPATH, so two
+checkouts compare by running this once with each one's src and diffing
+the two listings.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from spikeclm.cli import main as spikeclm_main
+
+CORPUS = "the spike gate leaks a burst of charge; " * 300
+MODEL = ("model.d_model=32", "model.n_layers=2", "model.n_heads=4", "model.d_ff=64",
+         "model.max_seq_len=32", "model.t_steps=2", "model.u_thr=0.03",
+         "model.attn_thr=0.03", "model.ternary_amp=0.03")
+TRAIN = ("--steps", "20", "--seq-len", "32", "--batch-size", "4", "--seed", "1")
+
+
+def commands() -> list:
+    """The walkthrough's argument lists, in the order they must run.
+
+    Paths are relative to the output directory, so the config snapshots,
+    which record them, do not depend on where it lies.
+    """
+    def train(command, name, *sets, extra=()):
+        return [command, "--corpus", "corpus.txt", "--out", f"{name}.ckpt",
+                "--metrics", f"{name}.metrics", *TRAIN, *extra,
+                *(a for s in MODEL + sets for a in ("--set", s))]
+
+    def use(command, name, ckpt, *args):
+        return [command, "--checkpoint", f"{ckpt}.ckpt", "--out", f"{name}.txt", *args]
+
+    return [
+        train("train-teacher", "teacher", "model.n_layers=4"),
+        train("train", "hard"),
+        train("train", "ternary", "model.neuron_mode=ternary"),
+        train("distill", "spad", extra=("--teacher", "teacher.ckpt")),
+        use("generate", "greedy", "hard", "--prompt", "the spike ", "--n-new", "24"),
+        use("generate", "seeded", "spad", "--prompt", "the spike ", "--n-new", "24",
+            "--temperature", "0.8", "--seed", "3"),
+        use("eval", "eval", "ternary", "--corpus", "corpus.txt"),
+        use("profile", "profile", "spad", "--corpus", "corpus.txt", "--t-steps", "4"),
+    ]
+
+
+def fingerprint(out: Path) -> list:
+    """Run the walkthrough into the empty directory `out`; return its digest lines."""
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise SystemExit(f"fingerprint: {out} is not empty")
+    (out / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+    with contextlib.chdir(out):
+        for argv in commands():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = spikeclm_main(argv)
+            if code != 0:
+                raise SystemExit(f"fingerprint: spikeclm {argv[0]} exited {code}")
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
+            for p in sorted(out.iterdir())]
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: fingerprint.py OUTDIR")
+    print("\n".join(fingerprint(Path(sys.argv[1]))))
