@@ -104,7 +104,7 @@ def _check_weights(w: AttnWeights, d: int) -> None:
 
 
 def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
-                 n_heads: int, past=None):
+                 n_heads: int, past=None, last_row: bool = False):
     """Causal spiking attention over all time steps.
 
     x holds the input spikes (or integer spike sums from residual paths) of
@@ -119,6 +119,11 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
     neuron state belongs to one new position or one (query, key) entry, so
     running the new rows alone gives the same spikes as the last L rows of
     the full call.
+
+    last_row=True runs the query, scores, attention, context and output of
+    the last new position only (row P + L - 1 of the mask): out is then
+    [T, B, 1, d] and attn_spikes [T, B, h, 1, P + L], equal to the last row
+    of the full call, while the keys and values still cover all L rows.
     """
     if x.ndim != 4:
         raise ShapeError(f"sfsa_forward input must be [T, B, L, d], got shape {x.shape}")
@@ -134,8 +139,10 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
     mask = causal_mask(l, 0 if past is None else past_k.shape[2])
     if not sn.relaxed:
         _check_spike_input(x, "sfsa_forward", sn)
+    if last_row:
+        mask = mask[-1:]
 
-    sq = sn.run(ad.linear(x, w.w_q, w.b_q))
+    sq = sn.run(ad.linear(x[:, :, -1:] if last_row else x, w.w_q, w.b_q))
     sk = sn.run(ad.linear(x, w.w_k, w.b_k))
     sv = sn.run(ad.linear(x, w.w_v, w.b_v))
     keys, values = sk, sv

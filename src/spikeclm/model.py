@@ -220,7 +220,8 @@ class DecodeCache:
     k[i] and v[i] are layer i's [T, B, max_seq_len, d] buffers, allocated
     when a forward starts on an empty cache; positions below `length` hold
     the key and value spikes at each time step. snn_forward reads them as
-    the past of its new positions and writes those positions in place.
+    the past of its new positions and writes those positions in place; a
+    forward with a cache returns the logits of its last new position only.
     """
 
     length: int = 0
@@ -243,10 +244,18 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
 
     With a cache holding P positions, tokens are positions P..P+L-1 of the
     same sequences: they read pos_emb[P:P+L], attend to the cached keys and
-    values, and are written to the cache. Logits then match the last L rows
-    of a full forward over all P+L tokens up to rounding: a product over
-    fewer rows may sum in another order inside BLAS, while spikes, scores
-    and context sums are exact. Prefill is the same call on an empty cache.
+    values, and are written to the cache. Only the logits of the last new
+    position are returned, [B, 1, vocab] ([1, vocab] for rank-1 tokens), so
+    the forward computes only what they and the cache need: the blocks
+    before the last and the last block's keys and values run over all L new
+    rows, and the last block's query, attention, output and FFN and the
+    head over the last row. The trace then holds that one query row for the
+    last layer (attn_spikes[-1] [T, B, h, 1, P+L], hidden[-1] [T, B, 1, d]),
+    and its last SFFN counters count that row. The logits match the last
+    row of a full forward over all P+L tokens up to rounding: a product
+    over fewer rows may sum in another order inside BLAS, while spikes,
+    scores and context sums are exact. Prefill is the same call on an
+    empty cache.
     """
     ids = _check_tokens(tokens, cfg)
     squeeze = np.asarray(tokens).ndim == 1
@@ -287,11 +296,17 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
         past = None
         if past_len:
             past = (cache.k[i][:, :, :past_len], cache.v[i][:, :, :past_len])
+        # with a cache only the last position's logits are returned: beyond
+        # its keys and values, the last block runs that row alone
+        last_row = cache is not None and i == n - 1
         attn_out, attn_spk, (sk, sv) = sfsa_forward(
-            stream, _attn_weights(params, i), sn, attn_sn, cfg.n_heads, past=past)
+            stream, _attn_weights(params, i), sn, attn_sn, cfg.n_heads, past=past,
+            last_row=last_row)
         if cache is not None:
             cache.k[i][:, :, past_len:past_len + l] = sk
             cache.v[i][:, :, past_len:past_len + l] = sv
+        if last_row:
+            stream = stream[:, :, -1:]
         y = stream + attn_out
         trace.sffn_in_active[i], trace.sffn_in_total[i] = _count_active(y)
         pre = f"layers.{i}.ffn."
@@ -306,7 +321,7 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     if cache is not None:
         cache.length = past_len + l
     if squeeze:
-        logits = logits.reshape(l, cfg.vocab_size)
+        logits = logits.reshape(-1, cfg.vocab_size)
     return logits, trace
 
 
@@ -401,9 +416,11 @@ def generate(prompt, n_new: int, cfg: ModelConfig, params: dict,
 
     The prompt is prefilled into a DecodeCache and each new token then runs
     one position. Once the window slides past max_seq_len every position
-    shifts under pos_emb, so each later token reruns the whole window.
-    temperature 0 picks the argmax (lowest id on ties); positive values
-    sample from softmax(logits / temperature) using the supplied rng.
+    shifts under pos_emb, so each later token prefills a fresh cache with
+    the whole window: one full pass of the blocks before the last and of
+    the last block's keys and values, plus one row of the rest. temperature
+    0 picks the argmax (lowest id on ties); positive values sample from
+    softmax(logits / temperature) using the supplied rng.
     """
     ids = [int(t) for t in prompt]
     if not ids:
@@ -422,12 +439,12 @@ def generate(prompt, n_new: int, cfg: ModelConfig, params: dict,
     for step in range(n_new):
         if len(ids) > cfg.max_seq_len:
             truncated += 1
-            cache, new = None, ids[-cfg.max_seq_len:]
+            cache, new = DecodeCache(), ids[-cfg.max_seq_len:]
         else:
             new = ids[cache.length:]
         logits, _ = snn_forward(np.asarray(new, dtype=np.int64), cfg, params,
                                 collect=False, cache=cache)
-        last = ad.value(logits)[-1]
+        last = ad.value(logits)[0]
         if not np.isfinite(last).all():
             raise EvaluationError(f"non-finite logits at decode step {step}")
         if temperature == 0.0:

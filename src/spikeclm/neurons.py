@@ -22,8 +22,9 @@ Inputs accumulate onto the rescaled membrane with no extra decay term;
 the rescaling itself plays that role.
 
 The step functions take plain ndarrays (or floats) and advance one time
-step. A network runs each neuron population over all T steps at once
-through NeuronSpec.run: its forward loops the step function over t, and on
+step, writing into buffers they are given. A network runs each neuron
+population over all T steps at once through NeuronSpec.run: its forward
+loops the step function over t into the rows of its [T, ...] output, and on
 the tape it is the population's one node, whose backward runs the BPTT
 recurrence in reverse over t (Neftci, Mostafa & Zenke 2019), through the
 input, decay, reset and surrogate paths.
@@ -97,48 +98,79 @@ def surrogate_grad(u, alpha: float = 2.0):
     return np.divide(alpha / 2.0, x, out=x)
 
 
-def _binary_spike(u, thr: float, alpha: float, relaxed: bool):
-    """Threshold spike of membrane u; relaxed mode emits the surrogate."""
+def _binary_spike(u, thr: float, alpha: float, relaxed: bool, out=None):
+    """Threshold spike of membrane u, written to out (a fresh array if None);
+    relaxed mode emits the surrogate."""
+    out = np.empty(np.shape(u)) if out is None else out
     if relaxed:
-        return surrogate_forward(u - thr, alpha)
-    return np.greater_equal(u, thr).astype(np.float64)
+        out[...] = surrogate_forward(u - thr, alpha)
+        return out
+    return np.greater_equal(u, thr, out=out)
 
 
-def _ternary_spike(u, amp: float, alpha: float, relaxed: bool):
-    """Three-level spike of membrane u at the band edges +-amp."""
+def _ternary_spike(u, amp: float, alpha: float, relaxed: bool, out=None, scratch=None):
+    """Three-level spike of membrane u at the band edges +-amp, written to
+    out (a fresh array if None); scratch, if given, is a buffer shaped like u."""
+    out = np.empty(np.shape(u)) if out is None else out
     if relaxed:
-        return amp * (surrogate_forward(u - amp, alpha) + surrogate_forward(u + amp, alpha) - 1.0)
-    return amp * (np.greater(u, amp).astype(np.float64) - np.less(u, -amp).astype(np.float64))
+        out[...] = amp * (surrogate_forward(u - amp, alpha)
+                          + surrogate_forward(u + amp, alpha) - 1.0)
+        return out
+    np.greater(u, amp, out=out)
+    out -= np.less(u, -amp, out=scratch)
+    out *= amp
+    return out
 
 
 # -- step functions ----------------------------------------------------------
 
 
-def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = False):
-    """One LIF update on plain arrays. Returns (spikes, new_state)."""
-    i, u, s = input_current, state.u, state.s_prev
-    # i + beta * U_prev - S_prev * U_thr, in place on the one new array where
-    # shapes allow (a + b == b + a exactly): fewer large temporaries to free
-    u = p.beta * u
-    if isinstance(u, np.ndarray) and isinstance(i, np.ndarray) and u.shape == i.shape:
-        u += i
-    else:
-        u = i + u
-    u -= s * p.u_thr
-    s = _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed)
+def _buffers(state: NeuronState, input_current, s_out, u_out, scratch):
+    """The step's output and scratch arrays: those given, fresh ones for the rest."""
+    if s_out is not None and u_out is not None and scratch is not None:
+        return s_out, u_out, scratch
+    shape = np.broadcast_shapes(np.shape(input_current), np.shape(state.u),
+                                np.shape(state.s_prev))
+    return tuple(np.empty(shape) if b is None else b for b in (s_out, u_out, scratch))
+
+
+def _times(x, c: float, out):
+    """x * c, written to out when x is an array; a plain number when x is
+    one (the rest state), which numpy would otherwise broadcast slowly."""
+    return np.multiply(x, c, out=out) if isinstance(x, np.ndarray) else x * c
+
+
+def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = False,
+             s_out=None, u_out=None, scratch=None):
+    """One LIF update on plain arrays. Returns (spikes, new_state).
+
+    The spikes and the new membrane are written to s_out and u_out, and
+    scratch holds a temporary; each is a fresh array when not given, and
+    scratch must not share memory with the state or the outputs.
+    """
+    s, u, tmp = _buffers(state, input_current, s_out, u_out, scratch)
+    # i + beta * U_prev - S_prev * U_thr
+    np.add(input_current, _times(state.u, p.beta, tmp), out=u)
+    u -= _times(state.s_prev, p.u_thr, tmp)
+    _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed, s)
     return s, NeuronState(u=u, s_prev=s)
 
 
-def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: bool = False):
+def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: bool = False,
+                 s_out=None, u_out=None, scratch=None):
     """One ternary update on plain arrays. Returns (spikes, new_state).
 
     The input integrates onto the carried membrane, the spike is read out,
-    and the membrane is rescaled by (amp - S) with U_reset blended in.
+    and the membrane is rescaled by (amp - S) with U_reset blended in. The
+    buffers are those of lif_step.
     """
-    u = input_current + state.u
-    s = _ternary_spike(u, p.amp, p.surrogate_alpha, relaxed)
-    u_next = u * (p.amp - s) + p.u_reset * s
-    return s, NeuronState(u=u_next, s_prev=s)
+    s, u, tmp = _buffers(state, input_current, s_out, u_out, scratch)
+    np.add(input_current, state.u, out=u)
+    _ternary_spike(u, p.amp, p.surrogate_alpha, relaxed, s, tmp)
+    # u * (amp - s) + u_reset * s
+    u *= np.subtract(p.amp, s, out=tmp)
+    u += np.multiply(s, p.u_reset, out=tmp)
+    return s, NeuronState(u=u, s_prev=s)
 
 
 # -- multi-step runner ---------------------------------------------------------
@@ -186,8 +218,12 @@ def _run_population(step, bptt, currents, p, relaxed: bool = False, t_steps: int
     """Spike trains [T, ...] of one neuron population from rest.
 
     currents is a [T, ...] stack, or [1, ...] for a drive held constant
-    over t_steps. The forward calls step at each t on plain arrays; when
-    currents is a Var the result is one tape node whose backward is bptt.
+    over t_steps. The forward calls step at each t on plain arrays, which
+    writes row t of the spike stack, and of the membrane stack when the run
+    is taped, through one scratch buffer. An untaped run gives each step a
+    fresh membrane instead, so every state a step returns stays as it was.
+    When currents is a Var the result is one tape node whose backward is
+    bptt.
     """
     taped = isinstance(currents, Var)
     data = currents.data if taped else np.asarray(currents, dtype=np.float64)
@@ -200,12 +236,12 @@ def _run_population(step, bptt, currents, p, relaxed: bool = False, t_steps: int
         data = np.broadcast_to(data, (t_steps,) + data.shape[1:])
     spikes = np.empty(data.shape)
     membranes = np.empty(data.shape) if taped else None
+    scratch = np.empty(data.shape[1:])
     state = NeuronState()
     for t, current in enumerate(data):
-        s, state = step(state, current, p, relaxed)
-        spikes[t] = s
-        if taped:
-            membranes[t] = state.u
+        # [t, ...] is a view even when a row is 0-d
+        u_out = membranes[t, ...] if taped else np.empty(scratch.shape)
+        _, state = step(state, current, p, relaxed, spikes[t, ...], u_out, scratch)
     if not taped:
         return spikes
     return autodiff.custom_op(

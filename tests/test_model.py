@@ -358,25 +358,58 @@ class TestIncrementalDecode:
             assert sum(np.count_nonzero(a) for a in trace.attn_spikes[i]) > 0
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_cached_forward_matches_full(self, mode):
+    def test_cached_forward_matches_full(self, mode, monkeypatch):
         cfg, p = self.make(mode)
         ids = np.array([[1, 4, 2, 9, 0, 5], [3, 3, 7, 1, 10, 2]])
+        full_kv = []
+
+        def recording_sfsa(*args, **kwargs):
+            out = attention.sfsa_forward(*args, **kwargs)
+            full_kv.append(out[2])
+            return out
+        monkeypatch.setattr(model, "sfsa_forward", recording_sfsa)
         full, full_trace = snn_forward(ids, cfg, p)
+        monkeypatch.undo()
         for split in ([6], [1, 5], [4, 1, 1], [1] * 6):
-            cache, rows, attn = DecodeCache(), [], []
+            cache = DecodeCache()
             for n in split:
-                start = cache.length
-                logits, trace = snn_forward(ids[:, start:start + n], cfg, p, cache=cache)
-                assert cache.length == start + n
-                rows.append(logits)
-                attn.append(trace.attn_spikes[1][2])
-            # logits agree to rounding only: a product over fewer rows may
-            # sum in another order inside BLAS
-            np.testing.assert_allclose(np.concatenate(rows, axis=1), full,
-                                       rtol=1e-12, atol=1e-12)
-            last = split[-1]
-            np.testing.assert_array_equal(
-                attn[-1], full_trace.attn_spikes[1][2][:, :, 6 - last:, :])
+                start, end = cache.length, cache.length + n
+                logits, trace = snn_forward(ids[:, start:end], cfg, p, cache=cache)
+                assert cache.length == end
+                # one row, the last new position's; it agrees to rounding
+                # only: a product over fewer rows may sum in another order
+                # inside BLAS
+                assert logits.shape == (2, 1, cfg.vocab_size)
+                np.testing.assert_allclose(logits[:, 0], full[:, end - 1],
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(
+                    trace.attn_spikes[0], full_trace.attn_spikes[0][..., start:end, :end])
+                np.testing.assert_array_equal(
+                    trace.attn_spikes[1], full_trace.attn_spikes[1][..., end - 1:end, :end])
+            for i, (k, v) in enumerate(full_kv):
+                np.testing.assert_array_equal(cache.k[i][:, :, :6], k)
+                np.testing.assert_array_equal(cache.v[i][:, :, :6], v)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_post_slide_step_costs_analytic_macs(self, mode):
+        """A window rerun after the slide pays the blocks before the last in
+        full, the last block's key and value projections in full, and one
+        row of everything else."""
+        cfg, p = self.make(mode)
+        l, t, d, f, v = cfg.max_seq_len, cfg.t_steps, cfg.d_model, cfg.d_ff, cfg.vocab_size
+        # q/k/v/out projections, scores and context over h heads, FFN
+        full_block = 4 * l * d * d + 2 * l * l * d + 2 * l * d * f
+        # k/v projections over the window; q, out, scores, context, FFN of one row
+        last_block = 2 * l * d * d + 2 * d * d + 2 * l * d + 2 * d * f
+        want = t * ((cfg.n_layers - 1) * full_block + last_block) + d * v
+        with numerics.count_macs() as c:
+            generate([1, 4, 2, 9, 0, 5], 1, cfg, p)
+        with numerics.count_macs() as c_full:
+            snn_forward(np.array([1, 4, 2, 9, 0, 5]), cfg, p)
+        with numerics.count_macs() as c_slide:
+            out = generate([1, 4, 2, 9, 0, 5, 3], 1, cfg, p)
+        assert out.truncated_steps == 1
+        assert c.macs == c_slide.macs == want < c_full.macs
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("temperature", [0.0, 0.8])

@@ -1,5 +1,7 @@
 """Neuron dynamics tests with hand-computed membrane traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,26 @@ class TestRunner:
         monkeypatch.setattr(ad.Var, "__init__", counting_init)
         out = NeuronSpec("ternary").run(x)
         assert made == [out] and out._parents == (x,)
+
+    @pytest.mark.parametrize("t_steps", [4, 8])
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_steps_write_in_place(self, mode, taped, t_steps):
+        """Peak memory is the spike stack, the membrane stack when taped, and
+        three step-sized buffers at most (the carried and the new membrane,
+        and scratch), whatever T is: no per-step temporaries."""
+        row = 1 << 17  # entries per step, 1 MiB of float64
+        x = np.random.default_rng(t_steps).normal(size=(t_steps, row))
+        x = ad.Var(x, requires_grad=True) if taped else x
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            NeuronSpec(mode).run(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        stacks = t_steps * (2 if taped else 1)
+        assert peak <= (stacks + 3) * row * 8 + 65536
 
     def test_step_count_checked(self):
         with pytest.raises(ShapeError, match="2 input steps"):

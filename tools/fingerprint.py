@@ -5,7 +5,10 @@
 Writes a small repeating corpus to OUTDIR, then runs train-teacher, binary
 and ternary train, distill (each 20 steps with --metrics), greedy and
 seeded generate, eval and profile there. Thresholds are low enough that
-every neuron population fires. Prints `sha256  name` for each of the 21
+every neuron population fires. A ternary spike is +-ternary_amp and fires
+past the same amp, so a std-0.02 projection of spikes never reaches the band
+in one step; the ternary run sets amp 3, under which a silent membrane
+grows threefold per step, with 4 steps and a larger learning rate. Prints `sha256  name` for each of the 21
 files, sorted by name. spikeclm is imported from PYTHONPATH, so two
 checkouts compare by running this once with each one's src and diffing
 the two listings.
@@ -43,7 +46,8 @@ def commands() -> list:
     return [
         train("train-teacher", "teacher", "model.n_layers=4"),
         train("train", "hard"),
-        train("train", "ternary", "model.neuron_mode=ternary"),
+        train("train", "ternary", "model.neuron_mode=ternary", "model.ternary_amp=3",
+              "model.attn_thr=3", "model.t_steps=4", extra=("--lr", "0.1")),
         train("distill", "spad", extra=("--teacher", "teacher.ckpt")),
         use("generate", "greedy", "hard", "--prompt", "the spike ", "--n-new", "24"),
         use("generate", "seeded", "spad", "--prompt", "the spike ", "--n-new", "24",
