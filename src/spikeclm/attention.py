@@ -15,7 +15,9 @@ only products a hardware target would see are accumulations:
 
 Masking is multiplicative (a Hadamard product with the 0/1 causal mask),
 not an additive -inf bias: there is no softmax afterwards to absorb one,
-and zeroed scores simply never drive the attention neuron. No 1/sqrt(d)
+and zeroed scores simply never drive the attention neuron. It is applied
+only where some query row cannot see some key: a block that scores one
+row, the last, sees every key and multiplies by no mask. No 1/sqrt(d)
 scaling is applied anywhere; thresholds play that role.
 
 The dense block (csa_forward) is the ordinary scaled-dot-product causal
@@ -68,15 +70,15 @@ def _check_spike_input(x, where: str, sn: NeuronSpec) -> None:
     A binary spike is 1, so counts are nonnegative integers. A ternary spike
     is +-amp, so counts are signed integer multiples of amp.
     """
-    d = ad.value(x)
+    d = x.data if ad.is_var(x) else x
     if not np.isfinite(d).all():
         raise ValidationError(f"{where}: input contains non-finite values")
     if sn.mode == "ternary":
         n = d / sn.ternary.amp
-        if np.any(np.abs(n - np.round(n)) > 1e-9 * np.maximum(1.0, np.abs(n))):
+        if (np.abs(n - np.rint(n)) > 1e-9 * np.maximum(1.0, np.abs(n))).any():
             raise ValidationError(
                 f"{where}: input is not a count of +-{sn.ternary.amp} spikes")
-    elif np.any(d < 0.0) or np.any(d != np.round(d)):
+    elif (d < 0.0).any() or (d != np.rint(d)).any():
         raise ValidationError(f"{where}: input is not a spike-count tensor")
 
 
@@ -94,11 +96,11 @@ def _merge_heads(x):
 
 def _check_weights(w: AttnWeights, d: int) -> None:
     for name in ("w_q", "w_k", "w_v", "w_out"):
-        shape = ad.value(getattr(w, name)).shape
+        shape = np.shape(getattr(w, name))
         if shape != (d, d):
             raise ShapeError(f"{name} must be [{d}, {d}], got {list(shape)}")
     for name in ("b_q", "b_k", "b_v", "b_out"):
-        shape = ad.value(getattr(w, name)).shape
+        shape = np.shape(getattr(w, name))
         if shape != (d,):
             raise ShapeError(f"{name} must be [{d}], got {list(shape)}")
 
@@ -124,6 +126,10 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
     the last new position only (row P + L - 1 of the mask): out is then
     [T, B, 1, d] and attn_spikes [T, B, h, 1, P + L], equal to the last row
     of the full call, while the keys and values still cover all L rows.
+
+    The mask is built and applied only when some scored row cannot see
+    some key. The last row sees all P + L keys, so a call with one new row
+    or with last_row=True scores without one.
     """
     if x.ndim != 4:
         raise ShapeError(f"sfsa_forward input must be [T, B, L, d], got shape {x.shape}")
@@ -136,11 +142,11 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
         if past_k.shape != past_v.shape or past_k.shape[:2] + past_k.shape[3:] != (t, b, d):
             raise ShapeError(f"past keys {past_k.shape} and values {past_v.shape} "
                              f"do not match input {x.shape}")
-    mask = causal_mask(l, 0 if past is None else past_k.shape[2])
+    mask = None
+    if l != 1 and not (last_row and l):  # an empty L still meets causal_mask's check
+        mask = causal_mask(l, 0 if past is None else past_k.shape[2])
     if not sn.relaxed:
         _check_spike_input(x, "sfsa_forward", sn)
-    if last_row:
-        mask = mask[-1:]
 
     sq = sn.run(ad.linear(x[:, :, -1:] if last_row else x, w.w_q, w.b_q))
     sk = sn.run(ad.linear(x, w.w_k, w.b_k))
@@ -154,9 +160,9 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
 
     scores = ad.matmul(_split_heads(sq, n_heads),
                        _split_heads(keys, n_heads).swapaxes(-1, -2))
-    if ad.is_var(scores):
+    if mask is not None and ad.is_var(scores):
         scores = scores * mask
-    else:
+    elif mask is not None:
         scores *= mask  # a fresh array: no second [T, B, h, L, P + L] buffer
     s_attn = attn_sn.run(scores)
     s_ctx = sn.run(ad.matmul(s_attn, _split_heads(values, n_heads)))

@@ -30,12 +30,14 @@ count, and width mismatches require explicit projection matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AlignmentError, ConfigError, InternalError, ValidationError
+from .errors import (AlignmentError, ConfigError, InternalError, ValidationError,
+                     require_finite_fields)
 from .model import layer_norm, time_mean
 from .neurons import LifParams, lif_constant_drive
 
@@ -54,6 +56,9 @@ class SpadConfig:
     def validate(self) -> None:
         if len(self.lambdas) != 5:
             raise ConfigError(f"need 5 loss weights, got {len(self.lambdas)}")
+        require_finite_fields(self)
+        if not all(math.isfinite(l) for l in self.lambdas):
+            raise ConfigError(f"loss weights must be finite, got {self.lambdas}")
         if any(l < 0 for l in self.lambdas):
             raise ConfigError(f"loss weights must be >= 0, got {self.lambdas}")
         if abs(sum(self.lambdas) - 1.0) > 1e-9:

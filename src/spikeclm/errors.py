@@ -6,6 +6,9 @@ ValueError family and turn it into a one-line diagnostic plus a nonzero
 exit code; InternalError is allowed to propagate with a traceback.
 """
 
+import math
+from dataclasses import fields
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -29,3 +32,14 @@ class EvaluationError(ValueError):
 
 class InternalError(RuntimeError):
     """Invariant broken inside the package; indicates a bug, not bad input."""
+
+
+def require_finite_fields(cfg) -> None:
+    """ConfigError naming the first float field of dataclass cfg that is nan or inf.
+
+    A non-finite value slips past every range check written as a comparison
+    (nan <= 0 is false), so config validation runs this first.
+    """
+    for f in fields(cfg):
+        if f.type in (float, "float") and not math.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)}")

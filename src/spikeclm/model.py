@@ -29,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import AttnWeights, csa_forward, sfsa_forward
-from .errors import ConfigError, EvaluationError, ShapeError, ValidationError
+from .errors import (ConfigError, EvaluationError, ShapeError, ValidationError,
+                     require_finite_fields)
 from .neurons import LifParams, NeuronSpec, TernaryParams
 from .numerics import Rng
 
@@ -54,6 +55,7 @@ class ModelConfig:
     ternary_reset: float = 0.0
 
     def validate(self) -> None:
+        require_finite_fields(self)
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
         for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_seq_len", "t_steps"):
@@ -429,8 +431,8 @@ def generate(prompt, n_new: int, cfg: ModelConfig, params: dict,
         raise ValidationError("prompt contains out-of-range token ids")
     if n_new < 0:
         raise ConfigError(f"n_new must be >= 0, got {n_new}")
-    if temperature < 0.0:
-        raise ConfigError(f"temperature must be >= 0, got {temperature}")
+    if not (np.isfinite(temperature) and temperature >= 0.0):
+        raise ConfigError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature > 0.0 and rng is None:
         raise ConfigError("sampling with temperature > 0 requires an rng")
 

@@ -22,12 +22,16 @@ Inputs accumulate onto the rescaled membrane with no extra decay term;
 the rescaling itself plays that role.
 
 The step functions take plain ndarrays (or floats) and advance one time
-step, writing into buffers they are given. A network runs each neuron
-population over all T steps at once through NeuronSpec.run: its forward
-loops the step function over t into the rows of its [T, ...] output, and on
-the tape it is the population's one node, whose backward runs the BPTT
-recurrence in reverse over t (Neftci, Mostafa & Zenke 2019), through the
-input, decay, reset and surrogate paths.
+step, writing into buffers they are given. From rest (the float zeros of
+NeuronState()) the LIF update is the single op I + 0.0, which is what
+I + beta * 0 - 0 * U_thr computes, -0.0 included. A network runs each
+neuron population over all T steps at once through NeuronSpec.run: its
+forward loops the step function over t into the rows of its [T, ...]
+output. Untaped, one membrane buffer advances in place over t; on the tape
+the run keeps every membrane and is the population's one node, whose
+backward runs the BPTT recurrence in reverse over t (Neftci, Mostafa &
+Zenke 2019), through the input, decay, reset and surrogate paths. That
+backward writes dL/dI over the surrogate slope, row by row.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Var
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, require_finite_fields
 
 
 @dataclass
@@ -48,6 +52,7 @@ class LifParams:
     surrogate_alpha: float = 2.0  # slope of the arctan surrogate
 
     def validate(self) -> None:
+        require_finite_fields(self)
         if not (0.0 <= self.beta <= 1.0):
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if self.u_thr <= 0.0:
@@ -63,6 +68,7 @@ class TernaryParams:
     surrogate_alpha: float = 2.0
 
     def validate(self) -> None:
+        require_finite_fields(self)
         if self.amp <= 0.0:
             raise ConfigError(f"amp must be positive, got {self.amp}")
         if self.surrogate_alpha <= 0.0:
@@ -89,55 +95,28 @@ def surrogate_forward(u, alpha: float = 2.0):
     return (1.0 / np.pi) * np.arctan((np.pi / 2.0) * alpha * np.asarray(u, dtype=np.float64)) + 0.5
 
 
-def surrogate_grad(u, alpha: float = 2.0):
-    """d sigma / d u; even, positive, maximum alpha/2 at u = 0."""
-    x = np.array(u, dtype=np.float64)  # the one temporary; u is left as it was
+def surrogate_grad(u, alpha: float = 2.0, shift: float = 0.0):
+    """d sigma / d u at u - shift; even, positive, maximum alpha/2 at u = shift."""
+    x = np.subtract(u, shift, out=np.empty(np.shape(u)))  # the one buffer
     x *= (np.pi / 2.0) * alpha
     x *= x
     x += 1.0
     return np.divide(alpha / 2.0, x, out=x)
 
 
-def _binary_spike(u, thr: float, alpha: float, relaxed: bool, out=None):
-    """Threshold spike of membrane u, written to out (a fresh array if None);
-    relaxed mode emits the surrogate."""
-    out = np.empty(np.shape(u)) if out is None else out
-    if relaxed:
-        out[...] = surrogate_forward(u - thr, alpha)
-        return out
-    return np.greater_equal(u, thr, out=out)
-
-
-def _ternary_spike(u, amp: float, alpha: float, relaxed: bool, out=None, scratch=None):
-    """Three-level spike of membrane u at the band edges +-amp, written to
-    out (a fresh array if None); scratch, if given, is a buffer shaped like u."""
-    out = np.empty(np.shape(u)) if out is None else out
-    if relaxed:
-        out[...] = amp * (surrogate_forward(u - amp, alpha)
-                          + surrogate_forward(u + amp, alpha) - 1.0)
-        return out
-    np.greater(u, amp, out=out)
-    out -= np.less(u, -amp, out=scratch)
-    out *= amp
-    return out
-
-
 # -- step functions ----------------------------------------------------------
+
+
+# The fresh state. Its float zeros are the objects every NeuronState() holds,
+# so `state.u is _REST.u` recognises a step from rest without a comparison.
+_REST = NeuronState()
 
 
 def _buffers(state: NeuronState, input_current, s_out, u_out, scratch):
     """The step's output and scratch arrays: those given, fresh ones for the rest."""
-    if s_out is not None and u_out is not None and scratch is not None:
-        return s_out, u_out, scratch
     shape = np.broadcast_shapes(np.shape(input_current), np.shape(state.u),
                                 np.shape(state.s_prev))
     return tuple(np.empty(shape) if b is None else b for b in (s_out, u_out, scratch))
-
-
-def _times(x, c: float, out):
-    """x * c, written to out when x is an array; a plain number when x is
-    one (the rest state), which numpy would otherwise broadcast slowly."""
-    return np.multiply(x, c, out=out) if isinstance(x, np.ndarray) else x * c
 
 
 def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = False,
@@ -145,15 +124,24 @@ def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = Fa
     """One LIF update on plain arrays. Returns (spikes, new_state).
 
     The spikes and the new membrane are written to s_out and u_out, and
-    scratch holds a temporary; each is a fresh array when not given, and
-    scratch must not share memory with the state or the outputs.
+    scratch holds a temporary; each is a fresh array when not given. u_out
+    may be the carried membrane state.u, which then advances in place;
+    scratch must share memory with nothing else. From rest the update is
+    I + 0.0, which is what I + beta * 0 - 0 * U_thr computes, -0.0 included.
     """
-    s, u, tmp = _buffers(state, input_current, s_out, u_out, scratch)
-    # i + beta * U_prev - S_prev * U_thr
-    np.add(input_current, _times(state.u, p.beta, tmp), out=u)
-    u -= _times(state.s_prev, p.u_thr, tmp)
-    _binary_spike(u, p.u_thr, p.surrogate_alpha, relaxed, s)
-    return s, NeuronState(u=u, s_prev=s)
+    if s_out is None or u_out is None or scratch is None:
+        s_out, u_out, scratch = _buffers(state, input_current, s_out, u_out, scratch)
+    if state.u is _REST.u and state.s_prev is _REST.s_prev:
+        np.add(input_current, 0.0, out=u_out)
+    else:
+        # i + beta * U_prev - S_prev * U_thr
+        np.add(input_current, np.multiply(state.u, p.beta, out=scratch), out=u_out)
+        u_out -= np.multiply(state.s_prev, p.u_thr, out=scratch)
+    if relaxed:  # the surrogate stands in for the threshold
+        s_out[...] = surrogate_forward(u_out - p.u_thr, p.surrogate_alpha)
+    else:
+        np.greater_equal(u_out, p.u_thr, out=s_out)
+    return s_out, NeuronState(u_out, s_out)
 
 
 def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: bool = False,
@@ -164,13 +152,20 @@ def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: b
     and the membrane is rescaled by (amp - S) with U_reset blended in. The
     buffers are those of lif_step.
     """
-    s, u, tmp = _buffers(state, input_current, s_out, u_out, scratch)
-    np.add(input_current, state.u, out=u)
-    _ternary_spike(u, p.amp, p.surrogate_alpha, relaxed, s, tmp)
+    if s_out is None or u_out is None or scratch is None:
+        s_out, u_out, scratch = _buffers(state, input_current, s_out, u_out, scratch)
+    np.add(input_current, state.u, out=u_out)
+    if relaxed:  # the surrogates stand in for the band edges +-amp
+        s_out[...] = p.amp * (surrogate_forward(u_out - p.amp, p.surrogate_alpha)
+                              + surrogate_forward(u_out + p.amp, p.surrogate_alpha) - 1.0)
+    else:
+        np.greater(u_out, p.amp, out=s_out)
+        s_out -= np.less(u_out, -p.amp, out=scratch)
+        s_out *= p.amp
     # u * (amp - s) + u_reset * s
-    u *= np.subtract(p.amp, s, out=tmp)
-    u += np.multiply(s, p.u_reset, out=tmp)
-    return s, NeuronState(u=u, s_prev=s)
+    u_out *= np.subtract(p.amp, s_out, out=scratch)
+    u_out += np.multiply(s_out, p.u_reset, out=scratch)
+    return s_out, NeuronState(u_out, s_out)
 
 
 # -- multi-step runner ---------------------------------------------------------
@@ -181,14 +176,19 @@ def _lif_bptt(g, currents, u, s, p: LifParams):
 
     u and s are the forward membranes and spikes. S_t reaches the loss
     directly and through U_{t+1} (-U_thr); U_t through S_t (the surrogate
-    slope) and through U_{t+1} (beta).
+    slope) and through U_{t+1} (beta). Row t of the slope is overwritten
+    with dL/dI_t once it is read, through one step-sized temporary.
     """
-    slope = surrogate_grad(u - p.u_thr, p.surrogate_alpha)
-    gi = np.empty(u.shape)
-    gi[-1] = g[-1] * slope[-1]
+    gi = surrogate_grad(u, p.surrogate_alpha, p.u_thr)
+    gi[-1, ...] *= g[-1]
+    tmp = np.empty(u.shape[1:])
     for t in range(len(u) - 2, -1, -1):
-        nxt = gi[t + 1]
-        gi[t] = (g[t] + nxt * -p.u_thr) * slope[t] + nxt * p.beta
+        nxt, row = gi[t + 1, ...], gi[t, ...]
+        # (g_t + dI_{t+1} * -U_thr) * slope_t + dI_{t+1} * beta
+        np.multiply(nxt, -p.u_thr, out=tmp)
+        tmp += g[t]
+        row *= tmp
+        row += np.multiply(nxt, p.beta, out=tmp)
     return gi
 
 
@@ -199,18 +199,26 @@ def _ternary_bptt(g, currents, u, s, p: TernaryParams):
     I_t + U_{t-1} is rebuilt from them. U_t = V_t (amp - S_t) + U_reset S_t
     feeds V_{t+1}, so S_t reaches the loss directly and through U_t with
     -V_t and U_reset, and V_t through S_t and through U_t with amp - S_t.
+    As in _lif_bptt, the slope's rows become dL/dI_t.
     """
     v = np.empty(u.shape)
     v[0] = currents[0] + 0.0
-    v[1:] = currents[1:] + u[:-1]
-    slope = p.amp * (surrogate_grad(v - p.amp, p.surrogate_alpha)
-                     + surrogate_grad(v + p.amp, p.surrogate_alpha))
-    gi = np.empty(u.shape)
-    gi[-1] = g[-1] * slope[-1]
+    np.add(currents[1:], u[:-1], out=v[1:])
+    gi = surrogate_grad(v, p.surrogate_alpha, p.amp)
+    gi += surrogate_grad(v, p.surrogate_alpha, -p.amp)
+    gi *= p.amp
+    gi[-1, ...] *= g[-1]
+    gs, tmp = np.empty(u.shape[1:]), np.empty(u.shape[1:])
     for t in range(len(u) - 2, -1, -1):
-        gu = gi[t + 1]
-        gs = g[t] + -(gu * v[t]) + gu * p.u_reset
-        gi[t] = gu * (p.amp - s[t]) + slope[t] * gs
+        gu, row = gi[t + 1, ...], gi[t, ...]
+        # slope_t * (g_t - dI_{t+1} V_t + dI_{t+1} U_reset) + dI_{t+1} (amp - S_t)
+        np.multiply(gu, v[t], out=gs)
+        np.subtract(g[t], gs, out=gs)
+        gs += np.multiply(gu, p.u_reset, out=tmp)
+        row *= gs
+        np.subtract(p.amp, s[t], out=tmp)
+        tmp *= gu
+        row += tmp
     return gi
 
 
@@ -219,29 +227,29 @@ def _run_population(step, bptt, currents, p, relaxed: bool = False, t_steps: int
 
     currents is a [T, ...] stack, or [1, ...] for a drive held constant
     over t_steps. The forward calls step at each t on plain arrays, which
-    writes row t of the spike stack, and of the membrane stack when the run
-    is taped, through one scratch buffer. An untaped run gives each step a
-    fresh membrane instead, so every state a step returns stays as it was.
-    When currents is a Var the result is one tape node whose backward is
-    bptt.
+    writes row t of the spike stack through one scratch buffer. A taped run
+    keeps every membrane in a [T, ...] stack for the backward; an untaped
+    one advances a single membrane buffer in place, so the states a step
+    returns are overwritten by the next. When currents is a Var the result
+    is one tape node whose backward is bptt.
     """
     taped = isinstance(currents, Var)
     data = currents.data if taped else np.asarray(currents, dtype=np.float64)
     t_steps = len(data) if t_steps is None else t_steps
-    if t_steps < 1:
-        raise ValidationError(f"t_steps must be >= 1, got {t_steps}")
-    if len(data) != t_steps:
+    if t_steps < 1 or len(data) != t_steps:
+        if t_steps < 1:
+            raise ValidationError(f"t_steps must be >= 1, got {t_steps}")
         if len(data) != 1:
             raise ShapeError(f"{len(data)} input steps do not drive {t_steps} time steps")
         data = np.broadcast_to(data, (t_steps,) + data.shape[1:])
     spikes = np.empty(data.shape)
-    membranes = np.empty(data.shape) if taped else None
+    membranes = np.empty(data.shape if taped else data.shape[1:])
     scratch = np.empty(data.shape[1:])
-    state = NeuronState()
-    for t, current in enumerate(data):
+    state = _REST
+    for t in range(t_steps):
         # [t, ...] is a view even when a row is 0-d
-        u_out = membranes[t, ...] if taped else np.empty(scratch.shape)
-        _, state = step(state, current, p, relaxed, spikes[t, ...], u_out, scratch)
+        u_out = membranes[t, ...] if taped else membranes
+        _, state = step(state, data[t], p, relaxed, spikes[t, ...], u_out, scratch)
     if not taped:
         return spikes
     return autodiff.custom_op(

@@ -25,12 +25,16 @@ import numpy as np
 
 from . import autodiff as ad, data
 from .distill import SpadConfig, layer_map, loss_hard, spad_losses
-from .errors import ConfigError, EvaluationError, InternalError, ValidationError
+from .errors import (ConfigError, EvaluationError, InternalError, ValidationError,
+                     require_finite_fields)
 from .model import ModelConfig, ann_forward, init_params, snn_forward
 
 METRICS_MAGIC = "# spikeclm-metrics v1"
 METRICS_COLUMNS = ("step", "lr", "loss", "emb", "attn", "feat", "soft", "hard",
                    "fire_rate")
+# A step loss above DIVERGED_NATS_PER_LN_VOCAB * ln(vocab_size) once warmup is
+# over means the run has diverged: a uniform prediction costs ln(vocab_size).
+DIVERGED_NATS_PER_LN_VOCAB = 10.0
 
 
 @dataclass
@@ -50,6 +54,7 @@ class TrainConfig:
     spad: SpadConfig | None = None
 
     def validate(self) -> None:
+        require_finite_fields(self)
         if self.total_steps < 0:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
         if self.batch_size < 1 or self.grad_accum < 1:
@@ -296,6 +301,8 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
         params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     opt = init_adam(params)
     lif = model_cfg.neuron_spec().lif
+    warmup = cfg.warmup_ratio * cfg.total_steps
+    diverged = DIVERGED_NATS_PER_LN_VOCAB * math.log(model_cfg.vocab_size)
 
     rows = []
     fh = open(metrics_path, "w") if metrics_path is not None else None
@@ -329,6 +336,10 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise EvaluationError(f"non-finite loss {loss} or gradient norm {norm} "
                                       f"at training step {step + 1}")
+            if step + 1 >= warmup and loss > diverged:
+                raise EvaluationError(
+                    f"training diverged at step {step + 1}: loss {loss:.4g} exceeds "
+                    f"{DIVERGED_NATS_PER_LN_VOCAB:g} ln(vocab_size) = {diverged:.4g}")
             params = adam_step(params, grads, opt, lr, cfg)
             row = MetricsRow(step=step + 1, lr=lr, loss=loss,
                              fire_rate=fire,

@@ -263,6 +263,33 @@ class TestSfsaPast:
                 np.testing.assert_array_equal(outs[t], full_out[t][:, p:])
                 np.testing.assert_array_equal(attns[t], full_attn[t][:, :, p:, :])
 
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_rows_that_see_every_key_match_the_full_call(self, mode):
+        """One new row after a past, and last_row=True with or without one,
+        score without a mask; each equals the last row of the full call bit
+        for bit."""
+        rng = np.random.default_rng(5)
+        sn = NeuronSpec(mode=mode)
+        w = random_weights(8, seed=6, std=1.0)
+        w.b_q = w.b_q + 0.9
+        w.b_k = w.b_k + 0.9
+        xs = (rng.random((2, 2, 6, 8)) < 0.5).astype(np.float64)
+        full_out, full_attn, (k, v) = sfsa_forward(xs, w, sn, sn, 2)
+        assert np.count_nonzero(full_attn[..., -1, :]) > 0
+        # the last query row sees some key that earlier rows do not
+        assert np.count_nonzero(full_attn[..., -1, -1]) > 0
+        past = (k[..., :5, :], v[..., :5, :])
+        calls = [sfsa_forward(xs[..., 5:, :], w, sn, sn, 2, past=past),
+                 sfsa_forward(xs, w, sn, sn, 2, last_row=True),
+                 sfsa_forward(xs[..., 3:, :], w, sn, sn, 2,
+                              past=(k[..., :3, :], v[..., :3, :]), last_row=True)]
+        for out, attn, _ in calls:
+            assert out.shape == (2, 2, 1, 8) and attn.shape == (2, 2, 2, 1, 6)
+            np.testing.assert_array_equal(out.view(np.uint64),
+                                          full_out[..., -1:, :].view(np.uint64))
+            np.testing.assert_array_equal(attn.view(np.uint64),
+                                          full_attn[..., -1:, :].view(np.uint64))
+
     def test_unbatched_layouts_rejected(self):
         """Without the batch axis, inputs and cached keys are ShapeErrors."""
         past = (np.zeros((1, 1, 3, 4)), np.zeros((1, 1, 3, 4)))

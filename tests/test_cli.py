@@ -5,16 +5,19 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spikeclm import energy, selftest
 from spikeclm.cli import RunConfig, apply_setting, main, to_ini
+from spikeclm.distill import SpadConfig
 from spikeclm.errors import ConfigError
 from spikeclm.model import (ModelConfig, init_params, load_model, read_checkpoint,
                             save_model, write_checkpoint)
-from spikeclm.training import parse_metrics
+from spikeclm.neurons import LifParams, TernaryParams
+from spikeclm.training import TrainConfig, parse_metrics
 
 MODEL_FLAGS = ["--set", "model.d_model=8", "--set", "model.n_layers=1",
                "--set", "model.n_heads=2", "--set", "model.d_ff=16",
@@ -61,6 +64,47 @@ class TestConfigPlumbing:
     def test_bad_value_names_field(self):
         with pytest.raises(ConfigError, match="train.lr_peak"):
             apply_setting(RunConfig(), "train", "lr_peak", "fast")
+
+
+FLOAT_FIELDS = [(cls, f.name)
+                for cls in (LifParams, TernaryParams, ModelConfig, TrainConfig, SpadConfig)
+                for f in fields(cls) if f.type in (float, "float")]
+
+
+class TestFiniteConfig:
+    """nan and inf pass every range check written as a comparison, so each
+    float field is checked for finiteness by name."""
+
+    def test_every_float_field_listed(self):
+        assert len(FLOAT_FIELDS) == 22
+        assert (ModelConfig, "attn_thr") in FLOAT_FIELDS
+        assert (TrainConfig, "grad_clip") in FLOAT_FIELDS
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+    def test_non_finite_field_named(self, cls, name, value):
+        cfg = cls()
+        cfg.validate()
+        setattr(cfg, name, value)
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_loss_weight(self, value):
+        with pytest.raises(ConfigError, match="loss weights must be finite"):
+            SpadConfig(lambdas=(value, 0.0, 0.0, 0.0, 1.0)).validate()
+
+    @pytest.mark.parametrize("setting", ["model.attn_thr=inf", "train.grad_clip=nan",
+                                         "train.adam_eps=inf", "spad.tau=inf",
+                                         "spad.lambdas=nan,0,0,0,1"])
+    def test_cli_is_one_error_line(self, setting, tmp_path, corpus_file, capsys):
+        out = tmp_path / "x.ckpt"
+        assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "1",
+                       *MODEL_FLAGS, "--set", setting) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -223,6 +267,15 @@ class TestErrorPaths:
     def test_missing_corpus_file(self, tmp_path, capsys):
         assert run_cli("train", "--corpus", str(tmp_path / "nope.txt"), "--out",
                        str(tmp_path / "x.ckpt"), "--steps", "1", *MODEL_FLAGS) == 2
+
+    def test_diverging_run_is_one_error_line(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "x.ckpt"
+        assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "3",
+                       "--lr", "1e9", "--set", "model.d_model=32", "--set", "model.n_layers=1",
+                       "--set", "model.max_seq_len=8", "--seq-len", "8") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at step ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_required_setting(self, capsys):
         assert run_cli("train", "--steps", "1") == 2

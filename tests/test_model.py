@@ -315,8 +315,9 @@ class TestGenerate:
             generate([99], 3, self.cfg, self.params)
         with pytest.raises(ConfigError):
             generate([1], -1, self.cfg, self.params)
-        with pytest.raises(ConfigError):
-            generate([1], 1, self.cfg, self.params, temperature=-0.5)
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="temperature must be finite"):
+                generate([1], 1, self.cfg, self.params, temperature=bad, rng=numerics.Rng(0))
         with pytest.raises(ConfigError):
             generate([1], 1, self.cfg, self.params, temperature=1.0)
 

@@ -165,8 +165,11 @@ def generic_lif_step(state, input_current, p, relaxed=False):
     u = input_current + p.beta * state.u - state.s_prev * p.u_thr
     ud = ad.value(u)
     local = neurons.surrogate_grad(ud - p.u_thr, p.surrogate_alpha)
-    s = ad.custom_op(neurons._binary_spike(ud, p.u_thr, p.surrogate_alpha, relaxed),
-                     (u, lambda g: g * local))
+    if relaxed:
+        spikes = neurons.surrogate_forward(ud - p.u_thr, p.surrogate_alpha)
+    else:
+        spikes = (ud >= p.u_thr).astype(np.float64)
+    s = ad.custom_op(spikes, (u, lambda g: g * local))
     return s, NeuronState(u=u, s_prev=s)
 
 
@@ -176,8 +179,12 @@ def generic_ternary_step(state, input_current, p, relaxed=False):
     ud = ad.value(u)
     local = p.amp * (neurons.surrogate_grad(ud - p.amp, p.surrogate_alpha)
                      + neurons.surrogate_grad(ud + p.amp, p.surrogate_alpha))
-    s = ad.custom_op(neurons._ternary_spike(ud, p.amp, p.surrogate_alpha, relaxed),
-                     (u, lambda g: g * local))
+    if relaxed:
+        spikes = p.amp * (neurons.surrogate_forward(ud - p.amp, p.surrogate_alpha)
+                          + neurons.surrogate_forward(ud + p.amp, p.surrogate_alpha) - 1.0)
+    else:
+        spikes = ((ud > p.amp).astype(np.float64) - (ud < -p.amp)) * p.amp
+    s = ad.custom_op(spikes, (u, lambda g: g * local))
     u_next = u * (p.amp - s) + p.u_reset * s
     return s, NeuronState(u=u_next, s_prev=s)
 
@@ -235,6 +242,47 @@ class TestFusedSteps:
             assert np.any(v.grad != 0.0)
 
 
+def assert_same_bits(got, want):
+    """Equal float64 bit patterns: -0.0 differs from 0.0 here."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestRestStep:
+    """A step from NeuronState() skips the decay and reset terms of the
+    carried zeros; it must still give what the full expressions give."""
+
+    INPUTS = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, -0.7, 2.5, 0.9999999999999999, 1e6])
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("fused,generic,p", [
+        (neurons.lif_step, generic_lif_step, LifParams(beta=0.5, u_thr=1.0)),
+        (neurons.lif_step, generic_lif_step, LifParams(beta=0.0, u_thr=0.7)),
+        (neurons.ternary_step, generic_ternary_step, TernaryParams(amp=1.0)),
+        (neurons.ternary_step, generic_ternary_step, TernaryParams(amp=0.5, u_reset=-0.3)),
+    ])
+    def test_rest_step_bit_identical_to_generic(self, fused, generic, p, relaxed):
+        s, state = fused(NeuronState(), self.INPUTS.copy(), p, relaxed)
+        want_s, want_state = generic(NeuronState(), self.INPUTS.copy(), p, relaxed)
+        assert_same_bits(s, ad.value(want_s))
+        assert_same_bits(state.u, ad.value(want_state.u))
+
+    def test_rest_membrane_drops_the_sign_of_zero(self):
+        """-0.0 + beta * 0 - 0 * U_thr is +0.0, and so is the rest step's -0.0 + 0.0."""
+        _, state = neurons.lif_step(NeuronState(), np.array([-0.0]), LifParams())
+        assert not np.signbit(state.u[0])
+
+    def test_carried_zero_arrays_take_the_full_update(self):
+        """Zeros held in arrays are a state like any other, with the same result."""
+        p = LifParams(beta=0.5, u_thr=1.0)
+        zeros = NeuronState(np.zeros(len(self.INPUTS)), np.zeros(len(self.INPUTS)))
+        s, state = neurons.lif_step(zeros, self.INPUTS.copy(), p)
+        want_s, want_state = neurons.lif_step(NeuronState(), self.INPUTS.copy(), p)
+        assert_same_bits(s, want_s)
+        assert_same_bits(state.u, want_state.u)
+
+
 def chained_reference(step, p, relaxed, currents, t_steps):
     """The runner's oracle: step chained over t from rest, one call per step.
 
@@ -287,7 +335,7 @@ class TestRunner:
 
         def recording_step(state, current, *args):
             s, new = step(state, current, *args)
-            seen.append(new.u)
+            seen.append(new.u.copy())  # an untaped run reuses one membrane buffer
             return s, new
         monkeypatch.setattr(neurons, step.__name__, recording_step)
         got = spec.run(x, t_steps)
@@ -375,8 +423,8 @@ class TestRunner:
     @pytest.mark.parametrize("mode", ["binary", "ternary"])
     def test_steps_write_in_place(self, mode, taped, t_steps):
         """Peak memory is the spike stack, the membrane stack when taped, and
-        three step-sized buffers at most (the carried and the new membrane,
-        and scratch), whatever T is: no per-step temporaries."""
+        two step-sized buffers at most (the one untaped membrane and
+        scratch), whatever T is: no per-step temporaries."""
         row = 1 << 17  # entries per step, 1 MiB of float64
         x = np.random.default_rng(t_steps).normal(size=(t_steps, row))
         x = ad.Var(x, requires_grad=True) if taped else x
@@ -388,7 +436,29 @@ class TestRunner:
         finally:
             tracemalloc.stop()
         stacks = t_steps * (2 if taped else 1)
-        assert peak <= (stacks + 3) * row * 8 + 65536
+        assert peak <= (stacks + 2) * row * 8 + 65536
+
+    @pytest.mark.parametrize("bptt,p,full", [
+        (neurons._lif_bptt, LifParams(), 1),
+        (neurons._ternary_bptt, TernaryParams(u_reset=0.25), 3),
+    ])
+    def test_backward_writes_in_place(self, bptt, p, full):
+        """The backward's peak is its output, which first holds the surrogate
+        slope, plus a few step rows, whatever T is. The ternary one also
+        rebuilds the pre-spike membranes and adds a second surrogate term."""
+        t_steps, row = 8, 1 << 16
+        rng = np.random.default_rng(3)
+        g, currents, u = (rng.normal(size=(t_steps, row)) for _ in range(3))
+        s = (rng.random((t_steps, row)) < 0.3).astype(np.float64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gi = bptt(g, currents, u, s, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert gi.shape == (t_steps, row)
+        assert peak <= (full * t_steps + 3) * row * 8 + 65536
 
     def test_step_count_checked(self):
         with pytest.raises(ShapeError, match="2 input steps"):

@@ -306,6 +306,21 @@ class TestTrainLoop:
         assert parse_metrics(path.read_text()) == []
 
 
+    def test_divergence_checked_once_warmup_is_over(self, tmp_path):
+        """A loss far above ln(vocab_size) stops the run at the first step
+        past the warmup span (2 of 4 steps here), not during it."""
+        params = init_params(tiny_model(), 0)
+        params["tok_emb"] *= 100.0  # the encoder fires, so the head sees spikes
+        params["head.w"] *= 1e4
+        cfg = TrainConfig(total_steps=4, batch_size=2, seq_len=8, warmup_ratio=0.5,
+                          lr_peak=1e-9)
+        path = tmp_path / "m.tsv"
+        with pytest.raises(EvaluationError, match="diverged at step 2: loss .* exceeds 10 "):
+            train_loop(cfg, tiny_model(), tiny_corpus(), params=params, metrics_path=path)
+        rows = parse_metrics(path.read_text())
+        assert len(rows) == 1 and rows[0].loss > 10 * np.log(257)
+
+
 class TestEvaluateCe:
     def test_zero_params_give_uniform_ce(self):
         cfg = tiny_model()
