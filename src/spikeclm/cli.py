@@ -226,10 +226,7 @@ def cmd_train(rc: RunConfig, mode: str) -> int:
                      metrics_path=rc.metrics or None)
     arch = "dense" if mode == "teacher" else "spiking"
     save_model(rc.out, rc.model, res.params,
-               extra_fields={"arch": arch, "trained_steps": rc.train.total_steps,
-                             "adam_t": res.opt.t},
-               opt_tensors={**{"m." + k: v for k, v in res.opt.m.items()},
-                            **{"v." + k: v for k, v in res.opt.v.items()}})
+               extra_fields={"arch": arch, "trained_steps": rc.train.total_steps})
     _write_snapshot(rc, rc.out)
     last = res.metrics[-1].loss if res.metrics else float("nan")
     val = "n/a" if res.val_ce is None else f"{res.val_ce:.4f}"

@@ -4,8 +4,8 @@ Five losses, each weighted by one entry of lambdas = (emb, attn, feat,
 soft, hard):
 
   embedding  squared distance between the teacher's embedding output and
-             the (optionally projected) time-mean of the student's
-             per-step embedding spikes, normalized by element count.
+             the time-mean of the student's per-step embedding spikes,
+             normalized by element count.
   attention  two branches mixed by gamma_attn. The rate branch encodes the
              teacher's attention map into spike trains (each entry drives
              a LIF neuron as a constant current for T steps) and compares
@@ -13,9 +13,9 @@ soft, hard):
              against the student's time-mean spike map.
   feature    two branches mixed by gamma_feat. The rate branch compares
              the spike-encoded teacher features against the raw student
-             time-mean; the direct branch compares both sides through the
-             projection-plus-LayerNorm map, which removes the scale gap
-             between real features and firing rates.
+             time-mean; the direct branch compares both sides after a
+             LayerNorm, which removes the scale gap between real features
+             and firing rates.
   soft       tau^2 * KL(teacher softened distribution || student softened
              distribution), averaged over token positions.
   hard       next-token cross-entropy against the ground truth.
@@ -25,7 +25,7 @@ student tensors may be taped Vars, and every loss preserves that.
 
 Structural alignment: teacher layers are matched by uniform spacing
 (layer_map), teacher heads are mean-pooled down to the student's head
-count, and width mismatches require explicit projection matrices.
+count, and the embedding and feature losses need equal model widths.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class SpadConfig:
     tau: float = 2.0
     gamma_attn: float = 0.5
     gamma_feat: float = 0.5
-    feat_proj: np.ndarray | None = None  # [d_student, d_teacher]
-    emb_proj: np.ndarray | None = None
 
     def validate(self) -> None:
         if len(self.lambdas) != 5:
@@ -117,16 +115,14 @@ def _mse(target: np.ndarray, student):
     return (diff * diff).mean()
 
 
-def loss_embedding(e_ann: np.ndarray, e_snn_steps, proj: np.ndarray | None = None):
-    """Mean squared entry of E_ANN minus the projected student time-mean.
+def loss_embedding(e_ann: np.ndarray, e_snn_steps):
+    """Mean squared entry of E_ANN minus the student time-mean.
 
     Student activity here and in the other alignment losses is a [T, ...]
     stack of spikes (a Var when taped).
     """
     e_ann = np.asarray(e_ann, dtype=np.float64)
     mean = time_mean(e_snn_steps)
-    if proj is not None:
-        mean = ad.matmul(mean, proj)
     if ad.value(mean).shape != e_ann.shape:
         raise AlignmentError(
             f"embedding shapes differ: teacher {e_ann.shape}, "
@@ -146,32 +142,18 @@ def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
     return gamma * _mse(rate_target, mean) + (1.0 - gamma) * _mse(a_ann, mean)
 
 
-def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float,
-                 proj: np.ndarray | None = None):
+def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float):
     """Feature alignment; see the module docstring for the two branches."""
     h_ann = np.asarray(h_ann, dtype=np.float64)
     mean = time_mean(h_snn_steps)
-    d_s = ad.value(mean).shape[-1]
-    d_t = h_ann.shape[-1]
-    if d_s != d_t and proj is None:
-        raise ConfigError(
-            f"feature widths differ ({d_s} vs {d_t}) and no projection was given")
-    if ad.value(mean).shape[:-1] != h_ann.shape[:-1]:
+    if ad.value(mean).shape != h_ann.shape:
         raise AlignmentError(
             f"feature shapes differ: teacher {h_ann.shape}, "
             f"student {ad.value(mean).shape}")
-
-    mapped_student = mean if proj is None else ad.matmul(mean, proj)
     rate_target = spike_encode(h_ann, ad.value(h_snn_steps).shape[0], p).mean(axis=0)
-    if rate_target.shape == ad.value(mean).shape:
-        rate_branch = _mse(rate_target, mean)
-    else:
-        # width mismatch: compare through the projection on the student side
-        rate_branch = _mse(rate_target, mapped_student)
-
-    ones, zeros = np.ones(d_t), np.zeros(d_t)
-    mse_branch = _mse(layer_norm(h_ann, ones, zeros),
-                      layer_norm(mapped_student, ones, zeros))
+    rate_branch = _mse(rate_target, mean)
+    ones, zeros = np.ones(h_ann.shape[-1]), np.zeros(h_ann.shape[-1])
+    mse_branch = _mse(layer_norm(h_ann, ones, zeros), layer_norm(mean, ones, zeros))
     return gamma * rate_branch + (1.0 - gamma) * mse_branch
 
 
@@ -235,7 +217,7 @@ def spad_losses(student_logits, student_trace, teacher_trace, targets,
     comps: list = [0.0] * 5
     if lam[0] != 0.0:
         comps[0] = loss_embedding(ad.value(teacher_trace.embed),
-                                  student_trace.embed_steps, spad.emb_proj)
+                                  student_trace.embed_steps)
     if lam[1] != 0.0:
         h_s = ad.value(student_trace.attn_spikes[0]).shape[-3]
         total = 0.0
@@ -249,7 +231,7 @@ def spad_losses(student_logits, student_trace, teacher_trace, targets,
         for i, j in enumerate(lmap):
             total = total + loss_feature(ad.value(teacher_trace.hidden[j]),
                                          student_trace.hidden[i], lif,
-                                         spad.gamma_feat, spad.feat_proj)
+                                         spad.gamma_feat)
         comps[2] = total / n_s
     if lam[3] != 0.0:
         comps[3] = loss_soft(ad.value(teacher_trace.logits), student_logits, spad.tau)

@@ -8,7 +8,7 @@ is a spike train; the expected count is
 
 with f_r the firing rate of the layer's input (fraction of entries that
 are active, i.e. nonzero), T the number of simulation steps, and F the
-MAC count of the dense equivalent. Per-operation energies default to
+MAC count of the dense equivalent. The per-operation energies are the
 45 nm CMOS figures: 4.6 pJ per MAC, 0.9 pJ per accumulate.
 
 The total for the spiking model charges the MAC rate only for the two
@@ -36,10 +36,6 @@ from .errors import ConfigError, ValidationError
 class EnergyConstants:
     e_mac: float = 4.6e-12  # joules per multiply-accumulate
     e_ac: float = 0.9e-12   # joules per accumulate
-
-    def validate(self) -> None:
-        if self.e_mac <= 0 or self.e_ac <= 0:
-            raise ConfigError("per-op energies must be positive")
 
 
 @dataclass
@@ -132,10 +128,9 @@ class EnergyReport:
         return self.ann_energy_j * 1e3
 
 
-def energy_report(cfg, trace, constants: EnergyConstants | None = None) -> EnergyReport:
+def energy_report(cfg, trace) -> EnergyReport:
     """Full estimate for one profiled forward pass (trace from snn_forward)."""
-    constants = constants or EnergyConstants()
-    constants.validate()
+    constants = EnergyConstants()
     flops = count_flops(cfg, trace.seq_len)
     rates = measure_firing_rates(trace)
     rep = EnergyReport(seq_len=trace.seq_len, t_steps=trace.t_steps,

@@ -265,8 +265,8 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     n, t_steps = cfg.n_layers, cfg.t_steps
     past_len = 0
     if cache is not None:
-        if relaxed:
-            raise ConfigError("the decode cache needs the hard-threshold forward")
+        if relaxed or any(map(ad.is_var, params.values())):
+            raise ConfigError("the decode cache needs an untaped hard-threshold forward")
         past_len = cache.length
         if past_len + l > cfg.max_seq_len:
             raise ShapeError(f"{past_len} cached plus {l} new positions exceed "
@@ -354,11 +354,11 @@ def decode_logits(head_inputs, w_head):
 # -- dense teacher -------------------------------------------------------------
 
 
-def layer_norm(x, g, b, eps: float = LN_EPS):
+def layer_norm(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * ((var + eps) ** -0.5) * g + b
+    return xc * ((var + LN_EPS) ** -0.5) * g + b
 
 
 @dataclass
@@ -587,16 +587,13 @@ def parse_field(name: str, raw: str, typ):
         raise ConfigError(f"bad value for {name}: {raw!r}") from None
 
 
-def save_model(path, cfg: ModelConfig, params: dict, extra_fields: dict | None = None,
-               opt_tensors: dict | None = None) -> None:
+def save_model(path, cfg: ModelConfig, params: dict,
+               extra_fields: dict | None = None) -> None:
     fields = config_to_fields(cfg)
     fields["kind"] = "model"
     if extra_fields:
         fields.update({str(k): str(v) for k, v in extra_fields.items()})
-    tensors = {k: ad.value(v) for k, v in params.items()}
-    if opt_tensors:
-        tensors.update({"opt." + k: ad.value(v) for k, v in opt_tensors.items()})
-    write_checkpoint(path, fields, tensors)
+    write_checkpoint(path, fields, {k: ad.value(v) for k, v in params.items()})
 
 
 def load_model(path):
@@ -605,6 +602,9 @@ def load_model(path):
     The parameter tensors must match init_params for the stored config by
     name and shape: the teacher layout when the arch field says "dense",
     the student layout otherwise. Every parameter value must be finite.
+    opt_tensors holds the "opt." tensors of older checkpoints (their Adam
+    moments, unread) and is {} for files save_model writes; non-config
+    fields, such as an older file's adam_t, land in extra_fields.
     """
     fields, tensors = read_checkpoint(path)
     cfg = config_from_fields(fields)

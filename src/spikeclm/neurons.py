@@ -92,14 +92,17 @@ class NeuronState:
 
 def surrogate_forward(u, alpha: float = 2.0):
     """Smoothed step sigma(u); maps R onto (0, 1), sigma(0) = 1/2."""
-    return (1.0 / np.pi) * np.arctan((np.pi / 2.0) * alpha * np.asarray(u, dtype=np.float64)) + 0.5
+    with np.errstate(over="ignore"):  # past the float range, +-inf gives the limits 1, 0
+        scaled = (np.pi / 2.0) * alpha * np.asarray(u, dtype=np.float64)
+    return (1.0 / np.pi) * np.arctan(scaled) + 0.5
 
 
 def surrogate_grad(u, alpha: float = 2.0, shift: float = 0.0):
     """d sigma / d u at u - shift; even, positive, maximum alpha/2 at u = shift."""
-    x = np.subtract(u, shift, out=np.empty(np.shape(u)))  # the one buffer
-    x *= (np.pi / 2.0) * alpha
-    x *= x
+    with np.errstate(over="ignore"):  # past |u - shift| ~ 1e154, inf gives the limit 0
+        x = np.subtract(u, shift, out=np.empty(np.shape(u)))  # the one buffer
+        x *= (np.pi / 2.0) * alpha
+        x *= x
     x += 1.0
     return np.divide(alpha / 2.0, x, out=x)
 

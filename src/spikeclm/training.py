@@ -165,11 +165,11 @@ def check_compat(student_cfg: ModelConfig, teacher_cfg: ModelConfig,
             f"teacher heads {teacher_cfg.n_heads} not divisible by "
             f"student heads {student_cfg.n_heads}")
     lam = spad.lambdas
-    if student_cfg.d_model != teacher_cfg.d_model:
-        if lam[0] != 0.0 and spad.emb_proj is None:
-            raise ConfigError("width mismatch: embedding loss needs emb_proj")
-        if lam[2] != 0.0 and spad.feat_proj is None:
-            raise ConfigError("width mismatch: feature loss needs feat_proj")
+    if student_cfg.d_model != teacher_cfg.d_model and (lam[0] != 0.0 or lam[2] != 0.0):
+        raise ConfigError(
+            f"width mismatch: student d_model {student_cfg.d_model}, teacher "
+            f"d_model {teacher_cfg.d_model}: the emb and feat losses need equal "
+            f"widths or weight 0")
 
 
 @dataclass
@@ -219,7 +219,6 @@ def parse_metrics(text: str):
 @dataclass
 class TrainResult:
     params: dict
-    opt: AdamState
     metrics: list
     val_ce: float | None
 
@@ -356,4 +355,4 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     if val_windows is not None:
         val_ce = evaluate_ce(model_cfg, params, val_windows, cfg.batch_size,
                              dense=(mode == "teacher"))
-    return TrainResult(params=params, opt=opt, metrics=rows, val_ce=val_ce)
+    return TrainResult(params=params, metrics=rows, val_ce=val_ce)

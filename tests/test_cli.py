@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run through main(): in-process, and selftest once in a
 fresh process that cannot import pytest."""
 
+import configparser
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from spikeclm import energy, selftest
-from spikeclm.cli import RunConfig, apply_setting, main, to_ini
+from spikeclm.cli import RunConfig, apply_setting, load_ini, main, to_ini
 from spikeclm.distill import SpadConfig
 from spikeclm.errors import ConfigError
 from spikeclm.model import (ModelConfig, init_params, load_model, read_checkpoint,
@@ -44,7 +45,6 @@ class TestConfigPlumbing:
         rc.spad.lambdas = (0.0, 0.0, 0.0, 0.5, 0.5)
         text = to_ini(rc)
         rc2 = RunConfig()
-        import configparser
         cp = configparser.ConfigParser(interpolation=None)
         cp.read_string(text)
         for sec in cp.sections():
@@ -54,6 +54,22 @@ class TestConfigPlumbing:
         assert rc2.model.d_model == 48
         assert rc2.train.lr_peak == 0.003
         assert rc2.spad.lambdas == (0.0, 0.0, 0.0, 0.5, 0.5)
+
+    def test_snapshot_names_every_config_field(self, tmp_path):
+        """Every field the config dataclasses hold can be set from a file."""
+        nested = {"model", "train", "spad"}
+        text = to_ini(RunConfig())
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(text)
+        for section, cls in (("run", RunConfig), ("model", ModelConfig),
+                             ("train", TrainConfig), ("spad", SpadConfig)):
+            want = {f.name for f in fields(cls)} - nested
+            assert set(cp[section]) == want, section
+        ini = tmp_path / "defaults.ini"
+        ini.write_text(text)
+        rc = RunConfig()
+        load_ini(rc, ini)
+        assert rc == RunConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -118,7 +134,9 @@ class TestTrainCommand:
         cfg, params, extra, opt = load_model(out)
         assert cfg.d_model == 8 and extra["arch"] == "spiking"
         assert extra["trained_steps"] == "3"
-        assert any(k.startswith("m.") for k in opt)
+        assert opt == {} and "adam_t" not in extra
+        _, tensors = read_checkpoint(out)
+        assert tensors.keys() == params.keys()
         rows = parse_metrics((tmp_path / "m.tsv").read_text())
         assert len(rows) == 3
         assert (tmp_path / "s.ckpt.config").exists()
@@ -170,6 +188,55 @@ class TestDistillCommand:
                        "--batch-size", "2", *MODEL_FLAGS) == 0
         _, _, extra, _ = load_model(student)
         assert extra["arch"] == "spiking"
+
+
+    def test_width_mismatch_is_one_error_line(self, tmp_path, corpus_file, capsys):
+        teacher = str(tmp_path / "t.ckpt")
+        assert run_cli("train-teacher", "--corpus", corpus_file, "--out", teacher,
+                       "--steps", "1", "--seq-len", "8", "--batch-size", "2",
+                       *MODEL_FLAGS, "--set", "model.d_model=16") == 0
+        capsys.readouterr()
+        out = tmp_path / "d.ckpt"
+        assert run_cli("distill", "--corpus", corpus_file, "--teacher", teacher,
+                       "--out", str(out), "--steps", "1", "--seq-len", "8",
+                       "--batch-size", "2", *MODEL_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: width mismatch: ") and err.count("\n") == 1
+        assert "student d_model 8" in err and "teacher d_model 16" in err
+        assert not out.exists()
+
+
+class TestOlderCheckpoint:
+    """Checkpoints once carried the Adam moments as opt.m.*/opt.v.* tensors and
+    the step count as an adam_t field; such files still load and serve."""
+
+    def test_moments_are_skipped(self, tmp_path, corpus_file, capsys):
+        new = str(tmp_path / "new.ckpt")
+        assert run_cli("train", "--corpus", corpus_file, "--out", new, "--steps", "2",
+                       "--seq-len", "8", "--batch-size", "2", *MODEL_FLAGS) == 0
+        fields_, params = read_checkpoint(new)
+        rng = np.random.default_rng(0)
+        moments = {f"opt.{m}.{k}": rng.normal(size=v.shape)
+                   for k, v in params.items() for m in ("m", "v")}
+        old = str(tmp_path / "old.ckpt")
+        write_checkpoint(old, {**fields_, "adam_t": "2"}, {**params, **moments})
+
+        _, loaded, extra, opt = load_model(old)
+        assert loaded.keys() == params.keys()
+        for k in params:
+            np.testing.assert_array_equal(loaded[k], params[k])
+        assert extra["adam_t"] == "2"
+        assert opt.keys() == {k[len("opt."):] for k in moments}
+
+        capsys.readouterr()
+        for command in (["generate", "--prompt", "he", "--n-new", "6"],
+                        ["eval", "--corpus", corpus_file, "--seq-len", "8"],
+                        ["profile", "--corpus", corpus_file, "--seq-len", "8"]):
+            outputs = []
+            for ckpt in (new, old):
+                assert run_cli(command[0], "--checkpoint", ckpt, *command[1:]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], command[0]
 
 
 class TestGenerateCommand:
@@ -275,6 +342,21 @@ class TestErrorPaths:
                        "--set", "model.max_seq_len=8", "--seq-len", "8") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged at step ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_surrogate_is_one_error_line(self, tmp_path, corpus_file):
+        """At lr 1e200 the membranes pass the float range of the surrogate
+        slope; the run still ends in one error line, with no warning."""
+        out = tmp_path / "x.ckpt"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selftest.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spikeclm.cli", "train", "--corpus", corpus_file,
+             "--out", str(out), "--steps", "3", "--seq-len", "8", "--batch-size", "2",
+             "--lr", "1e200", *MODEL_FLAGS],
+            env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: training diverged at step ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
         assert not out.exists()
 
     def test_missing_required_setting(self, capsys):

@@ -84,12 +84,6 @@ class TestLossEmbedding:
         v = np.random.default_rng(1).normal(size=(3, 4))
         assert float(loss_embedding(2 * v, [v, 3 * v])) == pytest.approx(0.0, abs=1e-15)
 
-    def test_projection_applied(self):
-        proj = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # [d_s=2, d_t=3]
-        student = [np.ones((1, 2))]
-        e_ann = np.array([[[1.0, 1.0, 0.0]]]).reshape(1, 3)
-        assert float(loss_embedding(e_ann, student, proj)) == pytest.approx(0.0)
-
     def test_shape_mismatch(self):
         with pytest.raises(AlignmentError):
             loss_embedding(np.zeros((2, 3)), [np.zeros((2, 4))])
@@ -157,13 +151,9 @@ class TestLossFeature:
         lh = float(ad.value(loss_feature(h, steps, LifParams(), 0.5)))
         np.testing.assert_allclose(lh, 0.5 * (l0 + l1), rtol=1e-12)
 
-    def test_width_mismatch_needs_projection(self):
-        with pytest.raises(ConfigError):
+    def test_width_mismatch_is_an_alignment_error(self):
+        with pytest.raises(AlignmentError, match=r"teacher \(2, 6\), student \(2, 4\)"):
             loss_feature(np.zeros((2, 6)), [np.zeros((2, 4))], LifParams(), 0.5)
-        proj = np.zeros((4, 6))
-        got = loss_feature(np.zeros((2, 6)), [np.zeros((2, 4))], LifParams(), 0.5,
-                           proj=proj)
-        assert float(ad.value(got)) == 0.0
 
 
 class TestLossSoft:

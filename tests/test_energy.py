@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spikeclm import energy, numerics
-from spikeclm.energy import EnergyConstants, count_flops, energy_report, sops
+from spikeclm.energy import count_flops, energy_report, sops
 from spikeclm.errors import ConfigError, ValidationError
 from spikeclm.model import ModelConfig, TraceBundle, ann_forward, init_params, snn_forward
 
@@ -99,7 +99,8 @@ class TestEnergyReport:
     def test_hand_arithmetic(self):
         """One layer at L=1 with known rates, checked against a calculator."""
         tr = synthetic_trace(self.cfg, 1, [(0.5, 0.25)])
-        rep = energy_report(self.cfg, tr, EnergyConstants(e_mac=4.6e-12, e_ac=0.9e-12))
+        rep = energy_report(self.cfg, tr)
+        assert (rep.e_mac, rep.e_ac) == (4.6e-12, 0.9e-12)  # the 45 nm figures
         le = rep.layers[0]
         assert le.sfsa_sops == round(0.5 * 2 * 20)   # 20
         assert le.sffn_sops == round(0.25 * 2 * 16)  # 8

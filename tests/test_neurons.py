@@ -98,6 +98,16 @@ class TestSurrogate:
               - neurons.surrogate_forward(u - eps, 2.0)) / (2 * eps)
         np.testing.assert_allclose(neurons.surrogate_grad(u, 2.0), fd, rtol=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_gives_the_limits_silently(self):
+        """Past the float range the scaled input and its square become inf;
+        the results are the limits, with no overflow warning."""
+        u = np.array([1e300, -1e300, 1e308, -1e308])
+        np.testing.assert_array_equal(neurons.surrogate_forward(u, 2.0), [1.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(neurons.surrogate_grad(u, 2.0), 0.0)
+        assert neurons.surrogate_grad(0.0, 2.0, shift=1e300) == 0.0
+        assert neurons.surrogate_forward(-1e308, 10.0) == 0.0
+
 
 class TestTernary:
     def test_positive_spike_resets(self):

@@ -1,5 +1,6 @@
-"""Smoke test of the scripts under tools/."""
+"""Smoke tests of the scripts under tools/ and of the benchmark's workloads."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -68,3 +69,25 @@ def test_no_walkthrough_student_has_a_silent_sublayer(walkthrough, student, monk
         assert np.count_nonzero(trace.attn_spikes[i]), f"layer {i} attention"
         assert np.count_nonzero(sfsa_out[i]), f"layer {i} SFSA output"
         assert np.count_nonzero(sffn_out[i]), f"layer {i} SFFN output"
+
+
+@pytest.mark.parametrize("name", ["train-hard", "distill-spad", "infer"])
+def test_benchmark_workload_runs_once(name, tmp_path, monkeypatch):
+    """One repeat or round of each perfbench workload, with its own set-up,
+    oracles and failure tally: a package change that breaks the benchmark's
+    use of the API fails here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracer")
+    seed = 1
+    wl = workloads.WORKLOADS[name]
+    ctx = wl.setup(seed, tmp_path)
+    clock, tally = workloads.Clock(), workloads.Tally()
+    clock.install()
+    try:
+        phase = wl.measure(ctx, 0, seed, clock, tracer.NullTracer(), tally)
+    finally:
+        clock.uninstall()
+    assert tally.attempted > 0 and tally.failed == 0, tally.reasons
+    assert phase.units > 0
+    assert list(tmp_path.iterdir()) == []

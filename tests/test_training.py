@@ -180,11 +180,13 @@ class TestCheckCompat:
         with pytest.raises(ConfigError):
             check_compat(s, t, SpadConfig())
 
-    def test_width_mismatch_needs_projections(self):
+    def test_width_mismatch_needs_equal_widths(self):
         s = ModelConfig(d_model=8, n_layers=1, n_heads=1, d_ff=8)
         t = ModelConfig(d_model=16, n_layers=1, n_heads=1, d_ff=8)
-        with pytest.raises(ConfigError):
-            check_compat(s, t, SpadConfig())
+        for lambdas in ((0.2, 0.1, 0.1, 0.3, 0.3), (0.2, 0.1, 0.0, 0.3, 0.4),
+                        (0.0, 0.1, 0.2, 0.3, 0.4)):
+            with pytest.raises(ConfigError, match="student d_model 8, teacher d_model 16"):
+                check_compat(s, t, SpadConfig(lambdas=lambdas))
         # ablating the width-sensitive losses clears the requirement
         check_compat(s, t, SpadConfig(lambdas=(0.0, 0.2, 0.0, 0.4, 0.4)))
 
