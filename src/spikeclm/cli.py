@@ -2,15 +2,18 @@
 
 Subcommands: train-teacher, train, distill, generate, profile, eval,
 selftest. Runs are configured by an INI-style file (`key = value` under
-[run]/[model]/[train]/[spad] sections) plus flags; flags win over file
-values. Every run that writes an output file also writes a resolved
-config snapshot at `<output>.config`, and re-running from that snapshot
+[run]/[model]/[train]/[spad] sections), then `--set section.key=value`,
+then flags, each a shorthand for the setting FLAGS names; later wins.
+Every run that writes an output file also writes a resolved config
+snapshot at `<output>.config`, and re-running from that snapshot
 reproduces the output byte for byte.
 """
 
 import argparse
-import sys
 import configparser
+import json
+import os
+import sys
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -36,7 +39,7 @@ class RunConfig:
     n_new: int = 64
     temperature: float = 0.0
     gen_seed: int = 0
-    eval_seq_len: int = 0   # 0 means the model's max_seq_len
+    eval_seq_len: int = 0   # 0 means min(the model's max_seq_len, train.seq_len)
     eval_t_steps: int = 0   # 0 means the checkpoint's t_steps
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -52,15 +55,23 @@ def _sections(rc: RunConfig) -> dict:
     return {"run": rc, "model": rc.model, "train": rc.train, "spad": rc.spad}
 
 
+# A v2 snapshot starts with this line and writes every string as a JSON
+# string, which configparser keeps whole: it strips a value's surrounding
+# whitespace and reads a line break as a continuation line.
+CONFIG_MAGIC = "# spikeclm-config v2"
+
+
 def to_ini(rc: RunConfig) -> str:
     blocks = []
     for section, obj in _sections(rc).items():
         lines = [f"[{section}]"]
         if section == "spad":
             lines.append("lambdas = " + ", ".join(repr(v) for v in rc.spad.lambdas))
-        lines.extend(f"{f.name} = {getattr(obj, f.name)}" for f in _simple_fields(type(obj)))
+        for f in _simple_fields(type(obj)):
+            v = getattr(obj, f.name)
+            lines.append(f"{f.name} = {json.dumps(v) if isinstance(v, str) else v}")
         blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    return CONFIG_MAGIC + "\n" + "\n\n".join(blocks) + "\n"
 
 
 def apply_setting(rc: RunConfig, section: str, key: str, raw: str) -> None:
@@ -80,28 +91,27 @@ def apply_setting(rc: RunConfig, section: str, key: str, raw: str) -> None:
 
 
 def load_ini(rc: RunConfig, path) -> None:
+    """Apply a config file: a v2 snapshot, or a v1 snapshot or hand-written
+    INI file, whose values are taken as configparser reads them."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
-            cp.read_file(fh)
+            text = fh.read()
+        cp.read_string(text, source=str(path))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
     except configparser.Error as e:
         raise ConfigError(f"malformed config {path}: {e}") from None
+    v2 = text.partition("\n")[0] == CONFIG_MAGIC
     for section in cp.sections():
         for key, raw in cp.items(section):
+            if v2 and raw.startswith('"'):
+                try:
+                    raw = json.loads(raw)
+                except ValueError:
+                    raise ConfigError(f"malformed config {path}: "
+                                      f"bad quoted value for {section}.{key}") from None
             apply_setting(rc, section, key, raw)
-
-
-def _apply_sets(rc: RunConfig, sets) -> None:
-    for item in sets or ():
-        if "=" not in item:
-            raise ConfigError(f"--set needs section.key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        if "." not in key:
-            raise ConfigError(f"--set key must be section.key, got {key!r}")
-        section, _, name = key.strip().partition(".")
-        apply_setting(rc, section, name, raw.strip())
 
 
 def _write_snapshot(rc: RunConfig, out_path) -> None:
@@ -128,86 +138,63 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_TRAIN_FLAGS = {"--corpus": "run.corpus", "--out": "run.out", "--metrics": "run.metrics",
+                "--steps": "train.total_steps", "--seed": "train.seed",
+                "--seq-len": "train.seq_len", "--batch-size": "train.batch_size",
+                "--lr": "train.lr_peak"}
+_EVAL_FLAGS = {"--checkpoint": "run.checkpoint", "--corpus": "run.corpus",
+               "--seq-len": "run.eval_seq_len", "--out": "run.out"}
+
+# Each command's flags, each a shorthand for `--set` of the setting it names.
+FLAGS = {
+    "train-teacher": _TRAIN_FLAGS,
+    "train": _TRAIN_FLAGS,
+    "distill": {**_TRAIN_FLAGS, "--teacher": "run.teacher"},
+    "generate": {"--checkpoint": "run.checkpoint", "--prompt": "run.prompt",
+                 "--n-new": "run.n_new", "--temperature": "run.temperature",
+                 "--seed": "run.gen_seed", "--out": "run.out"},
+    "profile": {**_EVAL_FLAGS, "--t-steps": "run.eval_t_steps"},
+    "eval": _EVAL_FLAGS,
+    "selftest": {},
+}
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="spikeclm", description=__doc__, add_help=True)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="INI config file")
-        sp.add_argument("--set", action="append", metavar="SEC.KEY=VAL",
-                        help="override one config value; repeatable")
-
-    for name in ("train-teacher", "train", "distill"):
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.add_argument("--corpus")
-        sp.add_argument("--out")
-        sp.add_argument("--metrics")
-        sp.add_argument("--steps", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--seq-len", type=int)
-        sp.add_argument("--batch-size", type=int)
-        sp.add_argument("--lr", type=float)
-        if name == "distill":
-            sp.add_argument("--teacher")
-
-    sp = sub.add_parser("generate")
-    common(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--prompt")
-    sp.add_argument("--n-new", type=int)
-    sp.add_argument("--temperature", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("profile")
-    common(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--corpus")
-    sp.add_argument("--seq-len", type=int)
-    sp.add_argument("--t-steps", type=int)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("eval")
-    common(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--corpus")
-    sp.add_argument("--seq-len", type=int)
-    sp.add_argument("--out")
-
-    sub.add_parser("selftest")
+    for command, flags in FLAGS.items():
+        sp = sub.add_parser(command)
+        if flags:  # a command with settings reads a config too
+            sp.add_argument("--config", help="INI config file")
+            sp.add_argument("--set", action="append", metavar="SEC.KEY=VAL",
+                            help="override one config value; repeatable")
+        for flag, key in flags.items():
+            sp.add_argument(flag, dest=key, metavar="VAL", help=f"sets {key}")
     return p
 
 
+def _apply(rc: RunConfig, key: str, raw: str) -> None:
+    section, _, name = key.partition(".")
+    apply_setting(rc, section, name, raw)
+
+
 def resolve(args) -> RunConfig:
+    """The run's settings: the --config file, then each --set, then flags."""
     rc = RunConfig()
     if getattr(args, "config", None):
         load_ini(rc, args.config)
-    _apply_sets(rc, getattr(args, "set", None))
+    for item in getattr(args, "set", None) or ():
+        key, eq, raw = item.partition("=")
+        if not eq:
+            raise ConfigError(f"--set needs section.key=value, got {item!r}")
+        if "." not in key:
+            raise ConfigError(f"--set key must be section.key, got {key!r}")
+        _apply(rc, key.strip(), raw.strip())
     rc.command = args.command
-    for name in ("corpus", "out", "metrics", "teacher", "checkpoint", "prompt",
-                 "n_new", "temperature"):
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(rc, name, v)
-    if getattr(args, "steps", None) is not None:
-        rc.train.total_steps = args.steps
-    if getattr(args, "batch_size", None) is not None:
-        rc.train.batch_size = args.batch_size
-    if getattr(args, "lr", None) is not None:
-        rc.train.lr_peak = args.lr
-    if getattr(args, "seed", None) is not None:
-        if args.command == "generate":
-            rc.gen_seed = args.seed
-        else:
-            rc.train.seed = args.seed
-    if getattr(args, "seq_len", None) is not None:
-        if args.command in ("profile", "eval"):
-            rc.eval_seq_len = args.seq_len
-        else:
-            rc.train.seq_len = args.seq_len
-    if getattr(args, "t_steps", None) is not None:
-        rc.eval_t_steps = args.t_steps
+    for key in FLAGS[args.command].values():
+        raw = getattr(args, key)
+        if raw is not None:
+            _apply(rc, key, raw)
     return rc
 
 
@@ -294,38 +281,38 @@ def cmd_eval(rc: RunConfig) -> int:
     return 0
 
 
+def cmd_selftest(rc: RunConfig) -> int:
+    from .selftest import run_selftest
+    return 1 if run_selftest() else 0
+
+
+COMMANDS = {
+    "train-teacher": lambda rc: cmd_train(rc, "teacher"),
+    "train": lambda rc: cmd_train(rc, "hard"),
+    "distill": lambda rc: cmd_train(rc, "spad"),
+    "generate": cmd_generate,
+    "profile": cmd_profile,
+    "eval": cmd_eval,
+    "selftest": cmd_selftest,
+}
+
+
 def run_command(args) -> int:
-    if args.command == "selftest":
-        from .selftest import run_selftest
-        return 1 if run_selftest() else 0
     rc = resolve(args)
     rc.model.validate()
     rc.train.validate()
     rc.spad.validate()
-    if args.command == "train-teacher":
-        return cmd_train(rc, "teacher")
-    if args.command == "train":
-        return cmd_train(rc, "hard")
-    if args.command == "distill":
-        return cmd_train(rc, "spad")
-    if args.command == "generate":
-        return cmd_generate(rc)
-    if args.command == "profile":
-        return cmd_profile(rc)
-    if args.command == "eval":
-        return cmd_eval(rc)
-    raise ConfigError(f"unknown command {args.command!r}")
+    for path in (rc.out, rc.metrics):  # fail before any work, not at the write
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: no such directory")
+    return COMMANDS[args.command](rc)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return run_command(args)
-    except ValueError as e:  # the package error family derives from ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        return run_command(build_parser().parse_args(argv))
+    except (ValueError, OSError) as e:  # the package error family derives from ValueError
+        print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)
         return 2
 
 

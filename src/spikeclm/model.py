@@ -470,10 +470,14 @@ def atomic_open(path, mode: str = "w"):
     """Open a new file beside path for writing ("w" or "wb").
 
     On a clean exit the file replaces path in one os.replace; if the block
-    raises, the file is removed and path keeps its earlier contents.
+    raises, the file is removed and path keeps its earlier contents. A
+    file that cannot be made raises an OSError that names path.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, mode.replace("w", "x"))
+    try:
+        fh = open(tmp, mode.replace("w", "x"))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh

@@ -1,7 +1,7 @@
 """End-to-end CLI tests, run through main(): in-process, and selftest once in a
 fresh process that cannot import pytest."""
 
-import configparser
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from spikeclm import energy, selftest
-from spikeclm.cli import RunConfig, apply_setting, load_ini, main, to_ini
+from spikeclm.cli import (CONFIG_MAGIC, FLAGS, RunConfig, apply_setting, build_parser,
+                          load_ini, main, resolve, to_ini)
 from spikeclm.distill import SpadConfig
 from spikeclm.errors import ConfigError
 from spikeclm.model import (ModelConfig, init_params, load_model, read_checkpoint,
@@ -36,40 +37,76 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def reload(text: str, tmp_path) -> RunConfig:
+    """The RunConfig that load_ini makes of a config file holding text."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(text, encoding="utf-8")
+    rc = RunConfig()
+    load_ini(rc, ini)
+    return rc
+
+
+# the last holds every code point below U+0300, a line separator and a byte
+# that was not UTF-8 on the command line (a surrogate escape)
+TRICKY_PROMPTS = ["the spike ", "a\nb ", '  "q" ; # [x] %s \u00e9', "", "\"", "x\\n",
+                  "".join(map(chr, range(0x300))) + "\u2028\udcff"]
+
+
 class TestConfigPlumbing:
-    def test_ini_roundtrip(self):
+    def test_ini_roundtrip(self, tmp_path):
         rc = RunConfig()
         rc.corpus = "/x/corpus.txt"
         rc.model.d_model = 48
         rc.train.lr_peak = 0.003
         rc.spad.lambdas = (0.0, 0.0, 0.0, 0.5, 0.5)
         text = to_ini(rc)
-        rc2 = RunConfig()
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read_string(text)
-        for sec in cp.sections():
-            for k, v in cp.items(sec):
-                apply_setting(rc2, sec, k, v)
-        assert rc2.corpus == rc.corpus
-        assert rc2.model.d_model == 48
-        assert rc2.train.lr_peak == 0.003
-        assert rc2.spad.lambdas == (0.0, 0.0, 0.0, 0.5, 0.5)
+        assert text.startswith(CONFIG_MAGIC + "\n")
+        assert reload(text, tmp_path) == rc
 
     def test_snapshot_names_every_config_field(self, tmp_path):
-        """Every field the config dataclasses hold can be set from a file."""
-        nested = {"model", "train", "spad"}
-        text = to_ini(RunConfig())
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read_string(text)
-        for section, cls in (("run", RunConfig), ("model", ModelConfig),
-                             ("train", TrainConfig), ("spad", SpadConfig)):
-            want = {f.name for f in fields(cls)} - nested
-            assert set(cp[section]) == want, section
-        ini = tmp_path / "defaults.ini"
-        ini.write_text(text)
+        """Every field the config dataclasses hold is written and read back:
+        a snapshot of a config that differs from the defaults in every field
+        reloads equal to it."""
         rc = RunConfig()
-        load_ini(rc, ini)
-        assert rc == RunConfig()
+        nested = {"model", "train", "spad"}
+        for obj in (rc, rc.model, rc.train, rc.spad):
+            for f in fields(obj):
+                if f.name in nested:
+                    continue
+                v = getattr(obj, f.name)
+                setattr(obj, f.name, v + (1 if isinstance(v, int) else 0.5 if isinstance(v, float)
+                                          else (1.0,) if isinstance(v, tuple) else " x "))
+        assert all(getattr(rc, f.name) != getattr(RunConfig(), f.name) for f in fields(rc))
+        assert reload(to_ini(rc), tmp_path) == rc
+
+    @pytest.mark.parametrize("prompt", TRICKY_PROMPTS, ids=lambda p: ascii(p)[:24])
+    def test_v2_keeps_strings_whole(self, prompt, tmp_path):
+        """Surrounding whitespace, line breaks, quotes, comment and section
+        characters, % and non-ASCII text survive a snapshot."""
+        rc = RunConfig(prompt=prompt, corpus=prompt + ".txt")
+        assert reload(to_ini(rc), tmp_path) == rc
+
+    def test_v1_snapshot_still_loads(self, tmp_path):
+        """A snapshot with no magic line and unquoted strings, as written
+        before v2, loads as configparser reads it."""
+        rc = RunConfig(command="generate", checkpoint="s.ckpt", prompt="the spike",
+                       out="g.txt", temperature=0.8, gen_seed=3)
+        rc.model.neuron_mode = "ternary"
+        rc.spad.lambdas = (0.0, 0.0, 0.0, 0.5, 0.5)
+        v1 = []
+        for line in to_ini(rc).splitlines()[1:]:
+            key, eq, value = line.partition(" = ")
+            v1.append(key + eq + (json.loads(value) if value.startswith('"') else value))
+        text = "\n".join(v1) + "\n"
+        assert '"' not in text and "prompt = the spike\n" in text
+        assert reload(text, tmp_path) == rc
+
+    def test_quotes_are_kept_without_the_magic_line(self, tmp_path):
+        assert reload('[run]\nprompt = "hi "\n', tmp_path).prompt == '"hi "'
+
+    def test_bad_quoted_value_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="run.prompt"):
+            reload(f'{CONFIG_MAGIC}\n[run]\nprompt = "open\n', tmp_path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -80,6 +117,57 @@ class TestConfigPlumbing:
     def test_bad_value_names_field(self):
         with pytest.raises(ConfigError, match="train.lr_peak"):
             apply_setting(RunConfig(), "train", "lr_peak", "fast")
+
+
+FLAG_CASES = [(command, flag, key) for command, flags in FLAGS.items()
+              for flag, key in flags.items()]
+SAMPLE_VALUES = {int: "7", float: "0.25", str: "some/value.txt"}
+
+
+class TestFlagTable:
+    """Every flag is a shorthand for `--set` of the setting FLAGS names."""
+
+    @pytest.mark.parametrize("command,flag,key", FLAG_CASES,
+                             ids=[f"{c}{f}" for c, f, _ in FLAG_CASES])
+    def test_flag_equals_set(self, command, flag, key):
+        section, _, name = key.partition(".")
+        obj = {"run": RunConfig(), "model": ModelConfig(), "train": TrainConfig(),
+               "spad": SpadConfig()}[section]
+        value = SAMPLE_VALUES[type(getattr(obj, name))]
+        parser = build_parser()
+        by_flag = resolve(parser.parse_args([command, flag, value]))
+        by_set = resolve(parser.parse_args([command, "--set", f"{key}={value}"]))
+        assert by_flag == by_set
+        assert by_flag != resolve(parser.parse_args([command]))
+
+    def test_commands_keep_their_flags(self):
+        train = {"--corpus", "--out", "--metrics", "--steps", "--seed", "--seq-len",
+                 "--batch-size", "--lr"}
+        want = {"train-teacher": train, "train": train, "distill": train | {"--teacher"},
+                "generate": {"--checkpoint", "--prompt", "--n-new", "--temperature",
+                             "--seed", "--out"},
+                "profile": {"--checkpoint", "--corpus", "--seq-len", "--t-steps", "--out"},
+                "eval": {"--checkpoint", "--corpus", "--seq-len", "--out"},
+                "selftest": set()}
+        assert {command: set(flags) for command, flags in FLAGS.items()} == want
+        assert [FLAGS[c]["--seed"] for c in ("train-teacher", "train", "distill", "generate")] \
+            == ["train.seed"] * 3 + ["run.gen_seed"]
+        assert [FLAGS[c]["--seq-len"] for c in ("train-teacher", "train", "distill", "profile",
+                                                 "eval")] \
+            == ["train.seq_len"] * 3 + ["run.eval_seq_len"] * 2
+
+    def test_flags_win_over_set_and_config(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\nseed = 1\n")
+        args = build_parser().parse_args(["train", "--config", str(ini), "--seed", "3",
+                                          "--set", "train.seed=2"])
+        assert resolve(args).train.seed == 3
+
+    @pytest.mark.parametrize("flag,value,key", [("--steps", "abc", "train.total_steps"),
+                                                ("--lr", "fast", "train.lr_peak")])
+    def test_bad_flag_value_is_one_error_line(self, flag, value, key, capsys):
+        assert run_cli("train", flag, value) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: {value!r}\n"
 
 
 FLOAT_FIELDS = [(cls, f.name)
@@ -153,6 +241,17 @@ class TestTrainCommand:
         assert run_cli("train", "--config", str(out) + ".config") == 0
         assert out.read_bytes() == first_ckpt
         assert metrics.read_bytes() == first_metrics
+
+    def test_output_in_missing_directory_fails_first(self, tmp_path, corpus_file,
+                                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train", "--corpus", corpus_file, "--out", "nope/s.ckpt",
+                       "--metrics", "m.tsv", "--steps", "2", "--seq-len", "8",
+                       "--batch-size", "2", *MODEL_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nope/s.ckpt" in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "corpus.txt"]
 
     def test_flag_overrides_config(self, tmp_path, corpus_file):
         ini = tmp_path / "run.ini"
@@ -269,6 +368,15 @@ class TestGenerateCommand:
                 "1", "--seq-len", "8", "--batch-size", "2", *MODEL_FLAGS)
         assert run_cli("generate", "--checkpoint", t, "--prompt", "x") == 2
 
+    @pytest.mark.parametrize("prompt", TRICKY_PROMPTS[:3], ids=ascii)
+    def test_snapshot_rerun_keeps_the_prompt(self, ckpt, prompt, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", "--checkpoint", ckpt, "--prompt", prompt, "--n-new", "12",
+                       "--temperature", "0.9", "--seed", "5", "--out", str(out)) == 0
+        first, printed = out.read_bytes(), capsys.readouterr().out
+        assert run_cli("generate", "--config", f"{out}.config") == 0
+        assert out.read_bytes() == first and capsys.readouterr().out == printed
+
 
 class TestProfileEval:
     @pytest.fixture()
@@ -379,6 +487,18 @@ class TestErrorPaths:
         p = tmp_path / "bad.ini"
         p.write_text("[model\nd_model = 8\n")
         assert run_cli("train", "--config", str(p)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config ") and err.count("\n") == 1
+
+    def test_generate_output_in_missing_directory(self, tmp_path, capsys):
+        cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        ckpt = str(tmp_path / "s.ckpt")
+        save_model(ckpt, cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
+        out = str(tmp_path / "nope" / "g.txt")
+        assert run_cli("generate", "--checkpoint", ckpt, "--prompt", "x", "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: no such directory\n"
 
     def test_checkpoint_missing_tensor(self, tmp_path, capsys):
         cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)

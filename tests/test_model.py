@@ -614,6 +614,13 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
+    def test_unwritable_path_is_named(self, tmp_path):
+        """The error names the target, not the temporary file beside it."""
+        path = tmp_path / "nope" / "m.ckpt"
+        with pytest.raises(FileNotFoundError) as err:
+            write_checkpoint(path, {}, {"a": np.ones(3)})
+        assert err.value.filename == str(path) and ".tmp" not in str(err.value)
+
     def test_corrupt_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOPE" + b"\x00" * 16)

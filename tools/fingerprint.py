@@ -8,7 +8,11 @@ seeded generate, eval and profile there. Thresholds are low enough that
 every neuron population fires. A ternary spike is +-ternary_amp and fires
 past the same amp, so a std-0.02 projection of spikes never reaches the band
 in one step; the ternary run sets amp 3, under which a silent membrane
-grows threefold per step, with 4 steps and a larger learning rate. Prints `sha256  name` for each of the 21
+grows threefold per step, with 4 steps and a larger learning rate.
+
+Then it re-runs every command, in the same order, from the `<out>.config`
+snapshot that its first run wrote, and exits non-zero naming the first file
+whose digest changed. Otherwise it prints `sha256  name` for each of the 21
 files, sorted by name. spikeclm is imported from PYTHONPATH, so two
 checkouts compare by running this once with each one's src and diffing
 the two listings.
@@ -57,20 +61,36 @@ def commands() -> list:
     ]
 
 
+def run(argv: list) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = spikeclm_main(argv)
+    if code != 0:
+        raise SystemExit(f"fingerprint: spikeclm {' '.join(argv)} exited {code}")
+
+
+def digests(out: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
 def fingerprint(out: Path) -> list:
-    """Run the walkthrough into the empty directory `out`; return its digest lines."""
+    """Run the walkthrough into the empty directory `out`, then again from its
+    snapshots; return its digest lines."""
+    out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         raise SystemExit(f"fingerprint: {out} is not empty")
     (out / "corpus.txt").write_text(CORPUS, encoding="utf-8")
     with contextlib.chdir(out):
         for argv in commands():
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = spikeclm_main(argv)
-            if code != 0:
-                raise SystemExit(f"fingerprint: spikeclm {argv[0]} exited {code}")
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
-            for p in sorted(out.iterdir())]
+            run(argv)
+        first = digests(out)
+        for argv in commands():
+            run([argv[0], "--config", argv[argv.index("--out") + 1] + ".config"])
+    again = digests(out)
+    for name, digest in first.items():
+        if again.get(name) != digest:
+            raise SystemExit(f"fingerprint: {name} changed when re-run from its .config snapshot")
+    return [f"{digest}  {name}" for name, digest in first.items()]
 
 
 if __name__ == "__main__":
