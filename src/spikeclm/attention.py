@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, numerics
 from .errors import ConfigError, ShapeError, ValidationError
 from .neurons import NeuronSpec
 
@@ -105,6 +105,31 @@ def _check_weights(w: AttnWeights, d: int) -> None:
             raise ShapeError(f"{name} must be [{d}], got {list(shape)}")
 
 
+def _scores(q, k_t, mask, scale=None):
+    """q @ k_t as one tape node, masked in place on the fresh product.
+
+    With no scale (SFSA) the 0/1 mask, if any, multiplies the scores. With
+    a scale (CSA) the scores are scaled, then the mask adds -1e9 where it is
+    0. The gradient of the product is the upstream one masked (or scaled)
+    the same way, formed once for both operands.
+    """
+    qv, kv = ad.value(q), ad.value(k_t)
+    s = numerics.matmul(qv, kv)
+    if scale is not None:
+        s *= scale
+        s += (mask - 1.0) * 1e9
+    elif mask is not None:
+        s *= mask
+    held = [None, None]  # the upstream gradient and the product's, formed once
+
+    def product_grad(g):
+        if held[0] is not g:
+            held[:] = g, (g * scale if scale is not None else g if mask is None else g * mask)
+        return held[1]
+    return ad.custom_op(s, (q, lambda g: product_grad(g) @ kv.swapaxes(-1, -2)),
+                        (k_t, lambda g: qv.swapaxes(-1, -2) @ product_grad(g)))
+
+
 def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
                  n_heads: int, past=None, last_row: bool = False):
     """Causal spiking attention over all time steps.
@@ -158,12 +183,8 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
         keys = np.concatenate([past_k, sk], axis=2)
         values = np.concatenate([past_v, sv], axis=2)
 
-    scores = ad.matmul(_split_heads(sq, n_heads),
-                       _split_heads(keys, n_heads).swapaxes(-1, -2))
-    if mask is not None and ad.is_var(scores):
-        scores = scores * mask
-    elif mask is not None:
-        scores *= mask  # a fresh array: no second [T, B, h, L, P + L] buffer
+    scores = _scores(_split_heads(sq, n_heads),
+                     _split_heads(keys, n_heads).swapaxes(-1, -2), mask)
     s_attn = attn_sn.run(scores)
     s_ctx = sn.run(ad.matmul(s_attn, _split_heads(values, n_heads)))
     out = sn.run(ad.linear(_merge_heads(s_ctx), w.w_out, w.b_out))
@@ -189,9 +210,8 @@ def csa_forward(x, w: AttnWeights, n_heads: int):
     v = _split_heads(ad.linear(x, w.w_v, w.b_v), n_heads)
     d_head = d // n_heads
 
-    logits = ad.matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_head))
     # additive masking; -1e9 underflows to 0 after the softmax
-    logits = logits + (mask - 1.0) * 1e9
+    logits = _scores(q, k.swapaxes(-1, -2), mask, scale=1.0 / np.sqrt(d_head))
     attn = ad.softmax(logits, axis=-1)
     out = ad.linear(_merge_heads(ad.matmul(attn, v)), w.w_out, w.b_out)
     return out, attn

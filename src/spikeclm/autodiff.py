@@ -23,9 +23,13 @@ from .errors import InternalError, ShapeError
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum g down to `shape`, inverting numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    """Sum g down to `shape`, inverting numpy broadcasting.
+
+    Extra leading axes collapse into one and are summed in a single pass,
+    as linear sums its bias gradient.
+    """
+    if g.ndim > len(shape):
+        g = g.reshape((-1,) + g.shape[g.ndim - len(shape):]).sum(axis=0)
     for i, s in enumerate(shape):
         if s == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
@@ -227,32 +231,53 @@ def relu(x):
 
 def softmax(x, axis: int = -1):
     z = value(x)
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = z - z.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
     return custom_op(s, (x, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
 
 
 def log_softmax(x, axis: int = -1):
     z = value(x)
-    z = z - z.max(axis=axis, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    y = z - z.max(axis=axis, keepdims=True)
+    y -= np.log(np.exp(y).sum(axis=axis, keepdims=True))
     return custom_op(y, (x, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True)))
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """[..., k] -> [rows, k]: every leading axis folded into one."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def matmul(a, b):
-    """a @ b on either kind; numerics.matmul computes it, so it hits the MAC counter."""
+    """a @ b on either kind; numerics.matmul computes it, so it hits the MAC counter.
+
+    A 2-D b broadcast over a's leading axes gets its gradient from one 2-D
+    product over all of a's rows, as linear's weight does.
+    """
     av, bv = value(a), value(b)
+    if bv.ndim == 2 and av.ndim > 2:
+        def b_vjp(g):
+            return _rows(av).T @ _rows(g)
+    else:
+        def b_vjp(g):
+            return av.swapaxes(-1, -2) @ g
     return custom_op(numerics.matmul(av, bv), (a, lambda g: g @ bv.swapaxes(-1, -2)),
-                     (b, lambda g: av.swapaxes(-1, -2) @ g))
+                     (b, b_vjp))
 
 
 def linear(x, w, b):
-    """x @ w + b on either kind, as one node; the bias is added in place."""
+    """x @ w + b on either kind, as one node; the bias is added in place.
+
+    The weight gradient is one 2-D product over all rows of x, and the bias
+    gradient one sum over the rows of g.
+    """
     xv, wv = value(x), value(w)
     y = numerics.matmul(xv, wv)
     y += value(b)
     return custom_op(y, (x, lambda g: g @ wv.swapaxes(-1, -2)),
-                     (w, lambda g: xv.swapaxes(-1, -2) @ g), (b, _identity))
+                     (w, lambda g: _rows(xv).T @ _rows(g)),
+                     (b, lambda g: _rows(g).sum(axis=0)))
 
 
 def _pick(x, idx):

@@ -189,7 +189,7 @@ def resolve(args) -> RunConfig:
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         if "." not in key:
             raise ConfigError(f"--set key must be section.key, got {key!r}")
-        _apply(rc, key.strip(), raw.strip())
+        _apply(rc, key.strip(), raw)
     rc.command = args.command
     for key in FLAGS[args.command].values():
         raw = getattr(args, key)

@@ -21,7 +21,13 @@ soft, hard):
   hard       next-token cross-entropy against the ground truth.
 
 Teacher tensors are plain arrays (no gradients flow into the teacher);
-student tensors may be taped Vars, and every loss preserves that.
+student tensors may be taped Vars, and every loss preserves that. Each
+loss is one tape node over its student tensor: its value is computed on
+plain arrays, with the same expressions a composition of tape ops would
+evaluate, and its gradient is closed-form (MSE against a time-mean, the
+LayerNorm backward, tau * (q - p) / n for the KL and (softmax - onehot) / n
+for the cross-entropy). A taped loss therefore adds one scalar node, not a
+chain of [T, ...]-sized ones.
 
 Structural alignment: teacher layers are matched by uniform spacing
 (layer_map), teacher heads are mean-pooled down to the student's head
@@ -38,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (AlignmentError, ConfigError, InternalError, ValidationError,
                      require_finite_fields)
-from .model import layer_norm, time_mean
+from .model import LN_EPS, step_mean
 from .neurons import LifParams, lif_constant_drive
 
 LOSS_NAMES = ("emb", "attn", "feat", "soft", "hard")
@@ -110,9 +116,57 @@ def spike_encode(x: np.ndarray, t_steps: int, p: LifParams) -> np.ndarray:
     return lif_constant_drive(x, t_steps, p)
 
 
-def _mse(target: np.ndarray, student):
-    diff = target - student
-    return (diff * diff).mean()
+def _mean(x: np.ndarray, taped: bool, axis=None):
+    """x's mean, or its keepdims mean over one axis, as the tape computes it.
+
+    A taped mean (Var.mean) multiplies the sum by 1/n; numpy divides it by n.
+    """
+    if axis is None:
+        total, n = x.sum(), x.size
+    else:
+        total, n = x.sum(axis=axis, keepdims=True), x.shape[axis]
+    return total * (1.0 / n) if taped else total / n
+
+
+def _layer_norm(x: np.ndarray, taped: bool):
+    """layer_norm of x with unit gain and zero bias, and the 1/std it scaled by."""
+    xc = x - _mean(x, taped, axis=-1)
+    r = (_mean(xc * xc, taped, axis=-1) + LN_EPS) ** -0.5
+    return xc * r, r
+
+
+def _layer_norm_vjp(y: np.ndarray, r: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of x given dy, for y, r = _layer_norm(x)."""
+    return r * (dy - dy.mean(axis=-1, keepdims=True)
+                - y * (dy * y).mean(axis=-1, keepdims=True))
+
+
+def _student_mean(steps, teacher: np.ndarray, mismatch: str):
+    """(stack, mean, taped) for a student [T, ...] stack, plain or taped.
+
+    mean is time_mean's value of the stack, and must have the teacher's
+    shape; mismatch opens the error otherwise.
+    """
+    stack = ad.value(steps)
+    taped = ad.is_var(steps)
+    mean = step_mean(stack, taped)
+    if mean.shape != teacher.shape:
+        raise AlignmentError(
+            f"{mismatch}: teacher {teacher.shape}, student {mean.shape}")
+    return stack, mean, taped
+
+
+def _mean_loss(value, steps, stack: np.ndarray, mean_grad):
+    """One node for a loss of the time-mean of steps.
+
+    mean_grad(g) is the loss gradient with respect to that mean, already
+    divided by T; every step receives it, in a fresh array.
+    """
+    def vjp(g):
+        out = np.empty_like(stack)
+        out[...] = mean_grad(g)
+        return out
+    return ad.custom_op(value, (steps, vjp))
 
 
 def loss_embedding(e_ann: np.ndarray, e_snn_steps):
@@ -122,39 +176,39 @@ def loss_embedding(e_ann: np.ndarray, e_snn_steps):
     stack of spikes (a Var when taped).
     """
     e_ann = np.asarray(e_ann, dtype=np.float64)
-    mean = time_mean(e_snn_steps)
-    if ad.value(mean).shape != e_ann.shape:
-        raise AlignmentError(
-            f"embedding shapes differ: teacher {e_ann.shape}, "
-            f"student {ad.value(mean).shape}")
-    return _mse(e_ann, mean)
+    stack, mean, taped = _student_mean(e_snn_steps, e_ann, "embedding shapes differ")
+    diff = e_ann - mean
+    coef = -2.0 / (diff.size * len(stack))
+    return _mean_loss(_mean(diff * diff, taped), e_snn_steps, stack,
+                      lambda g: (g * coef) * diff)
 
 
 def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
     """Rate branch vs direct branch on attention maps, mixed by gamma."""
     a_ann = np.asarray(a_ann, dtype=np.float64)
-    mean = time_mean(a_snn_steps)
-    if ad.value(mean).shape != a_ann.shape:
-        raise AlignmentError(
-            f"attention shapes differ after alignment: teacher {a_ann.shape}, "
-            f"student {ad.value(mean).shape}")
-    rate_target = spike_encode(a_ann, ad.value(a_snn_steps).shape[0], p).mean(axis=0)
-    return gamma * _mse(rate_target, mean) + (1.0 - gamma) * _mse(a_ann, mean)
+    stack, mean, taped = _student_mean(a_snn_steps, a_ann,
+                                       "attention shapes differ after alignment")
+    d_rate = spike_encode(a_ann, len(stack), p).mean(axis=0) - mean
+    d_map = a_ann - mean
+    value = (gamma * _mean(d_rate * d_rate, taped)
+             + (1.0 - gamma) * _mean(d_map * d_map, taped))
+    coef = -2.0 / (mean.size * len(stack))
+    return _mean_loss(value, a_snn_steps, stack,
+                      lambda g: (g * coef) * (gamma * d_rate + (1.0 - gamma) * d_map))
 
 
 def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float):
     """Feature alignment; see the module docstring for the two branches."""
     h_ann = np.asarray(h_ann, dtype=np.float64)
-    mean = time_mean(h_snn_steps)
-    if ad.value(mean).shape != h_ann.shape:
-        raise AlignmentError(
-            f"feature shapes differ: teacher {h_ann.shape}, "
-            f"student {ad.value(mean).shape}")
-    rate_target = spike_encode(h_ann, ad.value(h_snn_steps).shape[0], p).mean(axis=0)
-    rate_branch = _mse(rate_target, mean)
-    ones, zeros = np.ones(h_ann.shape[-1]), np.zeros(h_ann.shape[-1])
-    mse_branch = _mse(layer_norm(h_ann, ones, zeros), layer_norm(mean, ones, zeros))
-    return gamma * rate_branch + (1.0 - gamma) * mse_branch
+    stack, mean, taped = _student_mean(h_snn_steps, h_ann, "feature shapes differ")
+    d_rate = spike_encode(h_ann, len(stack), p).mean(axis=0) - mean
+    y, r = _layer_norm(mean, taped)
+    d_ln = _layer_norm(h_ann, False)[0] - y
+    value = (gamma * _mean(d_rate * d_rate, taped)
+             + (1.0 - gamma) * _mean(d_ln * d_ln, taped))
+    coef = -2.0 / (mean.size * len(stack))
+    return _mean_loss(value, h_snn_steps, stack, lambda g: (g * coef) * (
+        gamma * d_rate + (1.0 - gamma) * _layer_norm_vjp(y, r, d_ln)))
 
 
 def loss_soft(z_ann: np.ndarray, z_snn, tau: float):
@@ -162,28 +216,44 @@ def loss_soft(z_ann: np.ndarray, z_snn, tau: float):
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}")
     z_ann = np.asarray(z_ann, dtype=np.float64)
-    if ad.value(z_snn).shape != z_ann.shape:
-        raise AlignmentError(
-            f"logit shapes differ: {z_ann.shape} vs {ad.value(z_snn).shape}")
+    z = ad.value(z_snn)
+    if z.shape != z_ann.shape:
+        raise AlignmentError(f"logit shapes differ: {z_ann.shape} vs {z.shape}")
+    taped = ad.is_var(z_snn)
     log_p = ad.log_softmax(z_ann / tau)
-    log_q = ad.log_softmax(z_snn / tau)
+    # a taped Var divided by a number multiplies by its reciprocal
+    log_q = ad.log_softmax(z * (1.0 / tau) if taped else z / tau)
     p = np.exp(log_p)
     kl_per_token = (p * (log_p - log_q)).sum(axis=-1)
-    return (tau * tau) * kl_per_token.mean()
+
+    def vjp(g):
+        out = np.exp(log_q)
+        out -= p
+        out *= g * (tau / kl_per_token.size)
+        return out
+    return ad.custom_op((tau * tau) * _mean(kl_per_token, taped), (z_snn, vjp))
 
 
 def loss_hard(z_snn, targets):
     """Mean next-token cross-entropy."""
     targets = np.asarray(targets)
-    vocab = ad.value(z_snn).shape[-1]
-    if ad.value(z_snn).shape[:-1] != targets.shape:
-        raise AlignmentError(
-            f"targets {targets.shape} do not match logits {ad.value(z_snn).shape}")
+    z = ad.value(z_snn)
+    vocab = z.shape[-1]
+    if z.shape[:-1] != targets.shape:
+        raise AlignmentError(f"targets {targets.shape} do not match logits {z.shape}")
     if targets.min() < 0 or targets.max() >= vocab:
         raise ValidationError(
             f"targets must lie in [0, {vocab}), got [{targets.min()}, {targets.max()}]")
-    picked = ad.gather_last(ad.log_softmax(z_snn), targets)
-    return -picked.mean()
+    log_q = ad.log_softmax(z)
+    ids = targets[..., None]
+    picked = np.take_along_axis(log_q, ids, axis=-1)[..., 0]
+
+    def vjp(g):
+        out = np.exp(log_q)
+        np.put_along_axis(out, ids, np.take_along_axis(out, ids, axis=-1) - 1.0, axis=-1)
+        out *= g * (1.0 / picked.size)
+        return out
+    return ad.custom_op(-_mean(picked, ad.is_var(z_snn)), (z_snn, vjp))
 
 
 def loss_total(components, cfg: SpadConfig):

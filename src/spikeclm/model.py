@@ -334,16 +334,24 @@ def time_mean(steps):
     a Var multiplied by 1/T, as Var division by a number does.
     """
     d = ad.value(steps)
+    if not isinstance(steps, ad.Var):
+        return step_mean(d)
+    n = len(d)
+    return ad.custom_op(step_mean(d, taped=True),
+                        (steps, lambda g: np.broadcast_to(g * (1.0 / n), d.shape)))
+
+
+def step_mean(d: np.ndarray, taped: bool = False) -> np.ndarray:
+    """time_mean's value on a plain [T, ...] stack, with no tape node.
+
+    taped=True gives the value time_mean computes for a Var of the stack.
+    """
     if d.ndim == 0 or len(d) == 0:
         raise ShapeError("time_mean needs at least one time step")
     total = d[0]
     for s in d[1:]:
         total = total + s
-    n = len(d)
-    if not isinstance(steps, ad.Var):
-        return total / n
-    return ad.custom_op(total * (1.0 / n),
-                        (steps, lambda g: np.broadcast_to(g * (1.0 / n), d.shape)))
+    return total * (1.0 / len(d)) if taped else total / len(d)
 
 
 def decode_logits(head_inputs, w_head):

@@ -324,3 +324,116 @@ class TestSfsaPast:
         w.w_k = ad.Var(w.w_k, requires_grad=True)
         with pytest.raises(ConfigError):
             sfsa_forward(x, w, spec(), spec(), 2, past=past)
+
+
+def composed_scores(q, k_t, mask, scale=None):
+    """The scores as separate tape nodes: the product, then the mask (and scale)."""
+    s = ad.matmul(q, k_t)
+    if scale is not None:
+        return s * scale + (mask - 1.0) * 1e9
+    return s if mask is None else s * mask
+
+
+def same_bits(a, b):
+    a, b = ad.value(a), ad.value(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def taped_weights(w):
+    return AttnWeights(*[ad.Var(ad.value(getattr(w, f)).copy(), requires_grad=True)
+                         for f in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
+                                   "w_out", "b_out")])
+
+
+class TestScoreNode:
+    """Each block's scores are one node, masked in place on the product."""
+
+    def run_block(self, block, scores_fn, monkeypatch):
+        """(out, attn, weight grads) of a taped block under scores_fn."""
+        monkeypatch.setattr(attention, "_scores", scores_fn)
+        rng = np.random.default_rng(21)
+        w = taped_weights(random_weights(8, seed=22, std=1.0))
+        w.b_q.data += 0.9
+        w.b_k.data += 0.9
+        if block == "sfsa":
+            x = (rng.random((2, 2, 6, 8)) < 0.5).astype(np.float64)
+            sn = spec(thr=0.5, relaxed=False)
+            out, attn, _ = sfsa_forward(x, w, sn, sn, 2)
+        else:
+            out, attn = csa_forward(rng.normal(size=(2, 6, 8)), w, 2)
+        (out * np.random.default_rng(23).normal(size=out.shape)).sum().backward()
+        return out, attn, [getattr(w, f).grad for f in ("w_q", "w_k", "w_v", "w_out")]
+
+    @pytest.mark.parametrize("block", ["sfsa", "csa"])
+    def test_blocks_match_the_composed_scores_bit_for_bit(self, block, monkeypatch):
+        one = self.run_block(block, attention._scores, monkeypatch)
+        two = self.run_block(block, composed_scores, monkeypatch)
+        assert np.count_nonzero(ad.value(one[1])) > 0
+        assert same_bits(one[0], two[0]) and same_bits(one[1], two[1])
+        for got, want in zip(one[2], two[2]):
+            assert same_bits(got, want)
+        assert np.abs(one[2][0]).max() > 0
+
+    @pytest.mark.parametrize("scale", [None, 0.5])
+    def test_score_node_matches_the_composed_nodes(self, scale):
+        rng = np.random.default_rng(24)
+        q, k_t = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 4, 5))
+        seed = rng.normal(size=(2, 3, 5, 5))
+        masks = [causal_mask(5)] if scale is not None else [None, causal_mask(5)]
+        for mask in masks:
+            runs = []
+            for fn in (attention._scores, composed_scores):
+                leaves = [ad.Var(a.copy(), requires_grad=True) for a in (q, k_t)]
+                out = fn(*leaves, mask, scale)
+                out.backward(seed)
+                runs.append((out, leaves))
+            (one, got), (two, want) = runs
+            assert one._parents == tuple(got)
+            assert same_bits(one, two)
+            assert same_bits(got[0].grad, want[0].grad)
+            assert same_bits(got[1].grad, want[1].grad)
+
+    def test_masked_sfsa_scores_pass_no_gradient(self):
+        """Whatever reaches a masked score entry, q and k get the same gradient."""
+        rng = np.random.default_rng(25)
+        q, k_t = rng.normal(size=(1, 2, 4, 3)), rng.normal(size=(1, 2, 3, 4))
+        mask = causal_mask(4)
+        seed = rng.normal(size=(1, 2, 4, 4))
+        noisy = seed + (1.0 - mask) * rng.normal(size=seed.shape) * 1e6
+        grads = []
+        for g in (seed * mask, seed, noisy):
+            leaves = [ad.Var(a.copy(), requires_grad=True) for a in (q, k_t)]
+            attention._scores(*leaves, mask).backward(g)
+            grads.append([v.grad for v in leaves])
+        for got in grads[1:]:
+            assert same_bits(got[0], grads[0][0]) and same_bits(got[1], grads[0][1])
+
+    def test_masked_csa_scores_get_zero_gradient(self):
+        """Masked logits leave the softmax at exactly 0, so they pass back 0."""
+        rng = np.random.default_rng(26)
+        w = taped_weights(random_weights(8, seed=27))
+        out, attn = csa_forward(rng.normal(size=(2, 5, 8)), w, 2)
+        (out * rng.normal(size=out.shape)).sum().backward()
+        scores = attn._parents[0]
+        hidden = np.broadcast_to(causal_mask(5) == 0, scores.shape)
+        assert np.all(scores.grad[hidden] == 0.0)
+        assert np.count_nonzero(scores.grad[~hidden]) > 0
+
+    def test_rows_that_see_every_key_are_not_masked(self, monkeypatch):
+        masks = []
+        real = attention._scores
+
+        def recording(q, k_t, mask, scale=None):
+            masks.append(mask)
+            return real(q, k_t, mask, scale)
+        monkeypatch.setattr(attention, "_scores", recording)
+        sn = NeuronSpec(mode="binary")
+        w = random_weights(8, seed=28)
+        xs = (np.random.default_rng(29).random((2, 1, 4, 8)) < 0.5).astype(np.float64)
+        _, _, (k, v) = sfsa_forward(xs, w, sn, sn, 2)
+        assert masks[-1] is not None
+        sfsa_forward(xs, w, sn, sn, 2, last_row=True)
+        sfsa_forward(xs[..., 3:, :], w, sn, sn, 2, past=(k[..., :3, :], v[..., :3, :]))
+        sfsa_forward(xs[..., 2:, :], w, sn, sn, 2, past=(k[..., :2, :], v[..., :2, :]),
+                     last_row=True)
+        assert masks[1:] == [None, None, None]

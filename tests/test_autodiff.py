@@ -112,6 +112,48 @@ class TestMatmulShapes:
         for got, want in zip(leaves, ref):
             assert same_bits(got.grad, want.grad)
 
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 5, 3), (2, 3, 4, 3), "decode"])
+    def test_linear_forward_is_x_at_w_plus_b(self, shape):
+        """Bit for bit, on plain and taped x of every rank the models use,
+        including the non-contiguous last-row slice of a decode step."""
+        x = self.rng.normal(size=(2, 3, 4, 3))
+        x = x[:, :, -1:] if shape == "decode" else self.rng.normal(size=shape)
+        w, b = self.rng.normal(size=(3, 5)), self.rng.normal(size=5)
+        want = x @ w + b
+        assert same_bits(ad.linear(x, w, b), want)
+        assert same_bits(ad.linear(ad.Var(x), ad.Var(w), b).data, want)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 5, 3), (2, 3, 4, 3)])
+    def test_linear_grads_match_einsum(self, shape):
+        x, w, b = (self.rng.normal(size=s) for s in (shape, (3, 5), (5,)))
+        g = self.rng.normal(size=shape[:-1] + (5,))
+        leaves = [ad.Var(a.copy(), requires_grad=True) for a in (x, w, b)]
+        ad.linear(*leaves).backward(g)
+        lead = list(range(x.ndim - 1))
+        want = (np.einsum("...n,kn->...k", g, w),
+                np.einsum(x, lead + [40], g, lead + [41], [40, 41]),
+                np.einsum(g, lead + [41], [41]))
+        for leaf, ref in zip(leaves, want):
+            np.testing.assert_allclose(leaf.grad, ref, rtol=1e-12)
+
+    def test_broadcast_weight_grad_of_matmul_matches_einsum(self):
+        x, w = self.rng.normal(size=(2, 3, 4, 3)), self.rng.normal(size=(3, 5))
+        g = self.rng.normal(size=(2, 3, 4, 5))
+        vx, vw = ad.Var(x, requires_grad=True), ad.Var(w, requires_grad=True)
+        ad.matmul(vx, vw).backward(g)
+        np.testing.assert_allclose(
+            vw.grad, np.einsum(x, [0, 1, 2, 8], g, [0, 1, 2, 9], [8, 9]), rtol=1e-12)
+        np.testing.assert_allclose(vx.grad, np.einsum("...n,kn->...k", g, w), rtol=1e-12)
+
+    def test_linear_counts_forward_macs_only(self):
+        x, w, b = (self.rng.normal(size=s) for s in ((2, 3, 4, 3), (3, 5), (5,)))
+        leaves = [ad.Var(a, requires_grad=True) for a in (x, w, b)]
+        with numerics.count_macs() as c:
+            out = ad.linear(*leaves)
+            assert c.macs == 2 * 3 * 4 * 3 * 5
+            out.backward(np.ones(out.shape))
+        assert c.macs == 2 * 3 * 4 * 3 * 5
+
     def test_reshape_swapaxes_getitem(self):
         x = self.rng.normal(size=(4, 6))
         check_against_fd(lambda v: v.reshape(2, 12).sum(axis=0).sum(), x)

@@ -163,6 +163,15 @@ class TestFlagTable:
                                           "--set", "train.seed=2"])
         assert resolve(args).train.seed == 3
 
+    def test_set_keeps_surrounding_whitespace_as_a_flag_does(self):
+        parser = build_parser()
+        by_flag = resolve(parser.parse_args(["generate", "--prompt", " a "]))
+        by_set = resolve(parser.parse_args(["generate", "--set", "run.prompt= a "]))
+        assert by_flag == by_set
+        assert by_set.prompt == " a "
+        padded = resolve(parser.parse_args(["train", "--set", " train.total_steps = 5 "]))
+        assert padded.train.total_steps == 5
+
     @pytest.mark.parametrize("flag,value,key", [("--steps", "abc", "train.total_steps"),
                                                 ("--lr", "fast", "train.lr_peak")])
     def test_bad_flag_value_is_one_error_line(self, flag, value, key, capsys):

@@ -8,7 +8,8 @@ from spikeclm.distill import (SpadConfig, layer_map, loss_attention, loss_embedd
                               loss_feature, loss_hard, loss_soft, loss_total,
                               pool_heads, spad_losses, spike_encode)
 from spikeclm.errors import AlignmentError, ConfigError, ValidationError
-from spikeclm.model import ModelConfig, ann_forward, init_params, snn_forward
+from spikeclm.model import (ModelConfig, ann_forward, init_params, layer_norm,
+                            snn_forward, time_mean)
 from spikeclm.neurons import LifParams, empirical_rate
 
 
@@ -310,3 +311,150 @@ class TestGradientFlow:
             denom = np.maximum(np.abs(fd), 1e-8)
             rel = np.abs(v.grad - fd) / denom
             assert np.percentile(rel, 99) < 1e-3, f"{key}: p99 rel err {np.percentile(rel, 99)}"
+
+
+# -- each loss is one node: values and gradients against the composed tape ----
+#
+# The reference losses below are the compositions of tape ops that each loss
+# was written as before it became one node with a closed-form VJP.
+
+
+def _ref_mse(target, student):
+    diff = target - student
+    return (diff * diff).mean()
+
+
+def ref_embedding(e_ann, steps):
+    return _ref_mse(e_ann, time_mean(steps))
+
+
+def ref_attention(a_ann, steps, p, gamma):
+    mean = time_mean(steps)
+    rate_target = spike_encode(a_ann, ad.value(steps).shape[0], p).mean(axis=0)
+    return gamma * _ref_mse(rate_target, mean) + (1.0 - gamma) * _ref_mse(a_ann, mean)
+
+
+def ref_feature(h_ann, steps, p, gamma):
+    mean = time_mean(steps)
+    rate_target = spike_encode(h_ann, ad.value(steps).shape[0], p).mean(axis=0)
+    ones, zeros = np.ones(h_ann.shape[-1]), np.zeros(h_ann.shape[-1])
+    mse_branch = _ref_mse(layer_norm(h_ann, ones, zeros), layer_norm(mean, ones, zeros))
+    return gamma * _ref_mse(rate_target, mean) + (1.0 - gamma) * mse_branch
+
+
+def ref_soft(z_ann, z_snn, tau):
+    log_p = ad.log_softmax(z_ann / tau)
+    log_q = ad.log_softmax(z_snn / tau)
+    p = np.exp(log_p)
+    return (tau * tau) * (p * (log_p - log_q)).sum(axis=-1).mean()
+
+
+def ref_hard(z_snn, targets):
+    return -ad.gather_last(ad.log_softmax(z_snn), targets).mean()
+
+
+LIF = LifParams(beta=0.5, u_thr=0.4)
+T_STEPS = 3  # 1/3 is inexact, so a taped mean and a plain one round apart
+
+
+def student_stack(kind, shape, seed):
+    """A [T, ...] student stack of binary, ternary (+-amp) or relaxed spikes."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((T_STEPS,) + shape)
+    if kind == "binary":
+        return (u < 0.4).astype(np.float64)
+    if kind == "ternary":
+        return 0.75 * ((u > 0.7).astype(np.float64) - (u < 0.3))
+    return u
+
+
+def teacher_map(shape, seed):
+    """Causal row-stochastic maps, as pooled teacher attention."""
+    rng = np.random.default_rng(seed)
+    a = rng.random(shape) * np.tri(shape[-1])
+    return a / a.sum(axis=-1, keepdims=True)
+
+
+TIME_LOSSES = {
+    "embedding": (loss_embedding, ref_embedding, (2, 5, 6),
+                  lambda shape, seed: np.random.default_rng(seed).normal(size=shape)),
+    "attention": (lambda t, s: loss_attention(t, s, LIF, 0.3),
+                  lambda t, s: ref_attention(t, s, LIF, 0.3), (2, 2, 5, 5), teacher_map),
+    "feature": (lambda t, s: loss_feature(t, s, LIF, 0.6),
+                lambda t, s: ref_feature(t, s, LIF, 0.6), (2, 5, 6),
+                lambda shape, seed: np.random.default_rng(seed).normal(size=shape)),
+}
+
+
+def taped_loss(fn, student, *args):
+    """(loss value, gradient of 0.7 * loss) with student as a taped leaf."""
+    v = ad.Var(student.copy(), requires_grad=True)
+    out = fn(v, *args)
+    out.backward(0.7)
+    return out.data, v.grad
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestLossNodes:
+    @pytest.mark.parametrize("kind", ["binary", "ternary", "relaxed"])
+    @pytest.mark.parametrize("name", sorted(TIME_LOSSES))
+    def test_time_mean_losses_match_the_composed_tape(self, name, kind):
+        """Several seeds, since a taped mean and a plain one differ only in
+        the last bit and only for some inputs."""
+        fn, ref, shape, make_teacher = TIME_LOSSES[name]
+        for seed in range(8):
+            teacher = make_teacher(shape, seed + 1)
+            steps = student_stack(kind, shape, seed + 2)
+            got, got_grad = taped_loss(lambda v: fn(teacher, v), steps)
+            want, want_grad = taped_loss(lambda v: ref(teacher, v), steps)
+            assert same_bits(got, want)
+            assert got_grad.shape == steps.shape and got_grad.flags.c_contiguous
+            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-300)
+            assert np.abs(got_grad).max() > 0
+            # untaped, a list of steps or a stack: the composed plain value
+            for plain in (steps, list(steps)):
+                assert same_bits(fn(teacher, plain), ref(teacher, plain))
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0, 3.0])
+    def test_soft_loss_matches_the_composed_tape(self, tau):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            z_ann, z_snn = rng.normal(size=(2, 4, 9)), 3.0 * rng.normal(size=(2, 4, 9))
+            got, got_grad = taped_loss(lambda v: loss_soft(z_ann, v, tau), z_snn)
+            want, want_grad = taped_loss(lambda v: ref_soft(z_ann, v, tau), z_snn)
+            assert same_bits(got, want)
+            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-300)
+            assert same_bits(loss_soft(z_ann, z_snn, tau), ref_soft(z_ann, z_snn, tau))
+
+    @pytest.mark.parametrize("shape", [(7, 11), (2, 5, 11)])
+    def test_hard_loss_matches_the_composed_tape(self, shape):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            z = 4.0 * rng.normal(size=shape)
+            targets = rng.integers(0, shape[-1], shape[:-1])
+            got, got_grad = taped_loss(lambda v: loss_hard(v, targets), z)
+            want, want_grad = taped_loss(lambda v: ref_hard(v, targets), z)
+            assert same_bits(got, want)
+            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-300)
+            assert same_bits(loss_hard(z, targets), ref_hard(z, targets))
+
+    def test_taped_spad_losses_add_only_scalar_nodes(self, monkeypatch):
+        cfg_s, p_s, cfg_t, p_t = build_pair(layers_t=4, heads_t=4)
+        ids = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+        _, t_trace = ann_forward(ids, cfg_t, p_t)
+        vparams = {k: ad.Var(v, requires_grad=True) for k, v in p_s.items()}
+        logits, s_trace = snn_forward(ids, cfg_s, vparams)
+        shapes = []
+        init = ad.Var.__init__
+
+        def recording_init(var, data, *args, **kwargs):
+            init(var, data, *args, **kwargs)
+            shapes.append(var.shape)
+        monkeypatch.setattr(ad.Var, "__init__", recording_init)
+        total, _ = spad_losses(logits, s_trace, t_trace, (ids + 1) % 13,
+                               SpadConfig(), cfg_s.neuron_spec().lif)
+        assert isinstance(total, ad.Var) and shapes
+        assert set(shapes) == {()}

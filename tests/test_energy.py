@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from spikeclm import energy, numerics
+from spikeclm import autodiff as ad, energy, numerics
+from spikeclm.data import make_windows
+from spikeclm.distill import SpadConfig, spad_losses
 from spikeclm.energy import count_flops, energy_report, sops
 from spikeclm.errors import ConfigError, ValidationError
 from spikeclm.model import ModelConfig, TraceBundle, ann_forward, init_params, snn_forward
+from spikeclm.training import evaluate_ce
 
 
 class TestFlopCounts:
@@ -45,6 +48,31 @@ class TestFlopCounts:
         with numerics.count_macs() as c:
             ann_forward(ids, cfg, params)
         assert c.macs == count_flops(cfg, 7).total()
+
+    def test_eval_and_taped_step_macs_equal_counted_flops(self):
+        """evaluate_ce counts B * (T * (sfsa + sffn) + head) MACs; a taped SpAD
+        step counts the student's and the teacher's forward, and its backward
+        products none."""
+        cfg = ModelConfig(vocab_size=257, d_model=8, n_layers=2, n_heads=2,
+                          d_ff=12, max_seq_len=8, t_steps=2)
+        tcfg = ModelConfig(vocab_size=257, d_model=8, n_layers=2, n_heads=2,
+                           d_ff=12, max_seq_len=8, t_steps=1)
+        params = init_params(cfg, seed=1)
+        ids = np.array([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1]])
+        fc = count_flops(cfg, 6)
+        student = 2 * (2 * (sum(fc.sfsa) + sum(fc.sffn)) + fc.head)
+        windows = make_windows(np.arange(24), 6)
+        with numerics.count_macs() as c:
+            evaluate_ce(cfg, params, windows, batch_size=2)
+        assert c.macs == len(windows) // 2 * student
+        with numerics.count_macs() as c:
+            vparams = {k: ad.Var(v, requires_grad=True) for k, v in params.items()}
+            logits, s_trace = snn_forward(ids, cfg, vparams)
+            _, t_trace = ann_forward(ids, tcfg, init_params(tcfg, 2, kind="teacher"))
+            total, _ = spad_losses(logits, s_trace, t_trace, ids + 1,
+                                   SpadConfig(), cfg.neuron_spec().lif)
+            total.backward()
+        assert c.macs == student + 2 * count_flops(tcfg, 6).total() == 88512
 
     def test_teacher_macs_scale_with_batch(self):
         cfg = ModelConfig(vocab_size=13, d_model=8, n_layers=1, n_heads=2,
