@@ -126,8 +126,12 @@ def _scores(q, k_t, mask, scale=None):
         if held[0] is not g:
             held[:] = g, (g * scale if scale is not None else g if mask is None else g * mask)
         return held[1]
-    return ad.custom_op(s, (q, lambda g: product_grad(g) @ kv.swapaxes(-1, -2)),
-                        (k_t, lambda g: qv.swapaxes(-1, -2) @ product_grad(g)))
+
+    def k_vjp(g):
+        gk = qv.swapaxes(-1, -2) @ product_grad(g)
+        held[:] = None, None  # k_t's VJP runs last, so the tape need not keep them
+        return gk
+    return ad.custom_op(s, (q, lambda g: product_grad(g) @ kv.swapaxes(-1, -2)), (k_t, k_vjp))
 
 
 def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,

@@ -5,13 +5,19 @@ gradient to its parents. Ops build the tape eagerly; Var.backward walks it
 once in reverse topological order. Only the handful of operations the
 models need exist here.
 
-custom_op is the one constructor of tape nodes: every op, here or in its
+custom_op is the constructor of tape nodes: every op, here or in its
 owning module, computes its forward value on raw arrays and hands it to
 custom_op with one vector-Jacobian product per operand. Each op is thus
 written once for plain and taped input: with no Var operand custom_op
 returns the plain value, so inference paths skip the tape entirely. A
 neuron population's run over all time steps is one such node, whose
-backward is the BPTT recurrence.
+backward is the BPTT recurrence; chain_op builds it over the node that
+produced its input current, so the tape does not hold that current.
+
+A gradient lives only as long as backward reads it. Once a node's VJP has
+run, backward drops the node's .grad, so after backward only the leaves
+hold gradients. That also makes backward repeatable: a second call on the
+same graph adds the first pass's leaf gradients once more.
 """
 
 from __future__ import annotations
@@ -68,7 +74,9 @@ class Var:
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
 
         seed is the upstream gradient at this node (scalar or array of the
-        node's shape); 1.0 is the usual choice for a scalar loss.
+        node's shape); 1.0 is the usual choice for a scalar loss. Each
+        non-leaf node's .grad is dropped once its VJP has read it, so only
+        the leaves keep gradients.
         """
         if not self.requires_grad:
             raise InternalError("backward called on a node with no gradient path")
@@ -93,7 +101,8 @@ class Var:
         _accum(self, seed_arr)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                node._backward(g)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -218,6 +227,27 @@ def custom_op(fwd_value: np.ndarray, *operands):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = bw
+    return out
+
+
+def chain_op(fwd_value: np.ndarray, x, vjp):
+    """custom_op(fwd_value, (x, vjp)) that takes over the node x came from.
+
+    When x is a non-leaf Var, the new node gets x's parents, and its
+    backward hands vjp(g), summed down to x's shape, straight to x's own
+    VJP. The tape then holds neither x nor x.data: only the caller's
+    references keep them alive. A producer consumed elsewhere as well still
+    gets every gradient, once from each consumer. vjp's result should be
+    C-ordered, as BPTT's is: a product made fresh is, so that is the layout
+    _accum would have given x's gradient.
+    """
+    if not (isinstance(x, Var) and x._backward is not None):
+        return custom_op(fwd_value, (x, vjp))
+    shape, producer = x.data.shape, x._backward
+    out = Var(fwd_value)
+    out.requires_grad = True
+    out._parents = x._parents
+    out._backward = lambda g: producer(_unbroadcast(vjp(g), shape))
     return out
 
 

@@ -32,6 +32,14 @@ the run keeps every membrane and is the population's one node, whose
 backward runs the BPTT recurrence in reverse over t (Neftci, Mostafa &
 Zenke 2019), through the input, decay, reset and surrogate paths. That
 backward writes dL/dI over the surrogate slope, row by row.
+
+A taped population takes over the node that produced its current (a
+linear map, attention scores or a matmul; autodiff.chain_op): it inherits
+that node's parents, and its backward hands dL/dI straight to that node's
+VJP. The tape then keeps no [T, ...] current, and the current is freed
+when the forward returns, since the LIF backward reads only the membranes
+and spikes. The ternary backward rebuilds the pre-spike membranes from the
+currents, so a ternary run keeps them in its closure.
 """
 
 from __future__ import annotations
@@ -234,7 +242,8 @@ def _run_population(step, bptt, currents, p, relaxed: bool = False, t_steps: int
     keeps every membrane in a [T, ...] stack for the backward; an untaped
     one advances a single membrane buffer in place, so the states a step
     returns are overwritten by the next. When currents is a Var the result
-    is one tape node whose backward is bptt.
+    is one tape node whose backward is bptt, built by autodiff.chain_op
+    over the node that produced the currents.
     """
     taped = isinstance(currents, Var)
     data = currents.data if taped else np.asarray(currents, dtype=np.float64)
@@ -255,8 +264,9 @@ def _run_population(step, bptt, currents, p, relaxed: bool = False, t_steps: int
         _, state = step(state, data[t], p, relaxed, spikes[t, ...], u_out, scratch)
     if not taped:
         return spikes
-    return autodiff.custom_op(
-        spikes, (currents, lambda g: bptt(g, data, membranes, spikes, p)))
+    kept = data if bptt is _ternary_bptt else None  # only it reads the currents
+    return autodiff.chain_op(
+        spikes, currents, lambda g: bptt(g, kept, membranes, spikes, p))
 
 
 @dataclass

@@ -408,14 +408,26 @@ class TestScoreNode:
         for got in grads[1:]:
             assert same_bits(got[0], grads[0][0]) and same_bits(got[1], grads[0][1])
 
-    def test_masked_csa_scores_get_zero_gradient(self):
-        """Masked logits leave the softmax at exactly 0, so they pass back 0."""
+    def test_masked_csa_scores_get_zero_gradient(self, monkeypatch):
+        """Masked logits leave the softmax at exactly 0, so they pass back 0.
+
+        The softmax reads a leaf holding the block's masked logits, which
+        thus keeps their gradient.
+        """
+        logits = []
+        real = ad.softmax
+
+        def softmax_of_leaf(x, axis=-1):
+            logits.append(ad.Var(ad.value(x), requires_grad=True))
+            return real(logits[-1], axis)
+        monkeypatch.setattr(ad, "softmax", softmax_of_leaf)
         rng = np.random.default_rng(26)
         w = taped_weights(random_weights(8, seed=27))
-        out, attn = csa_forward(rng.normal(size=(2, 5, 8)), w, 2)
+        out, _ = csa_forward(rng.normal(size=(2, 5, 8)), w, 2)
         (out * rng.normal(size=out.shape)).sum().backward()
-        scores = attn._parents[0]
+        [scores] = logits
         hidden = np.broadcast_to(causal_mask(5) == 0, scores.shape)
+        assert np.all(scores.data[hidden] < -1e8)
         assert np.all(scores.grad[hidden] == 0.0)
         assert np.count_nonzero(scores.grad[~hidden]) > 0
 

@@ -267,12 +267,41 @@ class TestBackwardMechanics:
         np.testing.assert_array_equal(x.grad, [4.0, -12.0])
 
     def test_shared_gradient_is_not_written_through(self):
-        """The add hands one g to x and y; x's later contribution must not reach y."""
+        """x + y hands one g to both leaves; x's later contribution must not reach y."""
         x = ad.Var(np.array([1.0, 2.0]), requires_grad=True)
-        y = x * 3.0
-        (x + y).sum().backward()
+        y = ad.Var(np.array([5.0, 7.0]), requires_grad=True)
+        ((x + y) + x * 3.0).sum().backward()
         np.testing.assert_array_equal(y.grad, [1.0, 1.0])
         np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+
+    def test_second_backward_adds_the_same_gradients(self):
+        """y = (3x) x at x = 2: each pass adds dy/dx = 12, so two give 24."""
+        x = ad.Var(np.array([2.0]), requires_grad=True)
+        y = (x * 3.0) * x
+        y.backward()
+        np.testing.assert_array_equal(x.grad, [12.0])
+        y.backward()
+        np.testing.assert_array_equal(x.grad, [24.0])
+
+    def test_only_leaves_keep_gradients(self):
+        """After backward every node with a VJP has dropped its .grad."""
+        rng = np.random.default_rng(4)
+        x = ad.Var(rng.normal(size=(3, 4)), requires_grad=True)
+        w = ad.Var(rng.normal(size=(4, 5)), requires_grad=True)
+        b = ad.Var(rng.normal(size=5), requires_grad=True)
+        h = ad.relu(ad.linear(x, w, b))
+        loss = (ad.log_softmax(h @ w.swapaxes(0, 1), axis=-1)[:, 0] * h.sum(axis=1)).mean()
+        loss.backward()
+        nodes, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if all(node is not n for n in nodes):
+                nodes.append(node)
+                stack.extend(node._parents)
+        inner = [n for n in nodes if n._backward is not None]
+        assert len(inner) > 5 and all(n.grad is None for n in inner)
+        assert {id(n) for n in nodes if n._backward is None} == {id(x), id(w), id(b)}
+        assert all(np.count_nonzero(v.grad) for v in (x, w, b))
 
     def test_sub_is_one_node(self):
         x = ad.Var(np.array([5.0, 1.0]), requires_grad=True)

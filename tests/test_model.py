@@ -1,5 +1,7 @@
 """Model-level tests: wiring, traces, decoding, generation, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,31 @@ class TestSnnForward:
         for i in range(cfg.n_layers):
             assert sum(np.count_nonzero(a) for a in trace.attn_spikes[i]) > 0
             assert set(np.unique(trace.hidden[i][0])) <= {-amp, 0.0, amp}
+
+
+class TestTapeMemory:
+    def test_taped_step_peak(self):
+        """Traced peak of a smoke-size (d64, 2 layers, T2) taped forward and
+        backward on an 8x64 batch. It measured 45.5 MB, and the bound leaves
+        ~8% over that. Keeping the non-leaf gradients, the populations'
+        [T, ...] currents or the score node's upstream gradient measured
+        50-58 MB, and 89.7 MB with none of the three released."""
+        cfg = ModelConfig(d_model=64, n_layers=2, n_heads=4, d_ff=256, max_seq_len=64,
+                          t_steps=2)
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        ids, targets = rng.integers(0, 256, size=(2, 8, 64))
+        vparams = {k: ad.Var(p, requires_grad=True) for k, p in params.items()}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits, _ = snn_forward(ids, cfg, vparams)
+            loss_hard(logits.reshape((-1, cfg.vocab_size)), targets.reshape(-1)).backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(v.grad is not None for v in vparams.values())
+        assert peak <= 49e6
 
 
 class TestDecodeLogits:

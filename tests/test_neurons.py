@@ -1,12 +1,13 @@
 """Neuron dynamics tests with hand-computed membrane traces."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from spikeclm import autodiff as ad
-from spikeclm import neurons, numerics
+from spikeclm import attention, neurons, numerics
 from spikeclm.errors import ConfigError, ShapeError, ValidationError
 from spikeclm.neurons import LifParams, NeuronSpec, NeuronState, TernaryParams
 
@@ -475,6 +476,64 @@ class TestRunner:
             NeuronSpec().run(np.zeros((2, 3)), 3)
         with pytest.raises(ValidationError, match="t_steps must be >= 1"):
             NeuronSpec().run(np.zeros((1, 3)), 0)
+
+
+PRODUCERS = {
+    "linear": lambda a, b: ad.linear(a, b, np.full(4, 0.1)),
+    "scores": lambda a, b: attention._scores(a, b, None),
+    "matmul": ad.matmul,
+}
+
+
+class TestTakeOver:
+    """A taped population takes over the node that made its current."""
+
+    @staticmethod
+    def operands():
+        rng = np.random.default_rng(31)
+        return (ad.Var(rng.normal(size=(3, 2, 4)), requires_grad=True),
+                ad.Var(rng.normal(size=(4, 4)), requires_grad=True))
+
+    @pytest.mark.parametrize("producer", sorted(PRODUCERS))
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_only_ternary_runs_keep_the_current(self, mode, producer):
+        a, b = self.operands()
+        current = PRODUCERS[producer](a, b)
+        alive = weakref.ref(current.data)
+        out = NeuronSpec(mode).run(current)
+        assert out._parents == current._parents == (a, b)
+        del current
+        assert (alive() is not None) == (mode == "ternary")
+        out.sum().backward()
+        assert np.count_nonzero(a.grad) and np.count_nonzero(b.grad)
+
+    @pytest.mark.parametrize("producer", sorted(PRODUCERS))
+    @pytest.mark.parametrize("spec", RUNNER_SPECS)
+    def test_gradients_match_the_two_node_chain(self, spec, producer):
+        """Bit for bit: the population's dL/dI fed to the producer's own node."""
+        seed = np.random.default_rng(32).normal(size=(3, 2, 4))
+        a, b = self.operands()
+        spec.run(PRODUCERS[producer](a, b)).backward(seed)
+        ra, rb = self.operands()
+        current = PRODUCERS[producer](ra, rb)
+        leaf = ad.Var(current.data.copy(), requires_grad=True)
+        spec.run(leaf).backward(seed)
+        current.backward(leaf.grad)
+        assert np.count_nonzero(leaf.grad)
+        assert_same_bits(a.grad, ra.grad)
+        assert_same_bits(b.grad, rb.grad)
+
+    def test_constant_drive_takes_over_its_producer(self):
+        """A [1, ...] current held over t_steps gets its gradient summed over t."""
+        a, b = self.operands()
+        seed = np.random.default_rng(33).normal(size=(3, 1, 2, 4))
+        NeuronSpec().run((a @ b)[None], 3).backward(seed)
+        leaf = ad.Var((a.data @ b.data)[None], requires_grad=True)
+        NeuronSpec().run(leaf, 3).backward(seed)
+        ra, rb = self.operands()
+        (ra @ rb).backward(leaf.grad[0])
+        assert_same_bits(a.grad, ra.grad)
+        assert_same_bits(b.grad, rb.grad)
 
 
 class TestRatesAndTraces:
