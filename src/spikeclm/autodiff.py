@@ -9,7 +9,9 @@ custom_op is the constructor of tape nodes: every op, here or in its
 owning module, computes its forward value on raw arrays and hands it to
 custom_op with one vector-Jacobian product per operand. Each op is thus
 written once for plain and taped input: with no Var operand custom_op
-returns the plain value, so inference paths skip the tape entirely. A
+returns the plain value, so inference paths skip the tape entirely, and a
+taped op's value is its plain value bit for bit. The tape only adds
+gradients: every Var is differentiable, and constants are plain arrays. A
 neuron population's run over all time steps is one such node, whose
 backward is the BPTT recurrence; chain_op builds it over the node that
 produced its input current, so the tape does not hold that current.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .errors import InternalError, ShapeError
+from .errors import ShapeError
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -43,17 +45,20 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 class Var:
-    """Node in the gradient tape; constructed directly it is a leaf."""
+    """Node in the gradient tape; constructed directly it is a leaf.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    Every Var gets a gradient from backward: a value that needs none is
+    passed as a plain array.
+    """
+
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
     # keep numpy from absorbing Vars into object arrays; reflected ops run instead
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
 
@@ -66,7 +71,7 @@ class Var:
         return self.data.ndim
 
     def __repr__(self):
-        return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Var(shape={self.data.shape})"
 
     # -- graph walk ---------------------------------------------------------
 
@@ -78,8 +83,6 @@ class Var:
         non-leaf node's .grad is dropped once its VJP has read it, so only
         the leaves keep gradients.
         """
-        if not self.requires_grad:
-            raise InternalError("backward called on a node with no gradient path")
         topo: list[Var] = []
         visited: set[int] = set()
         stack: list[tuple[Var, bool]] = [(self, False)]
@@ -93,7 +96,7 @@ class Var:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if id(p) not in visited:
                     stack.append((p, False))
         seed_arr = np.asarray(seed, dtype=np.float64)
         if seed_arr.shape != self.data.shape:
@@ -128,9 +131,10 @@ class Var:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        return self * (other ** -1.0 if isinstance(other, Var) else value(other) ** -1.0)
+        # a quotient, not a product with the reciprocal, so it equals numpy's
+        o = value(other)
+        out = self.data / o
+        return custom_op(out, (self, lambda g: g / o), (other, lambda g: -g * out / o))
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
@@ -167,14 +171,8 @@ class Var:
         return custom_op(self.data.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = 1
-            for a in axes:
-                n *= self.data.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        n = self.data.size if axis is None else np.prod(np.take(self.data.shape, axis))
+        return self.sum(axis=axis, keepdims=keepdims) / n
 
 
 def is_var(x) -> bool:
@@ -218,15 +216,14 @@ def custom_op(fwd_value: np.ndarray, *operands):
     parents = [x for x, _ in operands if isinstance(x, Var)]
     if not parents:
         return fwd_value
+
+    def bw(g):
+        for x, vjp in operands:
+            if isinstance(x, Var):
+                _accum(x, _unbroadcast(vjp(g), x.data.shape))
     out = Var(fwd_value)
-    if any(p.requires_grad for p in parents):
-        def bw(g):
-            for x, vjp in operands:
-                if isinstance(x, Var) and x.requires_grad:
-                    _accum(x, _unbroadcast(vjp(g), x.data.shape))
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = bw
+    out._parents = tuple(parents)
+    out._backward = bw
     return out
 
 
@@ -245,7 +242,6 @@ def chain_op(fwd_value: np.ndarray, x, vjp):
         return custom_op(fwd_value, (x, vjp))
     shape, producer = x.data.shape, x._backward
     out = Var(fwd_value)
-    out.requires_grad = True
     out._parents = x._parents
     out._backward = lambda g: producer(_unbroadcast(vjp(g), shape))
     return out

@@ -44,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (AlignmentError, ConfigError, InternalError, ValidationError,
                      require_finite_fields)
-from .model import LN_EPS, step_mean
+from .model import time_mean, unit_layer_norm, unit_layer_norm_vjp
 from .neurons import LifParams, lif_constant_drive
 
 LOSS_NAMES = ("emb", "attn", "feat", "soft", "hard")
@@ -116,44 +116,18 @@ def spike_encode(x: np.ndarray, t_steps: int, p: LifParams) -> np.ndarray:
     return lif_constant_drive(x, t_steps, p)
 
 
-def _mean(x: np.ndarray, taped: bool, axis=None):
-    """x's mean, or its keepdims mean over one axis, as the tape computes it.
-
-    A taped mean (Var.mean) multiplies the sum by 1/n; numpy divides it by n.
-    """
-    if axis is None:
-        total, n = x.sum(), x.size
-    else:
-        total, n = x.sum(axis=axis, keepdims=True), x.shape[axis]
-    return total * (1.0 / n) if taped else total / n
-
-
-def _layer_norm(x: np.ndarray, taped: bool):
-    """layer_norm of x with unit gain and zero bias, and the 1/std it scaled by."""
-    xc = x - _mean(x, taped, axis=-1)
-    r = (_mean(xc * xc, taped, axis=-1) + LN_EPS) ** -0.5
-    return xc * r, r
-
-
-def _layer_norm_vjp(y: np.ndarray, r: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Gradient of x given dy, for y, r = _layer_norm(x)."""
-    return r * (dy - dy.mean(axis=-1, keepdims=True)
-                - y * (dy * y).mean(axis=-1, keepdims=True))
-
-
 def _student_mean(steps, teacher: np.ndarray, mismatch: str):
-    """(stack, mean, taped) for a student [T, ...] stack, plain or taped.
+    """(stack, mean) for a student [T, ...] stack, plain or taped.
 
     mean is time_mean's value of the stack, and must have the teacher's
     shape; mismatch opens the error otherwise.
     """
     stack = ad.value(steps)
-    taped = ad.is_var(steps)
-    mean = step_mean(stack, taped)
+    mean = time_mean(stack)
     if mean.shape != teacher.shape:
         raise AlignmentError(
             f"{mismatch}: teacher {teacher.shape}, student {mean.shape}")
-    return stack, mean, taped
+    return stack, mean
 
 
 def _mean_loss(value, steps, stack: np.ndarray, mean_grad):
@@ -176,22 +150,21 @@ def loss_embedding(e_ann: np.ndarray, e_snn_steps):
     stack of spikes (a Var when taped).
     """
     e_ann = np.asarray(e_ann, dtype=np.float64)
-    stack, mean, taped = _student_mean(e_snn_steps, e_ann, "embedding shapes differ")
+    stack, mean = _student_mean(e_snn_steps, e_ann, "embedding shapes differ")
     diff = e_ann - mean
     coef = -2.0 / (diff.size * len(stack))
-    return _mean_loss(_mean(diff * diff, taped), e_snn_steps, stack,
+    return _mean_loss((diff * diff).mean(), e_snn_steps, stack,
                       lambda g: (g * coef) * diff)
 
 
 def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
     """Rate branch vs direct branch on attention maps, mixed by gamma."""
     a_ann = np.asarray(a_ann, dtype=np.float64)
-    stack, mean, taped = _student_mean(a_snn_steps, a_ann,
-                                       "attention shapes differ after alignment")
+    stack, mean = _student_mean(a_snn_steps, a_ann,
+                                "attention shapes differ after alignment")
     d_rate = spike_encode(a_ann, len(stack), p).mean(axis=0) - mean
     d_map = a_ann - mean
-    value = (gamma * _mean(d_rate * d_rate, taped)
-             + (1.0 - gamma) * _mean(d_map * d_map, taped))
+    value = gamma * (d_rate * d_rate).mean() + (1.0 - gamma) * (d_map * d_map).mean()
     coef = -2.0 / (mean.size * len(stack))
     return _mean_loss(value, a_snn_steps, stack,
                       lambda g: (g * coef) * (gamma * d_rate + (1.0 - gamma) * d_map))
@@ -200,15 +173,14 @@ def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
 def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float):
     """Feature alignment; see the module docstring for the two branches."""
     h_ann = np.asarray(h_ann, dtype=np.float64)
-    stack, mean, taped = _student_mean(h_snn_steps, h_ann, "feature shapes differ")
+    stack, mean = _student_mean(h_snn_steps, h_ann, "feature shapes differ")
     d_rate = spike_encode(h_ann, len(stack), p).mean(axis=0) - mean
-    y, r = _layer_norm(mean, taped)
-    d_ln = _layer_norm(h_ann, False)[0] - y
-    value = (gamma * _mean(d_rate * d_rate, taped)
-             + (1.0 - gamma) * _mean(d_ln * d_ln, taped))
+    y, r = unit_layer_norm(mean)
+    d_ln = unit_layer_norm(h_ann)[0] - y
+    value = gamma * (d_rate * d_rate).mean() + (1.0 - gamma) * (d_ln * d_ln).mean()
     coef = -2.0 / (mean.size * len(stack))
     return _mean_loss(value, h_snn_steps, stack, lambda g: (g * coef) * (
-        gamma * d_rate + (1.0 - gamma) * _layer_norm_vjp(y, r, d_ln)))
+        gamma * d_rate + (1.0 - gamma) * unit_layer_norm_vjp(y, r, d_ln)))
 
 
 def loss_soft(z_ann: np.ndarray, z_snn, tau: float):
@@ -219,10 +191,8 @@ def loss_soft(z_ann: np.ndarray, z_snn, tau: float):
     z = ad.value(z_snn)
     if z.shape != z_ann.shape:
         raise AlignmentError(f"logit shapes differ: {z_ann.shape} vs {z.shape}")
-    taped = ad.is_var(z_snn)
     log_p = ad.log_softmax(z_ann / tau)
-    # a taped Var divided by a number multiplies by its reciprocal
-    log_q = ad.log_softmax(z * (1.0 / tau) if taped else z / tau)
+    log_q = ad.log_softmax(z / tau)
     p = np.exp(log_p)
     kl_per_token = (p * (log_p - log_q)).sum(axis=-1)
 
@@ -231,7 +201,7 @@ def loss_soft(z_ann: np.ndarray, z_snn, tau: float):
         out -= p
         out *= g * (tau / kl_per_token.size)
         return out
-    return ad.custom_op((tau * tau) * _mean(kl_per_token, taped), (z_snn, vjp))
+    return ad.custom_op((tau * tau) * kl_per_token.mean(), (z_snn, vjp))
 
 
 def loss_hard(z_snn, targets):
@@ -253,7 +223,7 @@ def loss_hard(z_snn, targets):
         np.put_along_axis(out, ids, np.take_along_axis(out, ids, axis=-1) - 1.0, axis=-1)
         out *= g * (1.0 / picked.size)
         return out
-    return ad.custom_op(-_mean(picked, ad.is_var(z_snn)), (z_snn, vjp))
+    return ad.custom_op(-picked.mean(), (z_snn, vjp))
 
 
 def loss_total(components, cfg: SpadConfig):

@@ -20,6 +20,7 @@ write_checkpoint, with every multi-byte value little-endian.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -330,28 +331,16 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
 def time_mean(steps):
     """Mean over the leading time axis of a [T, ...] stack (array or Var).
 
-    The steps are summed in t order; a plain array is then divided by T and
-    a Var multiplied by 1/T, as Var division by a number does.
+    The steps are summed in t order, then divided by T.
     """
     d = ad.value(steps)
-    if not isinstance(steps, ad.Var):
-        return step_mean(d)
-    n = len(d)
-    return ad.custom_op(step_mean(d, taped=True),
-                        (steps, lambda g: np.broadcast_to(g * (1.0 / n), d.shape)))
-
-
-def step_mean(d: np.ndarray, taped: bool = False) -> np.ndarray:
-    """time_mean's value on a plain [T, ...] stack, with no tape node.
-
-    taped=True gives the value time_mean computes for a Var of the stack.
-    """
     if d.ndim == 0 or len(d) == 0:
         raise ShapeError("time_mean needs at least one time step")
     total = d[0]
     for s in d[1:]:
         total = total + s
-    return total * (1.0 / len(d)) if taped else total / len(d)
+    n = len(d)
+    return ad.custom_op(total / n, (steps, lambda g: np.broadcast_to(g / n, d.shape)))
 
 
 def decode_logits(head_inputs, w_head):
@@ -362,11 +351,29 @@ def decode_logits(head_inputs, w_head):
 # -- dense teacher -------------------------------------------------------------
 
 
+def unit_layer_norm(x: np.ndarray):
+    """LayerNorm of x over its last axis with unit gain and zero bias.
+
+    Returns (y, r): the normalized x and the 1/std it was scaled by.
+    """
+    xc = x - x.mean(axis=-1, keepdims=True)
+    r = ((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS) ** -0.5
+    return xc * r, r
+
+
+def unit_layer_norm_vjp(y: np.ndarray, r: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of x given dy, for y, r = unit_layer_norm(x)."""
+    return r * (dy - dy.mean(axis=-1, keepdims=True)
+                - y * (dy * y).mean(axis=-1, keepdims=True))
+
+
 def layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * ((var + LN_EPS) ** -0.5) * g + b
+    """unit_layer_norm(x) * g + b on either kind, as one node."""
+    gv = ad.value(g)
+    y, r = unit_layer_norm(ad.value(x))
+    return ad.custom_op(y * gv + ad.value(b),
+                        (x, lambda dy: unit_layer_norm_vjp(y, r, dy * gv)),
+                        (g, lambda dy: dy * y), (b, lambda dy: dy))
 
 
 @dataclass
@@ -460,7 +467,10 @@ def generate(prompt, n_new: int, cfg: ModelConfig, params: dict,
         if temperature == 0.0:
             nxt = int(np.argmax(last))  # first hit, so ties go to the lowest id
         else:
-            p = ad.softmax(last / temperature)
+            # shifted first, so a tiny temperature sends all but the top
+            # logits to -inf instead of every logit to +-inf
+            with np.errstate(over="ignore"):
+                p = ad.softmax((last - last.max()) / temperature)
             nxt = int(np.searchsorted(np.cumsum(p), rng.uniform()))
             nxt = min(nxt, cfg.vocab_size - 1)
         ids.append(nxt)
@@ -561,7 +571,7 @@ def read_checkpoint(path):
         name = take(nlen).decode("utf-8")
         (rank,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         data = np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
         tensors[name] = data.reshape(shape)
     if off != len(blob):

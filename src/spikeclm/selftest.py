@@ -85,11 +85,9 @@ def check_autodiff_fd():
     x0 = rng.normal(size=(3, 3))
 
     def f(x):
-        v = ad.Var(x)
-        y = ad.softmax(v @ v + 0.5) * ad.relu(v)
-        return float(ad.value(y.sum()))
+        return float((ad.softmax(x @ x + 0.5) * ad.relu(x)).sum())
 
-    v = ad.Var(x0.copy(), requires_grad=True)
+    v = ad.Var(x0.copy())
     (ad.softmax(v @ v + 0.5) * ad.relu(v)).sum().backward()
     fd = finite_diff_grad(f, x0.copy())
     err = np.abs(v.grad - fd).max()
@@ -280,7 +278,7 @@ def check_bptt_finite_diff():
     rels = []
     for key in sorted(p_s):
         vparams = dict(p_s)
-        v = ad.Var(p_s[key].copy(), requires_grad=True)
+        v = ad.Var(p_s[key].copy())
         vparams[key] = v
         full_loss(vparams).backward()
 
@@ -315,9 +313,8 @@ def check_eligibility():
     p = LifParams(beta=0.6, u_thr=1.0, surrogate_alpha=2.0)
     xs = rng.normal(size=12)
     cs = rng.normal(size=12)
-    w = ad.Var(np.array(0.8), requires_grad=True)
-    u = ad.Var(np.array(0.0))
-    loss = ad.Var(np.array(0.0))
+    w = ad.Var(np.array(0.8))
+    u = loss = np.array(0.0)
     us = []
     for x, c in zip(xs, cs):
         u = u * p.beta + w * float(x)

@@ -317,8 +317,7 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
             for micro in range(cfg.grad_accum):
                 xb, yb = data.batch_at(windows, step * cfg.grad_accum + micro,
                                        cfg.batch_size)
-                vparams = {k: ad.Var(p, requires_grad=True)
-                           for k, p in params.items()}
+                vparams = {k: ad.Var(p) for k, p in params.items()}
                 total, bd, fire = _step_loss(mode, xb, yb, model_cfg, vparams,
                                              teacher_cfg, teacher_params, spad,
                                              lif)

@@ -188,10 +188,10 @@ class TestCsa:
         def f(wq):
             w = identity_weights(4)
             w.w_q = wq
-            out, _ = csa_forward(ad.Var(x) if isinstance(wq, ad.Var) else x, w, 2)
+            out, _ = csa_forward(x, w, 2)
             return (out ** 2).sum() if isinstance(out, ad.Var) else float((out ** 2).sum())
 
-        v = ad.Var(w0.copy(), requires_grad=True)
+        v = ad.Var(w0.copy())
         f(v).backward()
         fd = numerics.finite_diff_grad(lambda z: float(f(z)), w0)
         np.testing.assert_allclose(v.grad, fd, rtol=1e-4, atol=1e-7)
@@ -212,7 +212,7 @@ class TestSfsaGradients:
             out, _, _ = sfsa_forward(x_steps, w, sn, sn, 1)
             return (out * out).sum()
 
-        v = ad.Var(w0.copy(), requires_grad=True)
+        v = ad.Var(w0.copy())
         run(v).backward()
         fd = numerics.finite_diff_grad(lambda z: float(run(z)), w0, eps=1e-6)
         np.testing.assert_allclose(v.grad, fd, rtol=1e-4, atol=1e-7)
@@ -223,7 +223,7 @@ class TestSfsaGradients:
         d = 4
         x = (rng.random((1, 1, 3, d)) < 0.5).astype(np.float64)
         w = random_weights(d, seed=9, std=0.5)
-        vw = AttnWeights(*[ad.Var(ad.value(getattr(w, f)), requires_grad=True)
+        vw = AttnWeights(*[ad.Var(ad.value(getattr(w, f)))
                            for f in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
                                      "w_out", "b_out")])
         out, _, _ = sfsa_forward(x, vw, spec(), spec(), 2)
@@ -321,7 +321,7 @@ class TestSfsaPast:
             sfsa_forward(x, random_weights(4), spec(relaxed=True), spec(relaxed=True), 2,
                          past=past)
         w = random_weights(4)
-        w.w_k = ad.Var(w.w_k, requires_grad=True)
+        w.w_k = ad.Var(w.w_k)
         with pytest.raises(ConfigError):
             sfsa_forward(x, w, spec(), spec(), 2, past=past)
 
@@ -340,7 +340,7 @@ def same_bits(a, b):
 
 
 def taped_weights(w):
-    return AttnWeights(*[ad.Var(ad.value(getattr(w, f)).copy(), requires_grad=True)
+    return AttnWeights(*[ad.Var(ad.value(getattr(w, f)).copy())
                          for f in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
                                    "w_out", "b_out")])
 
@@ -383,7 +383,7 @@ class TestScoreNode:
         for mask in masks:
             runs = []
             for fn in (attention._scores, composed_scores):
-                leaves = [ad.Var(a.copy(), requires_grad=True) for a in (q, k_t)]
+                leaves = [ad.Var(a.copy()) for a in (q, k_t)]
                 out = fn(*leaves, mask, scale)
                 out.backward(seed)
                 runs.append((out, leaves))
@@ -402,7 +402,7 @@ class TestScoreNode:
         noisy = seed + (1.0 - mask) * rng.normal(size=seed.shape) * 1e6
         grads = []
         for g in (seed * mask, seed, noisy):
-            leaves = [ad.Var(a.copy(), requires_grad=True) for a in (q, k_t)]
+            leaves = [ad.Var(a.copy()) for a in (q, k_t)]
             attention._scores(*leaves, mask).backward(g)
             grads.append([v.grad for v in leaves])
         for got in grads[1:]:
@@ -418,7 +418,7 @@ class TestScoreNode:
         real = ad.softmax
 
         def softmax_of_leaf(x, axis=-1):
-            logits.append(ad.Var(ad.value(x), requires_grad=True))
+            logits.append(ad.Var(ad.value(x)))
             return real(logits[-1], axis)
         monkeypatch.setattr(ad, "softmax", softmax_of_leaf)
         rng = np.random.default_rng(26)

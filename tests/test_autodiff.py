@@ -5,12 +5,11 @@ import pytest
 
 from spikeclm import autodiff as ad
 from spikeclm import numerics
-from spikeclm.errors import InternalError
 
 
 def tape_grad(f, x: np.ndarray) -> np.ndarray:
     """Gradient of scalar-valued f at x through the tape."""
-    v = ad.Var(x.copy(), requires_grad=True)
+    v = ad.Var(x.copy())
     out = f(v)
     out.backward()
     return v.grad
@@ -63,8 +62,8 @@ class TestElementwise:
         c = self.rng.normal(size=(3, 4))
         check_against_fd(lambda v: (v * c).sum(), x)
         b = self.rng.normal(size=(4,))
-        vb = ad.Var(b, requires_grad=True)
-        out = (ad.Var(c) + vb).sum()
+        vb = ad.Var(b)
+        out = (c + vb).sum()
         out.backward()
         np.testing.assert_allclose(vb.grad, np.full(4, 3.0))
 
@@ -77,8 +76,8 @@ class TestMatmulShapes:
         a = self.rng.normal(size=(3, 4))
         b = self.rng.normal(size=(4, 2))
         check_against_fd(lambda v: (v @ b).sum(), a)
-        vb = ad.Var(b.copy(), requires_grad=True)
-        out = (ad.Var(a) @ vb).sum()
+        vb = ad.Var(b.copy())
+        out = ad.matmul(a, vb).sum()
         out.backward()
         fd = numerics.finite_diff_grad(lambda w: float((a @ w).sum()), b)
         np.testing.assert_allclose(vb.grad, fd, rtol=1e-5, atol=1e-7)
@@ -87,8 +86,8 @@ class TestMatmulShapes:
         """[B, L, k] @ [k, n] accumulates the weight grad over the batch."""
         x = self.rng.normal(size=(5, 2, 3))
         w = self.rng.normal(size=(3, 4))
-        vw = ad.Var(w.copy(), requires_grad=True)
-        ((ad.Var(x) @ vw) ** 2).sum().backward()
+        vw = ad.Var(w.copy())
+        (ad.matmul(x, vw) ** 2).sum().backward()
         fd = numerics.finite_diff_grad(lambda v: float(((x @ v) ** 2).sum()), w)
         np.testing.assert_allclose(vw.grad, fd, rtol=1e-4, atol=1e-6)
 
@@ -100,7 +99,7 @@ class TestMatmulShapes:
         seed = rng.normal(size=(2, 5, 4))
 
         def run(f):
-            leaves = [ad.Var(a.copy(), requires_grad=True) for a in arrays]
+            leaves = [ad.Var(a.copy()) for a in arrays]
             out = f(*leaves)
             out.backward(seed)
             return out, leaves
@@ -127,7 +126,7 @@ class TestMatmulShapes:
     def test_linear_grads_match_einsum(self, shape):
         x, w, b = (self.rng.normal(size=s) for s in (shape, (3, 5), (5,)))
         g = self.rng.normal(size=shape[:-1] + (5,))
-        leaves = [ad.Var(a.copy(), requires_grad=True) for a in (x, w, b)]
+        leaves = [ad.Var(a.copy()) for a in (x, w, b)]
         ad.linear(*leaves).backward(g)
         lead = list(range(x.ndim - 1))
         want = (np.einsum("...n,kn->...k", g, w),
@@ -139,7 +138,7 @@ class TestMatmulShapes:
     def test_broadcast_weight_grad_of_matmul_matches_einsum(self):
         x, w = self.rng.normal(size=(2, 3, 4, 3)), self.rng.normal(size=(3, 5))
         g = self.rng.normal(size=(2, 3, 4, 5))
-        vx, vw = ad.Var(x, requires_grad=True), ad.Var(w, requires_grad=True)
+        vx, vw = ad.Var(x), ad.Var(w)
         ad.matmul(vx, vw).backward(g)
         np.testing.assert_allclose(
             vw.grad, np.einsum(x, [0, 1, 2, 8], g, [0, 1, 2, 9], [8, 9]), rtol=1e-12)
@@ -147,7 +146,7 @@ class TestMatmulShapes:
 
     def test_linear_counts_forward_macs_only(self):
         x, w, b = (self.rng.normal(size=s) for s in ((2, 3, 4, 3), (3, 5), (5,)))
-        leaves = [ad.Var(a, requires_grad=True) for a in (x, w, b)]
+        leaves = [ad.Var(a) for a in (x, w, b)]
         with numerics.count_macs() as c:
             out = ad.linear(*leaves)
             assert c.macs == 2 * 3 * 4 * 3 * 5
@@ -206,13 +205,13 @@ class TestSoftmaxFamily:
         for op, args in cases:
             plain = op(*args)
             assert type(plain) is np.ndarray and built_vars == []
-            taped = op(*(ad.Var(a, requires_grad=True) for a in args))
+            taped = op(*(ad.Var(a) for a in args))
             assert same_bits(plain, taped.data)
             built_vars.clear()
 
     def test_plain_operand_builds_one_var(self, built_vars):
         """A plain operand of a taped op is read as is, not wrapped in a Var."""
-        x = ad.Var(np.array([1.0, -2.0]), requires_grad=True)
+        x = ad.Var(np.array([1.0, -2.0]))
         built_vars.clear()
         c = np.array([0.5, 3.0])
         for op in (lambda: x * c, lambda: x + c, lambda: c - x):
@@ -226,7 +225,7 @@ class TestGatherOps:
         """Same row used twice gets twice the gradient."""
         w = np.arange(6.0).reshape(3, 2)
         ids = np.array([[0, 1], [1, 1]])
-        vw = ad.Var(w, requires_grad=True)
+        vw = ad.Var(w)
         ad.take_rows(vw, ids).sum().backward()
         np.testing.assert_array_equal(vw.grad, [[1, 1], [3, 3], [0, 0]])
 
@@ -237,7 +236,7 @@ class TestGatherOps:
     def test_gather_last(self):
         x = np.arange(12.0).reshape(2, 2, 3)
         ids = np.array([[0, 2], [1, 1]])
-        v = ad.Var(x, requires_grad=True)
+        v = ad.Var(x)
         out = ad.gather_last(v, ids)
         np.testing.assert_array_equal(out.data, [[0, 5], [7, 10]])
         out.sum().backward()
@@ -248,19 +247,19 @@ class TestGatherOps:
 
 class TestBackwardMechanics:
     def test_zero_seed_gives_zero_grads(self):
-        x = ad.Var(np.ones((2, 2)), requires_grad=True)
+        x = ad.Var(np.ones((2, 2)))
         ((x * 3.0) ** 2).sum().backward(seed=0.0)
         np.testing.assert_array_equal(x.grad, np.zeros((2, 2)))
 
     def test_grad_accumulates_over_reuse(self):
         """A node consumed twice receives both contributions."""
-        x = ad.Var(np.array([2.0]), requires_grad=True)
+        x = ad.Var(np.array([2.0]))
         y = x * x + x * 3.0
         y.backward()
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
     def test_seed_array_is_not_modified(self):
-        x = ad.Var(np.array([1.0, 2.0]), requires_grad=True)
+        x = ad.Var(np.array([1.0, 2.0]))
         seed = np.array([1.0, -3.0])
         (x + x * 3.0).backward(seed)
         np.testing.assert_array_equal(seed, [1.0, -3.0])
@@ -268,15 +267,15 @@ class TestBackwardMechanics:
 
     def test_shared_gradient_is_not_written_through(self):
         """x + y hands one g to both leaves; x's later contribution must not reach y."""
-        x = ad.Var(np.array([1.0, 2.0]), requires_grad=True)
-        y = ad.Var(np.array([5.0, 7.0]), requires_grad=True)
+        x = ad.Var(np.array([1.0, 2.0]))
+        y = ad.Var(np.array([5.0, 7.0]))
         ((x + y) + x * 3.0).sum().backward()
         np.testing.assert_array_equal(y.grad, [1.0, 1.0])
         np.testing.assert_array_equal(x.grad, [4.0, 4.0])
 
     def test_second_backward_adds_the_same_gradients(self):
         """y = (3x) x at x = 2: each pass adds dy/dx = 12, so two give 24."""
-        x = ad.Var(np.array([2.0]), requires_grad=True)
+        x = ad.Var(np.array([2.0]))
         y = (x * 3.0) * x
         y.backward()
         np.testing.assert_array_equal(x.grad, [12.0])
@@ -286,9 +285,9 @@ class TestBackwardMechanics:
     def test_only_leaves_keep_gradients(self):
         """After backward every node with a VJP has dropped its .grad."""
         rng = np.random.default_rng(4)
-        x = ad.Var(rng.normal(size=(3, 4)), requires_grad=True)
-        w = ad.Var(rng.normal(size=(4, 5)), requires_grad=True)
-        b = ad.Var(rng.normal(size=5), requires_grad=True)
+        x = ad.Var(rng.normal(size=(3, 4)))
+        w = ad.Var(rng.normal(size=(4, 5)))
+        b = ad.Var(rng.normal(size=5))
         h = ad.relu(ad.linear(x, w, b))
         loss = (ad.log_softmax(h @ w.swapaxes(0, 1), axis=-1)[:, 0] * h.sum(axis=1)).mean()
         loss.backward()
@@ -304,22 +303,13 @@ class TestBackwardMechanics:
         assert all(np.count_nonzero(v.grad) for v in (x, w, b))
 
     def test_sub_is_one_node(self):
-        x = ad.Var(np.array([5.0, 1.0]), requires_grad=True)
-        y = ad.Var(np.array([2.0, 3.0]), requires_grad=True)
+        x = ad.Var(np.array([5.0, 1.0]))
+        y = ad.Var(np.array([2.0, 3.0]))
         d = x - y
         assert d._parents == (x, y)
         (d * np.array([1.0, 2.0])).sum().backward()
         np.testing.assert_array_equal(x.grad, [1.0, 2.0])
         np.testing.assert_array_equal(y.grad, [-1.0, -2.0])
-
-    def test_backward_on_constant_raises(self):
-        with pytest.raises(InternalError):
-            ad.Var(np.ones(2)).backward()
-
-    def test_constants_prune_the_tape(self):
-        c = ad.Var(np.ones(3))
-        out = c * 2.0 + c
-        assert not out.requires_grad and out._parents == ()
 
     def test_two_layer_chain_matches_fd(self):
         """Composite mlp-style function end to end."""
@@ -329,7 +319,7 @@ class TestBackwardMechanics:
         x = rng.normal(size=(5, 3))
 
         def f(v):
-            h = ad.relu(ad.Var(x) @ v)
+            h = ad.relu(ad.matmul(x, v))
             return ad.log_softmax(h @ w2).mean()
 
         check_against_fd(f, w1, rtol=1e-4, atol=1e-6)
@@ -337,8 +327,8 @@ class TestBackwardMechanics:
     def test_custom_op_wiring(self):
         """Each taped operand gets its vjp summed down to its shape; plain
         operands join no tape."""
-        x = ad.Var(np.array([1.0, -1.0]), requires_grad=True)
-        b = ad.Var(np.array(3.0), requires_grad=True)
+        x = ad.Var(np.array([1.0, -1.0]))
+        b = ad.Var(np.array(3.0))
         local = np.array([0.5, 0.25])
         out = ad.custom_op(np.array([1.0, 0.0]), (x, lambda g: g * local),
                            (b, lambda g: g * 4.0), (np.ones(2), None))

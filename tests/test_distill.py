@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from spikeclm import autodiff as ad, numerics
+from spikeclm import autodiff as ad, data, numerics
 from spikeclm.distill import (SpadConfig, layer_map, loss_attention, loss_embedding,
                               loss_feature, loss_hard, loss_soft, loss_total,
                               pool_heads, spad_losses, spike_encode)
 from spikeclm.errors import AlignmentError, ConfigError, ValidationError
-from spikeclm.model import (ModelConfig, ann_forward, init_params, layer_norm,
+from spikeclm.model import (LN_EPS, ModelConfig, ann_forward, init_params, layer_norm,
                             snn_forward, time_mean)
 from spikeclm.neurons import LifParams, empirical_rate
+from spikeclm.training import TrainConfig, evaluate_ce, train_loop
 
 
 class TestLayerMap:
@@ -247,7 +248,7 @@ class TestSpadLosses:
         ids = np.array([[1, 2, 3, 4, 5]])
         targets = np.array([[2, 3, 4, 5, 6]])
         _, t_trace = ann_forward(ids, cfg_t, p_t)
-        vparams = {k: ad.Var(v, requires_grad=True) for k, v in p_s.items()}
+        vparams = {k: ad.Var(v) for k, v in p_s.items()}
         logits, s_trace = snn_forward(ids, cfg_s, vparams)
         total, bd = spad_losses(logits, s_trace, t_trace, targets,
                                 SpadConfig(), cfg_s.neuron_spec().lif)
@@ -298,7 +299,7 @@ class TestGradientFlow:
 
         for key in ("layers.1.attn.w_v", "layers.0.ffn.w2"):
             vparams = dict(p_s)
-            v = ad.Var(p_s[key].copy(), requires_grad=True)
+            v = ad.Var(p_s[key].copy())
             vparams[key] = v
             full_loss(vparams).backward()
 
@@ -334,11 +335,19 @@ def ref_attention(a_ann, steps, p, gamma):
     return gamma * _ref_mse(rate_target, mean) + (1.0 - gamma) * _ref_mse(a_ann, mean)
 
 
+def composed_layer_norm(x, g, b):
+    """LayerNorm over the last axis as a chain of tape ops, on either kind."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc * ((var + LN_EPS) ** -0.5) * g + b
+
+
 def ref_feature(h_ann, steps, p, gamma):
     mean = time_mean(steps)
     rate_target = spike_encode(h_ann, ad.value(steps).shape[0], p).mean(axis=0)
     ones, zeros = np.ones(h_ann.shape[-1]), np.zeros(h_ann.shape[-1])
-    mse_branch = _ref_mse(layer_norm(h_ann, ones, zeros), layer_norm(mean, ones, zeros))
+    mse_branch = _ref_mse(composed_layer_norm(h_ann, ones, zeros),
+                          composed_layer_norm(mean, ones, zeros))
     return gamma * _ref_mse(rate_target, mean) + (1.0 - gamma) * mse_branch
 
 
@@ -354,7 +363,7 @@ def ref_hard(z_snn, targets):
 
 
 LIF = LifParams(beta=0.5, u_thr=0.4)
-T_STEPS = 3  # 1/3 is inexact, so a taped mean and a plain one round apart
+T_STEPS = 3  # 1/3 is inexact: multiplying by it rounds apart from dividing by 3
 
 
 def student_stack(kind, shape, seed):
@@ -388,7 +397,7 @@ TIME_LOSSES = {
 
 def taped_loss(fn, student, *args):
     """(loss value, gradient of 0.7 * loss) with student as a taped leaf."""
-    v = ad.Var(student.copy(), requires_grad=True)
+    v = ad.Var(student.copy())
     out = fn(v, *args)
     out.backward(0.7)
     return out.data, v.grad
@@ -402,15 +411,17 @@ class TestLossNodes:
     @pytest.mark.parametrize("kind", ["binary", "ternary", "relaxed"])
     @pytest.mark.parametrize("name", sorted(TIME_LOSSES))
     def test_time_mean_losses_match_the_composed_tape(self, name, kind):
-        """Several seeds, since a taped mean and a plain one differ only in
-        the last bit and only for some inputs."""
+        """Taped, each loss and time_mean read their plain values. Several
+        seeds, since a mean that multiplies by 1/T and one that divides by T
+        differ only in the last bit and only for some inputs."""
         fn, ref, shape, make_teacher = TIME_LOSSES[name]
         for seed in range(8):
             teacher = make_teacher(shape, seed + 1)
             steps = student_stack(kind, shape, seed + 2)
             got, got_grad = taped_loss(lambda v: fn(teacher, v), steps)
             want, want_grad = taped_loss(lambda v: ref(teacher, v), steps)
-            assert same_bits(got, want)
+            assert same_bits(got, want) and same_bits(got, fn(teacher, steps))
+            assert same_bits(time_mean(ad.Var(steps)).data, time_mean(steps))
             assert got_grad.shape == steps.shape and got_grad.flags.c_contiguous
             np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-300)
             assert np.abs(got_grad).max() > 0
@@ -425,7 +436,7 @@ class TestLossNodes:
             z_ann, z_snn = rng.normal(size=(2, 4, 9)), 3.0 * rng.normal(size=(2, 4, 9))
             got, got_grad = taped_loss(lambda v: loss_soft(z_ann, v, tau), z_snn)
             want, want_grad = taped_loss(lambda v: ref_soft(z_ann, v, tau), z_snn)
-            assert same_bits(got, want)
+            assert same_bits(got, want) and same_bits(got, loss_soft(z_ann, z_snn, tau))
             np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-300)
             assert same_bits(loss_soft(z_ann, z_snn, tau), ref_soft(z_ann, z_snn, tau))
 
@@ -437,7 +448,7 @@ class TestLossNodes:
             targets = rng.integers(0, shape[-1], shape[:-1])
             got, got_grad = taped_loss(lambda v: loss_hard(v, targets), z)
             want, want_grad = taped_loss(lambda v: ref_hard(v, targets), z)
-            assert same_bits(got, want)
+            assert same_bits(got, want) and same_bits(got, loss_hard(z, targets))
             np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-300)
             assert same_bits(loss_hard(z, targets), ref_hard(z, targets))
 
@@ -445,7 +456,7 @@ class TestLossNodes:
         cfg_s, p_s, cfg_t, p_t = build_pair(layers_t=4, heads_t=4)
         ids = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
         _, t_trace = ann_forward(ids, cfg_t, p_t)
-        vparams = {k: ad.Var(v, requires_grad=True) for k, v in p_s.items()}
+        vparams = {k: ad.Var(v) for k, v in p_s.items()}
         logits, s_trace = snn_forward(ids, cfg_s, vparams)
         shapes = []
         init = ad.Var.__init__
@@ -458,3 +469,86 @@ class TestLossNodes:
                                SpadConfig(), cfg_s.neuron_spec().lif)
         assert isinstance(total, ad.Var) and shapes
         assert set(shapes) == {()}
+
+
+class TestTapedEqualsPlain:
+    """A taped op returns its plain value bit for bit, so the tape adds
+    gradients and nothing else; TestLossNodes checks each SpAD loss."""
+
+    def test_mean_and_division(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x, y = rng.normal(size=(3, 5, 7)), rng.uniform(0.5, 2.0, size=(5, 7))
+            v = ad.Var(x)
+            for axis in (None, 0, -1, (0, 2)):
+                assert same_bits(v.mean(axis=axis).data, x.mean(axis=axis))
+                assert same_bits(v.mean(axis=axis, keepdims=True).data,
+                                 x.mean(axis=axis, keepdims=True))
+            assert same_bits((v / 3).data, x / 3)
+            assert same_bits((v / y).data, x / y)
+            assert same_bits((v / ad.Var(y)).data, x / y)
+
+    def test_division_gradients(self):
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=4)
+        c = rng.normal(size=(3, 4))
+        vx, vy = ad.Var(x.copy()), ad.Var(y.copy())
+        ((vx / vy) * c).sum().backward()
+        np.testing.assert_allclose(vx.grad, c / y, rtol=1e-12)
+        fd = numerics.finite_diff_grad(lambda z: float(((x / z) * c).sum()), y)
+        np.testing.assert_allclose(vy.grad, fd, rtol=1e-6)
+        w = ad.Var(x.copy())
+        (w / 3).backward(c)
+        assert same_bits(w.grad, c / 3)
+
+    def test_hard_loss_reads_the_same_in_training_and_evaluation(self):
+        """One batch of windows at T=3: the hard column of a training
+        step's metrics equals evaluate_ce and loss_hard of the plain logits.
+        B * L is a power of two, so evaluate_ce's token weighting is exact.
+        The head is scaled up so that logits are O(1) and a last-bit change
+        in them reaches the loss."""
+        cfg = ModelConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16,
+                          max_seq_len=8, t_steps=T_STEPS, u_thr=0.03, attn_thr=0.03)
+        corpus = np.random.default_rng(6).integers(0, 256, 32)
+        windows = data.make_windows(corpus, 8)
+        tc = TrainConfig(total_steps=1, batch_size=4, seq_len=8, val_fraction=0.0)
+        for seed in range(6):
+            params = init_params(cfg, seed)
+            params["head.w"] *= 30.0
+            hard = train_loop(tc, cfg, corpus, params=params).metrics[0].hard
+            logits, _ = snn_forward(windows.inputs, cfg, params)
+            plain = float(loss_hard(logits, windows.targets))
+            assert hard == plain == evaluate_ce(cfg, params, windows, batch_size=4)
+
+
+def test_layer_norm_is_one_node(monkeypatch):
+    """layer_norm builds one Var over (x, g, b); its value equals the
+    composed reference bit for bit and its gradients match the reference's
+    and finite differences."""
+    rng = np.random.default_rng(3)
+    args = rng.normal(size=(2, 5, 6)) * 2.0 + 1.0, rng.normal(size=6), rng.normal(size=6)
+    seed = rng.normal(size=(2, 5, 6))
+    leaves = [ad.Var(a.copy()) for a in args]
+    built = []
+    init = ad.Var.__init__
+
+    def counting_init(var, *a, **kw):
+        built.append(var)
+        init(var, *a, **kw)
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    out = layer_norm(*leaves)
+    monkeypatch.undo()
+    assert built == [out] and out._parents == tuple(leaves)
+    want = composed_layer_norm(*args)
+    assert same_bits(out.data, want) and same_bits(layer_norm(*args), want)
+
+    out.backward(seed)
+    ref = [ad.Var(a.copy()) for a in args]
+    composed_layer_norm(*ref).backward(seed)
+    for i, (got, r) in enumerate(zip(leaves, ref)):
+        np.testing.assert_allclose(got.grad, r.grad, rtol=1e-12, atol=1e-14)
+
+        def f(z, i=i):
+            return float((layer_norm(*args[:i], z, *args[i + 1:]) * seed).sum())
+        fd = numerics.finite_diff_grad(f, args[i].copy())
+        np.testing.assert_allclose(got.grad, fd, rtol=1e-6, atol=1e-8)

@@ -66,7 +66,7 @@ class TestFlopCounts:
             evaluate_ce(cfg, params, windows, batch_size=2)
         assert c.macs == len(windows) // 2 * student
         with numerics.count_macs() as c:
-            vparams = {k: ad.Var(v, requires_grad=True) for k, v in params.items()}
+            vparams = {k: ad.Var(v) for k, v in params.items()}
             logits, s_trace = snn_forward(ids, cfg, vparams)
             _, t_trace = ann_forward(ids, tcfg, init_params(tcfg, 2, kind="teacher"))
             total, _ = spad_losses(logits, s_trace, t_trace, ids + 1,

@@ -1,5 +1,6 @@
 """Model-level tests: wiring, traces, decoding, generation, checkpoints."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -191,8 +192,7 @@ class TestSnnForward:
         counts = []
         for t_steps in (1, 2, 4):
             cfg = tiny_cfg(t_steps=t_steps, neuron_mode=mode)
-            vparams = {k: ad.Var(v, requires_grad=True)
-                       for k, v in firing_params(cfg, 2).items()}
+            vparams = {k: ad.Var(v) for k, v in firing_params(cfg, 2).items()}
             made.clear()
             logits, _ = snn_forward(self.ids, cfg, vparams)
             loss_hard(logits, np.roll(self.ids, -1))
@@ -223,7 +223,7 @@ class TestTapeMemory:
         params = init_params(cfg, seed=0)
         rng = np.random.default_rng(0)
         ids, targets = rng.integers(0, 256, size=(2, 8, 64))
-        vparams = {k: ad.Var(p, requires_grad=True) for k, p in params.items()}
+        vparams = {k: ad.Var(p) for k, p in params.items()}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -291,7 +291,7 @@ class TestTeacher:
                 return (logits * logits).mean()
             return float((logits * logits).mean())
 
-        v = ad.Var(w0.copy(), requires_grad=True)
+        v = ad.Var(w0.copy())
         f(v).backward()
         fd = numerics.finite_diff_grad(lambda z: float(f(z)), w0)
         np.testing.assert_allclose(v.grad, fd, rtol=1e-4, atol=1e-8)
@@ -335,6 +335,21 @@ class TestGenerate:
         assert a.tokens == b.tokens
         assert all(0 <= t < 11 for t in a.tokens)
 
+    def test_tiny_temperature_samples_the_top_logit(self):
+        """At a temperature so small that logits / temperature overflows,
+        every logit below the top one gets probability 0: with a unique
+        maximum at each step, sampling picks what greedy picks."""
+        params = firing_params(self.cfg, 3)
+        greedy = generate([1, 2], 6, self.cfg, params).tokens
+        for k in range(2, len(greedy)):
+            logits, _ = snn_forward(np.asarray(greedy[:k][-self.cfg.max_seq_len:]),
+                                    self.cfg, params, collect=False)
+            top2 = np.sort(logits[-1])[-2:]
+            assert top2[1] - top2[0] > 1e-9
+        out = generate([1, 2], 6, self.cfg, params, temperature=1e-310,
+                       rng=numerics.Rng(0))
+        assert out.tokens == greedy
+
     def test_argument_errors(self):
         with pytest.raises(ValidationError):
             generate([], 3, self.cfg, self.params)
@@ -362,7 +377,7 @@ def reference_generate(prompt, n_new, cfg, params, temperature=0.0, rng=None,
         if temperature == 0.0:
             nxt = int(np.argmax(last))
         else:
-            p = ad.softmax(last / temperature)
+            p = ad.softmax((last - last.max()) / temperature)
             nxt = min(int(np.searchsorted(np.cumsum(p), rng.uniform())),
                       cfg.vocab_size - 1)
         ids.append(nxt)
@@ -466,7 +481,7 @@ class TestIncrementalDecode:
             snn_forward(np.array([[1]]), cfg, p, relaxed=True, cache=cache)
         assert cache.length == 4
         # a taped forward is refused before a fresh cache is touched
-        taped = {k: ad.Var(v, requires_grad=True) for k, v in p.items()}
+        taped = {k: ad.Var(v) for k, v in p.items()}
         fresh = DecodeCache()
         with pytest.raises(ConfigError, match="untaped hard-threshold"):
             snn_forward(np.array([[1, 2]]), cfg, taped, cache=fresh)
@@ -663,6 +678,16 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             read_checkpoint(tmp_path / "trail.ckpt")
 
+    def test_shape_past_int64_reads_as_truncated(self, tmp_path):
+        """Dims of 2^21 * 2^21 * 2^22 elements, which wrap to 0 in int64,
+        name the byte where the data runs out."""
+        blob = (b"SCLM" + struct.pack("<III", 1, 0, 1) + struct.pack("<H", 1) + b"w"
+                + struct.pack("<BIII", 3, 2 ** 21, 2 ** 21, 2 ** 22))
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValidationError, match=f"truncated at byte {len(blob)}$"):
+            read_checkpoint(path)
+
     def test_bad_config_field_is_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_model(path, tiny_cfg(), init_params(tiny_cfg(), seed=1))
@@ -722,7 +747,7 @@ class TestRelaxedGradients:
 
         for key in ("layers.0.attn.w_q", "layers.0.ffn.w1", "tok_emb", "head.w"):
             vparams = dict(params)
-            v = ad.Var(params[key].copy(), requires_grad=True)
+            v = ad.Var(params[key].copy())
             vparams[key] = v
             loss_from(vparams).backward()
             base = params[key].copy()

@@ -165,7 +165,7 @@ class TestRelaxedModeAndGradients:
                            (neurons.ternary_step, NeuronSpec("ternary"))):
             p = spec.lif if spec.mode == "binary" else spec.ternary
             s, _ = step(NeuronState(), u, p)
-            sv = spec.run(ad.Var(u[None].copy(), requires_grad=True))
+            sv = spec.run(ad.Var(u[None].copy()))
             assert type(s) is np.ndarray
             assert ad.is_var(sv)
             np.testing.assert_array_equal(s, sv.data[0])
@@ -212,7 +212,7 @@ def run_chain(step, p, relaxed, taped):
     input is taped, a loss that weights each output is run backward.
     """
     w = np.array([0.5, -1.0, 2.0, 0.25, -1.5])
-    inputs = [ad.Var(x.copy(), requires_grad=True) if t in taped else x.copy()
+    inputs = [ad.Var(x.copy()) if t in taped else x.copy()
               for t, x in enumerate(CHAIN_INPUTS)]
     state, loss, outs = NeuronState(), 0.0, []
     for t, x in enumerate(inputs):
@@ -354,7 +354,7 @@ class TestRunner:
         np.testing.assert_array_equal(got, np.stack(want_s))
         np.testing.assert_array_equal(np.stack(seen), np.stack(want_u))
         monkeypatch.undo()
-        taped = spec.run(ad.Var(x, requires_grad=True), t_steps)
+        taped = spec.run(ad.Var(x), t_steps)
         np.testing.assert_array_equal(taped.data, got)
 
     @pytest.mark.parametrize("constant", [False, True])
@@ -368,14 +368,14 @@ class TestRunner:
         x = self.currents(t_steps, constant)
         weights = np.random.default_rng(7).normal(size=(t_steps, 3, 4))
 
-        ref_in = ad.Var(x.copy(), requires_grad=True)
+        ref_in = ad.Var(x.copy())
         spikes, _ = chained_reference(step, p, relaxed, ref_in, t_steps)
         loss = 0.0
         for t, s in enumerate(spikes):
             loss = loss + (s * weights[t]).sum()
         loss.backward()
 
-        got_in = ad.Var(x.copy(), requires_grad=True)
+        got_in = ad.Var(x.copy())
         (spec.run(got_in, t_steps) * weights).sum().backward()
         assert np.any(ref_in.grad != 0.0)
         np.testing.assert_allclose(got_in.grad, ref_in.grad, rtol=1e-12, atol=0.0)
@@ -389,14 +389,14 @@ class TestRunner:
                 def f(x):
                     out = spec.run(x, 3)
                     return (out * out).sum()
-                v = ad.Var(x0.copy(), requires_grad=True)
+                v = ad.Var(x0.copy())
                 f(v).backward()
                 fd = numerics.finite_diff_grad(lambda z: float(f(z)), x0)
                 np.testing.assert_allclose(v.grad, fd, rtol=1e-5, atol=1e-8)
 
     def test_hard_spike_backward_uses_surrogate(self):
         spec = NeuronSpec(lif=LifParams(beta=0.5, u_thr=1.0, surrogate_alpha=2.0))
-        x = ad.Var(np.array([[0.3, 1.5]]), requires_grad=True)
+        x = ad.Var(np.array([[0.3, 1.5]]))
         s = spec.run(x)
         np.testing.assert_array_equal(s.data, [[0.0, 1.0]])
         s.sum().backward()
@@ -406,7 +406,7 @@ class TestRunner:
     def test_decay_and_reset_paths_carry_gradient(self):
         """The first step's input reaches S_1 only through U_0 and S_0."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        x = ad.Var(np.array([[1.2, 0.9], [0.0, 0.0]]), requires_grad=True)
+        x = ad.Var(np.array([[1.2, 0.9], [0.0, 0.0]]))
         NeuronSpec(lif=p).run(x)[1].sum().backward()
         s0 = np.array([1.0, 0.0])
         dsurr = neurons.surrogate_grad(np.array([1.2, 0.9]) - 1.0, 2.0)
@@ -424,7 +424,7 @@ class TestRunner:
             made.append(self)
             init(self, *args, **kw)
 
-        x = ad.Var(self.currents(3, False), requires_grad=True)
+        x = ad.Var(self.currents(3, False))
         monkeypatch.setattr(ad.Var, "__init__", counting_init)
         out = NeuronSpec("ternary").run(x)
         assert made == [out] and out._parents == (x,)
@@ -438,7 +438,7 @@ class TestRunner:
         scratch), whatever T is: no per-step temporaries."""
         row = 1 << 17  # entries per step, 1 MiB of float64
         x = np.random.default_rng(t_steps).normal(size=(t_steps, row))
-        x = ad.Var(x, requires_grad=True) if taped else x
+        x = ad.Var(x) if taped else x
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -491,8 +491,8 @@ class TestTakeOver:
     @staticmethod
     def operands():
         rng = np.random.default_rng(31)
-        return (ad.Var(rng.normal(size=(3, 2, 4)), requires_grad=True),
-                ad.Var(rng.normal(size=(4, 4)), requires_grad=True))
+        return (ad.Var(rng.normal(size=(3, 2, 4))),
+                ad.Var(rng.normal(size=(4, 4))))
 
     @pytest.mark.parametrize("producer", sorted(PRODUCERS))
     @pytest.mark.parametrize("mode", ["binary", "ternary"])
@@ -516,7 +516,7 @@ class TestTakeOver:
         spec.run(PRODUCERS[producer](a, b)).backward(seed)
         ra, rb = self.operands()
         current = PRODUCERS[producer](ra, rb)
-        leaf = ad.Var(current.data.copy(), requires_grad=True)
+        leaf = ad.Var(current.data.copy())
         spec.run(leaf).backward(seed)
         current.backward(leaf.grad)
         assert np.count_nonzero(leaf.grad)
@@ -528,7 +528,7 @@ class TestTakeOver:
         a, b = self.operands()
         seed = np.random.default_rng(33).normal(size=(3, 1, 2, 4))
         NeuronSpec().run((a @ b)[None], 3).backward(seed)
-        leaf = ad.Var((a.data @ b.data)[None], requires_grad=True)
+        leaf = ad.Var((a.data @ b.data)[None])
         NeuronSpec().run(leaf, 3).backward(seed)
         ra, rb = self.operands()
         (ra @ rb).backward(leaf.grad[0])

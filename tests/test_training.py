@@ -138,14 +138,14 @@ class TestAdam:
 
 class TestBpttBackward:
     def test_zero_upstream_gives_zero_grads(self):
-        w = ad.Var(np.ones((2, 2)), requires_grad=True)
+        w = ad.Var(np.ones((2, 2)))
         loss = (w * 0.0).sum()
         grads = bptt_backward(loss, {"w": w})
         np.testing.assert_array_equal(grads["w"], np.zeros((2, 2)))
 
     def test_untouched_param_gets_zeros(self):
-        w = ad.Var(np.ones(3), requires_grad=True)
-        u = ad.Var(np.ones(2), requires_grad=True)
+        w = ad.Var(np.ones(3))
+        u = ad.Var(np.ones(2))
         loss = (w * w).sum()
         grads = bptt_backward(loss, {"w": w, "u": u})
         np.testing.assert_array_equal(grads["u"], np.zeros(2))
