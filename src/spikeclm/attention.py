@@ -140,9 +140,10 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
 
     x holds the input spikes (or integer spike sums from residual paths) of
     every step, shape [T, B, L, d]; any other rank is a ShapeError. Every
-    neuron starts from rest and runs over the T steps. Returns (out_spikes,
-    attn_spikes, (k_spikes, v_spikes)): out and the key and value spikes are
-    shaped like x, and attn_spikes [T, B, h, L, P + L].
+    neuron starts from rest and runs over the T steps. Returns the spike
+    stack of each population by name: q, k, v and out shaped like x, the
+    score spikes attn [T, B, h, L, P + L] and the per-head context ctx
+    [T, B, h, L, d/h].
 
     past, if given, is (k_spikes, v_spikes) of P earlier positions, each
     [T, B, P, d]: the L new queries then score against the keys of all
@@ -152,9 +153,9 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
     the full call.
 
     last_row=True runs the query, scores, attention, context and output of
-    the last new position only (row P + L - 1 of the mask): out is then
-    [T, B, 1, d] and attn_spikes [T, B, h, 1, P + L], equal to the last row
-    of the full call, while the keys and values still cover all L rows.
+    the last new position only (row P + L - 1 of the mask): q, attn, ctx
+    and out then hold that one row, equal to the last row of the full call,
+    while k and v still cover all L rows.
 
     The mask is built and applied only when some scored row cannot see
     some key. The last row sees all P + L keys, so a call with one new row
@@ -192,7 +193,7 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
     s_attn = attn_sn.run(scores)
     s_ctx = sn.run(ad.matmul(s_attn, _split_heads(values, n_heads)))
     out = sn.run(ad.linear(_merge_heads(s_ctx), w.w_out, w.b_out))
-    return out, s_attn, (sk, sv)
+    return {"q": sq, "k": sk, "v": sv, "attn": s_attn, "ctx": s_ctx, "out": out}
 
 
 def csa_forward(x, w: AttnWeights, n_heads: int):

@@ -136,6 +136,10 @@ class Var:
         out = self.data / o
         return custom_op(out, (self, lambda g: g / o), (other, lambda g: -g * out / o))
 
+    def __rtruediv__(self, other):
+        out = value(other) / self.data
+        return custom_op(out, (self, lambda g: -g * out / self.data))
+
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise ShapeError("Var ** exponent must be a Python scalar")
@@ -144,6 +148,9 @@ class Var:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     # -- shape ops ----------------------------------------------------------
 

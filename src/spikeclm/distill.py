@@ -249,7 +249,7 @@ def spad_losses(student_logits, student_trace, teacher_trace, targets,
     where total is a Var whenever the student tensors were taped.
     """
     spad.validate()
-    n_s = len(student_trace.hidden)
+    n_s, stacks = student_trace.n_layers, student_trace.activity
     n_t = len(teacher_trace.hidden)
     lmap = layer_map(n_s, n_t)
     lam = spad.lambdas
@@ -257,20 +257,20 @@ def spad_losses(student_logits, student_trace, teacher_trace, targets,
     comps: list = [0.0] * 5
     if lam[0] != 0.0:
         comps[0] = loss_embedding(ad.value(teacher_trace.embed),
-                                  student_trace.embed_steps)
+                                  stacks["enc"])
     if lam[1] != 0.0:
-        h_s = ad.value(student_trace.attn_spikes[0]).shape[-3]
+        h_s = ad.value(stacks["layer0.attn"]).shape[-3]
         total = 0.0
         for i, j in enumerate(lmap):
             pooled = pool_heads(ad.value(teacher_trace.attn_maps[j]), h_s)
-            total = total + loss_attention(pooled, student_trace.attn_spikes[i],
+            total = total + loss_attention(pooled, stacks[f"layer{i}.attn"],
                                            lif, spad.gamma_attn)
         comps[1] = total / n_s
     if lam[2] != 0.0:
         total = 0.0
         for i, j in enumerate(lmap):
             total = total + loss_feature(ad.value(teacher_trace.hidden[j]),
-                                         student_trace.hidden[i], lif,
+                                         stacks[f"layer{i}.ffn2"], lif,
                                          spad.gamma_feat)
         comps[2] = total / n_s
     if lam[3] != 0.0:

@@ -70,20 +70,10 @@ def count_flops(cfg, seq_len: int) -> FlopCounts:
 
 
 def measure_firing_rates(trace) -> list:
-    """Per-layer input firing rates [{'sfsa': r, 'sffn': r}, ...] from a trace."""
-    out = []
-    for i in range(len(trace.sfsa_in_active)):
-        entry = {}
-        for name, act, tot in (("sfsa", trace.sfsa_in_active, trace.sfsa_in_total),
-                               ("sffn", trace.sffn_in_active, trace.sffn_in_total)):
-            if tot[i] <= 0:
-                raise ValidationError(f"layer {i} {name}: empty activity counters")
-            r = float(act[i] / tot[i])
-            if not 0.0 <= r <= 1.0:
-                raise ValidationError(f"layer {i} {name}: firing rate {r} out of [0, 1]")
-            entry[name] = r
-        out.append(entry)
-    return out
+    """Per-layer input firing rates [{'sfsa': r, 'sffn': r}, ...] from a trace:
+    those of each block's two residual inputs, layerN.in and layerN.mid."""
+    return [{"sfsa": trace.rate(f"layer{i}.in"), "sffn": trace.rate(f"layer{i}.mid")}
+            for i in range(trace.n_layers)]
 
 
 def sops(firing_rate: float, t_steps: int, flops: int) -> int:

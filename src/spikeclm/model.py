@@ -144,17 +144,18 @@ def _attn_weights(params: dict, layer: int) -> AttnWeights:
 # -- spiking feed-forward ------------------------------------------------------
 
 
-def sffn_forward(x, w1, b1, w2, b2, sn: NeuronSpec):
+def sffn_forward(x, w1, b1, w2, b2, sn: NeuronSpec) -> dict:
     """Spiking FFN over all time steps: two linear maps, a neuron after each.
 
-    x is a [T, ..., d] stack; both neuron populations start from rest.
+    x is a [T, ..., d] stack; both neuron populations start from rest and
+    are returned by name: ffn1 [T, ..., d_ff] and ffn2, shaped like x.
     """
     d_in = ad.value(x).shape[-1]
     if ad.value(w1).shape[0] != d_in or ad.value(w2).shape[1] != d_in:
         raise ShapeError(
             f"ffn weights {ad.value(w1).shape}/{ad.value(w2).shape} do not match input width {d_in}")
     h = sn.run(ad.linear(x, w1, b1))
-    return sn.run(ad.linear(h, w2, b2))
+    return {"ffn1": h, "ffn2": sn.run(ad.linear(h, w2, b2))}
 
 
 # -- traces --------------------------------------------------------------------
@@ -162,35 +163,38 @@ def sffn_forward(x, w1, b1, w2, b2, sn: NeuronSpec):
 
 @dataclass
 class TraceBundle:
-    """Per-step activity recorded by snn_forward for distillation/profiling.
+    """The spike stacks of one snn_forward, by population name.
 
-    embed_steps is the [T, B, L, d] stack of encoder spikes; attn_spikes[l]
-    is layer l's [T, B, h, L, L] stack of attention spike maps and
-    hidden[l] the [T, B, L, d] stack of its FFN output spikes, so
-    attn_spikes[l][t] is the map at step t. The *_active/_total pairs count
-    nonzero entries against all entries of each sublayer's input, summed
-    over time steps, for firing-rate estimates.
+    activity maps each name to the [T, ...] stack produced under it, a Var
+    when the forward was taped: "enc" for the encoder, then per layer N
+    "layerN.in" (the block's input, into SFSA), "layerN.q", ".k", ".v",
+    ".attn" (the [T, B, h, L, P + L] score spikes), ".ctx" (per head),
+    ".out", "layerN.mid" (the residual sum into SFFN), ".ffn1" and ".ffn2".
+    A forward run with collect=False records nothing. Counts are taken
+    when a rate is read, over all time steps.
     """
 
     seq_len: int
     t_steps: int
-    embed_steps: object = None
-    attn_spikes: list = field(default_factory=list)
-    hidden: list = field(default_factory=list)
-    sfsa_in_active: np.ndarray | None = None
-    sfsa_in_total: np.ndarray | None = None
-    sffn_in_active: np.ndarray | None = None
-    sffn_in_total: np.ndarray | None = None
+    n_layers: int
+    activity: dict = field(default_factory=dict)
+
+    def count(self, name: str) -> tuple[int, int]:
+        """(nonzero entries, all entries) of the stack recorded under name."""
+        if name not in self.activity:
+            raise ValidationError(f"no {name!r} activity recorded (collect=False records none)")
+        d = ad.value(self.activity[name])
+        return int(np.count_nonzero(d)), d.size
+
+    def rate(self, name: str) -> float:
+        active, total = self.count(name)
+        return active / total
 
     def mean_firing_rate(self) -> float:
-        active = self.sfsa_in_active.sum() + self.sffn_in_active.sum()
-        total = self.sfsa_in_total.sum() + self.sffn_in_total.sum()
-        return float(active / total) if total else 0.0
-
-
-def _count_active(x) -> tuple[int, int]:
-    d = ad.value(x)
-    return int(np.count_nonzero(d)), int(d.size)
+        """Pooled rate of every block's two residual inputs, in and mid."""
+        counts = [self.count(f"layer{i}.{part}")
+                  for i in range(self.n_layers) for part in ("in", "mid")]
+        return sum(a for a, _ in counts) / sum(t for _, t in counts)
 
 
 # -- student forward -----------------------------------------------------------
@@ -237,9 +241,9 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     """Run the spiking model over a token batch.
 
     tokens: int array [L] or [B, L]. Returns (logits, TraceBundle) with
-    logits [B, L, vocab] ([L, vocab] when the input was rank 1). Set
-    collect=False to skip storing the spike stacks (counters are still
-    filled); relaxed=True replaces every threshold with its smooth
+    logits [B, L, vocab] ([L, vocab] when the input was rank 1). The trace
+    records every neuron population's spike stack by name; collect=False
+    records none. relaxed=True replaces every threshold with its smooth
     surrogate, making the forward differentiable end to end.
 
     The forward runs layer by layer: each block takes the [T, B, L, d]
@@ -252,13 +256,12 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     the forward computes only what they and the cache need: the blocks
     before the last and the last block's keys and values run over all L new
     rows, and the last block's query, attention, output and FFN and the
-    head over the last row. The trace then holds that one query row for the
-    last layer (attn_spikes[-1] [T, B, h, 1, P+L], hidden[-1] [T, B, 1, d]),
-    and its last SFFN counters count that row. The logits match the last
-    row of a full forward over all P+L tokens up to rounding: a product
-    over fewer rows may sum in another order inside BLAS, while spikes,
-    scores and context sums are exact. Prefill is the same call on an
-    empty cache.
+    head over the last row. The trace records the rows that ran: all L for
+    the last layer's "in", "k" and "v", the last for its other populations.
+    The logits match the last row of a full forward over all P+L tokens up
+    to rounding: a product over fewer rows may sum in another order inside
+    BLAS, while spikes, scores and context sums are exact. Prefill is the
+    same call on an empty cache.
     """
     ids = _check_tokens(tokens, cfg)
     squeeze = np.asarray(tokens).ndim == 1
@@ -281,44 +284,40 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     sn = cfg.neuron_spec(relaxed)
     attn_sn = cfg.attn_spec(relaxed)
 
-    trace = TraceBundle(seq_len=l, t_steps=t_steps)
-    trace.sfsa_in_active = np.zeros(n)
-    trace.sfsa_in_total = np.zeros(n)
-    trace.sffn_in_active = np.zeros(n)
-    trace.sffn_in_total = np.zeros(n)
+    trace = TraceBundle(seq_len=l, t_steps=t_steps, n_layers=n)
     if cache is not None and not past_len:
         shape = (t_steps, b, cfg.max_seq_len, cfg.d_model)
         cache.k = [np.empty(shape) for _ in range(n)]
         cache.v = [np.empty(shape) for _ in range(n)]
 
+    def record(prefix: str, stacks: dict) -> None:
+        if collect:
+            trace.activity.update((prefix + name, s) for name, s in stacks.items())
+
     stream = sn.run(emb, t_steps)
-    if collect:
-        trace.embed_steps = stream
+    record("", {"enc": stream})
     for i in range(n):
-        trace.sfsa_in_active[i], trace.sfsa_in_total[i] = _count_active(stream)
         past = None
         if past_len:
             past = (cache.k[i][:, :, :past_len], cache.v[i][:, :, :past_len])
         # with a cache only the last position's logits are returned: beyond
         # its keys and values, the last block runs that row alone
         last_row = cache is not None and i == n - 1
-        attn_out, attn_spk, (sk, sv) = sfsa_forward(
-            stream, _attn_weights(params, i), sn, attn_sn, cfg.n_heads, past=past,
-            last_row=last_row)
+        attn = sfsa_forward(stream, _attn_weights(params, i), sn, attn_sn, cfg.n_heads,
+                            past=past, last_row=last_row)
         if cache is not None:
-            cache.k[i][:, :, past_len:past_len + l] = sk
-            cache.v[i][:, :, past_len:past_len + l] = sv
+            cache.k[i][:, :, past_len:past_len + l] = attn["k"]
+            cache.v[i][:, :, past_len:past_len + l] = attn["v"]
+        record(f"layer{i}.", {"in": stream, **attn})
         if last_row:
             stream = stream[:, :, -1:]
-        y = stream + attn_out
-        trace.sffn_in_active[i], trace.sffn_in_total[i] = _count_active(y)
+        y = stream + attn["out"]
         pre = f"layers.{i}.ffn."
-        ffn_out = sffn_forward(y, params[pre + "w1"], params[pre + "b1"],
-                               params[pre + "w2"], params[pre + "b2"], sn)
-        if collect:
-            trace.attn_spikes.append(attn_spk)
-            trace.hidden.append(ffn_out)
-        stream = y + ffn_out
+        ffn = sffn_forward(y, params[pre + "w1"], params[pre + "b1"],
+                           params[pre + "w2"], params[pre + "b2"], sn)
+        record(f"layer{i}.", {"mid": y, **ffn})
+        stream = y + ffn["ffn2"]
+        del attn, ffn  # stacks not recorded are freed before the next layer runs
 
     logits = decode_logits(stream, params["head.w"])
     if cache is not None:

@@ -356,7 +356,8 @@ def check_sfsa_structure():
     for trial in range(100):
         # a fresh spike pattern at each of the T steps
         x = (rng.random((t, 1, l, cfg.d_model)) < 0.5).astype(float)
-        out, s_attn, (sk, sv) = sfsa_forward(x, w, sn, attn_sn, h)
+        pops = sfsa_forward(x, w, sn, attn_sn, h)
+        out, s_attn, sk, sv = pops["out"], pops["attn"], pops["k"], pops["v"]
         ok &= set(np.unique(out)) <= {0.0, 1.0}
         ok &= set(np.unique(s_attn)) <= {0.0, 1.0}
         ok &= bool(np.any(s_attn))
@@ -373,18 +374,17 @@ def check_sfsa_structure():
         # must be bit-exact
         x2 = x.copy()
         x2[:, :, -1] = 1.0 - x2[:, :, -1]
-        out2, s_attn2, _ = sfsa_forward(x2, w, sn, attn_sn, h)
-        ok &= bool(np.array_equal(out2[:, :, :-1], out[:, :, :-1]))
-        ok &= bool(np.array_equal(s_attn2[..., :-1, :], s_attn[..., :-1, :]))
+        pops2 = sfsa_forward(x2, w, sn, attn_sn, h)
+        ok &= bool(np.array_equal(pops2["out"][:, :, :-1], out[:, :, :-1]))
+        ok &= bool(np.array_equal(pops2["attn"][..., :-1, :], s_attn[..., :-1, :]))
 
         # last-row path after a cached prefix of trial % l positions
         p = trial % l
         past = (sk[:, :, :p], sv[:, :, :p]) if p else None
-        out3, s_attn3, (sk3, sv3) = sfsa_forward(x[:, :, p:], w, sn, attn_sn, h,
-                                                 past=past, last_row=True)
-        ok &= bool(np.array_equal(out3, out[:, :, -1:]))
-        ok &= bool(np.array_equal(s_attn3, s_attn[..., -1:, :]))
-        ok &= bool(np.array_equal(sk3, sk[:, :, p:]) and np.array_equal(sv3, sv[:, :, p:]))
+        pops3 = sfsa_forward(x[:, :, p:], w, sn, attn_sn, h, past=past, last_row=True)
+        ok &= bool(np.array_equal(pops3["out"], out[:, :, -1:]))
+        ok &= bool(np.array_equal(pops3["attn"], s_attn[..., -1:, :]))
+        ok &= all(np.array_equal(pops3[n], pops[n][:, :, p:]) for n in ("k", "v"))
         if not ok:
             break
     ok &= out_spikes > 0

@@ -314,30 +314,32 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
             loss_sum = 0.0
             bd_sum = dict.fromkeys(("emb", "attn", "feat", "soft", "hard"), 0.0)
             fire = 0.0
-            for micro in range(cfg.grad_accum):
-                xb, yb = data.batch_at(windows, step * cfg.grad_accum + micro,
-                                       cfg.batch_size)
-                vparams = {k: ad.Var(p) for k, p in params.items()}
-                total, bd, fire = _step_loss(mode, xb, yb, model_cfg, vparams,
-                                             teacher_cfg, teacher_params, spad,
-                                             lif)
-                # total keeps this step's tape alive until the next forward
-                # has built its own. Releasing it here (del total after the
-                # loss is read) cut train-hard's peak RSS from 121 to 91 MB,
-                # but the allocator then hands the freed pages back after
-                # each step and every forward faults them in again: ~6.7k
-                # more minor faults per step, and op_ms_p50 25.7 -> 36-37 ms
-                # (perfbench, 2 vCPUs, 3 pairs). Benchmark op_ms before
-                # releasing the tape earlier.
-                grads = bptt_backward(total, vparams)
-                for k in acc:
-                    acc[k] += grads[k]
-                loss_sum += float(ad.value(total))
-                for k in bd_sum:
-                    bd_sum[k] += bd[k]
-            inv = 1.0 / cfg.grad_accum
-            grads = {k: g * inv for k, g in acc.items()}
-            grads, norm = clip_gradients(grads, cfg.grad_clip)
+            # an overflow shows once, as the non-finite loss or norm checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for micro in range(cfg.grad_accum):
+                    xb, yb = data.batch_at(windows, step * cfg.grad_accum + micro,
+                                           cfg.batch_size)
+                    vparams = {k: ad.Var(p) for k, p in params.items()}
+                    total, bd, fire = _step_loss(mode, xb, yb, model_cfg, vparams,
+                                                 teacher_cfg, teacher_params, spad,
+                                                 lif)
+                    # total keeps this step's tape alive until the next forward
+                    # has built its own. Releasing it here (del total after the
+                    # loss is read) cut train-hard's peak RSS from 121 to 91 MB,
+                    # but the allocator then hands the freed pages back after
+                    # each step and every forward faults them in again: ~6.7k
+                    # more minor faults per step, and op_ms_p50 25.7 -> 36-37 ms
+                    # (perfbench, 2 vCPUs, 3 pairs). Benchmark op_ms before
+                    # releasing the tape earlier.
+                    grads = bptt_backward(total, vparams)
+                    for k in acc:
+                        acc[k] += grads[k]
+                    loss_sum += float(ad.value(total))
+                    for k in bd_sum:
+                        bd_sum[k] += bd[k]
+                inv = 1.0 / cfg.grad_accum
+                grads = {k: g * inv for k, g in acc.items()}
+                grads, norm = clip_gradients(grads, cfg.grad_clip)
             loss = loss_sum * inv
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise EvaluationError(f"non-finite loss {loss} or gradient norm {norm} "

@@ -13,6 +13,11 @@ from spikeclm.errors import ConfigError, ShapeError, ValidationError
 from spikeclm.neurons import LifParams, NeuronSpec, TernaryParams
 
 
+def out_attn(pops):
+    """The output and score spikes of sfsa_forward's populations."""
+    return pops["out"], pops["attn"]
+
+
 def identity_weights(d):
     eye = np.eye(d)
     zero = np.zeros(d)
@@ -53,14 +58,14 @@ class TestSfsaHandTrace:
     def test_identity_projection_trace(self):
         """Tiny block worked through by hand, one time step."""
         x = np.array([[[[1.0, 0.0], [1.0, 1.0]]]])
-        out, attn, _ = sfsa_forward(x, identity_weights(2), spec(), spec(), 1)
+        out, attn = out_attn(sfsa_forward(x, identity_weights(2), spec(), spec(), 1))
         # q=k=v=x spike unchanged; scores [[1,1],[1,2]] masked to [[1,0],[1,2]]
         np.testing.assert_array_equal(attn[0, 0], [[[1, 0], [1, 1]]])
         np.testing.assert_array_equal(out[0, 0], [[1, 0], [1, 1]])
 
     def test_zero_input_zero_output(self):
         x = np.zeros((1, 1, 3, 4))
-        out, attn, _ = sfsa_forward(x, random_weights(4, std=0.0), spec(), spec(), 2)
+        out, attn = out_attn(sfsa_forward(x, random_weights(4, std=0.0), spec(), spec(), 2))
         np.testing.assert_array_equal(out[0, 0], np.zeros((3, 4)))
         np.testing.assert_array_equal(attn[0, 0], np.zeros((2, 3, 3)))
 
@@ -76,7 +81,7 @@ class TestSfsaProperties:
         """Outputs and attention spikes stay in {0,1} over carried steps."""
         w = random_weights(8, seed=1, std=1.0)
         x = self.random_spikes((4, 1, 5, 8))
-        out, attn, _ = sfsa_forward(x, w, spec(), spec(), 2)
+        out, attn = out_attn(sfsa_forward(x, w, spec(), spec(), 2))
         assert out.shape == (4, 1, 5, 8) and attn.shape == (4, 1, 2, 5, 5)
         assert set(np.unique(out)) <= {0.0, 1.0}
         assert set(np.unique(attn)) <= {0.0, 1.0}
@@ -96,8 +101,8 @@ class TestSfsaProperties:
         x = np.stack([self.random_spikes((5, 4))] * 3)[:, None]
         x2 = x.copy()
         x2[:, :, 4] = 1.0 - x2[:, :, 4]
-        o1, a1, _ = sfsa_forward(x, w, spec(), spec(), 2)
-        o2, a2, _ = sfsa_forward(x2, w, spec(), spec(), 2)
+        o1, a1 = out_attn(sfsa_forward(x, w, spec(), spec(), 2))
+        o2, a2 = out_attn(sfsa_forward(x2, w, spec(), spec(), 2))
         np.testing.assert_array_equal(o1[:, :, :4], o2[:, :, :4])
         np.testing.assert_array_equal(a1[..., :4, :], a2[..., :4, :])
 
@@ -106,15 +111,15 @@ class TestSfsaProperties:
         xb = self.random_spikes((2, 3, 5, 4))
         outs = []
         for i in range(3):
-            o, _, _ = sfsa_forward(xb[:, i:i + 1], w, spec(), spec(), 2)
+            o = sfsa_forward(xb[:, i:i + 1], w, spec(), spec(), 2)["out"]
             outs.append(o)
-        ob, _, _ = sfsa_forward(xb, w, spec(), spec(), 2)
+        ob = sfsa_forward(xb, w, spec(), spec(), 2)["out"]
         np.testing.assert_array_equal(ob, np.concatenate(outs, axis=1))
 
     def test_integer_residual_counts_accepted(self):
         """Spike sums from residual paths (small ints) are valid inputs."""
         x = np.array([[[[2.0, 0.0], [1.0, 3.0]]]])
-        out, _, _ = sfsa_forward(x, identity_weights(2), spec(), spec(), 1)
+        out = sfsa_forward(x, identity_weights(2), spec(), spec(), 1)["out"]
         assert set(np.unique(out)) <= {0.0, 1.0}
 
     def test_non_spike_input_rejected(self):
@@ -149,7 +154,7 @@ class TestSfsaProperties:
         amp = 0.3
         sn = NeuronSpec(mode="ternary", ternary=TernaryParams(amp=amp))
         x = np.array([[[[amp + amp + amp, -amp], [0.0, -amp - amp]]]])
-        out, _, _ = sfsa_forward(x, random_weights(2, std=1.0), sn, sn, 1)
+        out = sfsa_forward(x, random_weights(2, std=1.0), sn, sn, 1)["out"]
         assert set(np.unique(out)) <= {-amp, 0.0, amp}
         with pytest.raises(ValidationError, match="not a count of"):
             sfsa_forward(x + 0.1, random_weights(2), sn, sn, 1)
@@ -209,7 +214,7 @@ class TestSfsaGradients:
         def run(wq):
             w = identity_weights(d)
             w.w_q = wq
-            out, _, _ = sfsa_forward(x_steps, w, sn, sn, 1)
+            out = sfsa_forward(x_steps, w, sn, sn, 1)["out"]
             return (out * out).sum()
 
         v = ad.Var(w0.copy())
@@ -226,7 +231,7 @@ class TestSfsaGradients:
         vw = AttnWeights(*[ad.Var(ad.value(getattr(w, f)))
                            for f in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
                                      "w_out", "b_out")])
-        out, _, _ = sfsa_forward(x, vw, spec(), spec(), 2)
+        out = sfsa_forward(x, vw, spec(), spec(), 2)["out"]
         out.sum().backward()
         g = vw.w_q.grad
         assert g is not None and np.isfinite(g).all()
@@ -240,12 +245,10 @@ class TestSfsaPast:
         rows from past_len on, reading keys and values of the earlier rows
         from a full run. Returns the output and attention spike stacks."""
         if not past_len:
-            out, attn, _ = sfsa_forward(xs, w, sn, sn, n_heads)
-            return out, attn
-        _, _, (k, v) = sfsa_forward(xs, w, sn, sn, n_heads)
-        past = (k[..., :past_len, :], v[..., :past_len, :])
-        out, attn, _ = sfsa_forward(xs[..., past_len:, :], w, sn, sn, n_heads, past=past)
-        return out, attn
+            return out_attn(sfsa_forward(xs, w, sn, sn, n_heads))
+        full = sfsa_forward(xs, w, sn, sn, n_heads)
+        past = (full["k"][..., :past_len, :], full["v"][..., :past_len, :])
+        return out_attn(sfsa_forward(xs[..., past_len:, :], w, sn, sn, n_heads, past=past))
 
     @pytest.mark.parametrize("mode", ["binary", "ternary"])
     def test_past_matches_last_rows_of_full_call(self, mode):
@@ -274,7 +277,8 @@ class TestSfsaPast:
         w.b_q = w.b_q + 0.9
         w.b_k = w.b_k + 0.9
         xs = (rng.random((2, 2, 6, 8)) < 0.5).astype(np.float64)
-        full_out, full_attn, (k, v) = sfsa_forward(xs, w, sn, sn, 2)
+        full = sfsa_forward(xs, w, sn, sn, 2)
+        full_out, full_attn, k, v = full["out"], full["attn"], full["k"], full["v"]
         assert np.count_nonzero(full_attn[..., -1, :]) > 0
         # the last query row sees some key that earlier rows do not
         assert np.count_nonzero(full_attn[..., -1, -1]) > 0
@@ -283,7 +287,7 @@ class TestSfsaPast:
                  sfsa_forward(xs, w, sn, sn, 2, last_row=True),
                  sfsa_forward(xs[..., 3:, :], w, sn, sn, 2,
                               past=(k[..., :3, :], v[..., :3, :]), last_row=True)]
-        for out, attn, _ in calls:
+        for out, attn in map(out_attn, calls):
             assert out.shape == (2, 2, 1, 8) and attn.shape == (2, 2, 2, 1, 6)
             np.testing.assert_array_equal(out.view(np.uint64),
                                           full_out[..., -1:, :].view(np.uint64))
@@ -358,7 +362,7 @@ class TestScoreNode:
         if block == "sfsa":
             x = (rng.random((2, 2, 6, 8)) < 0.5).astype(np.float64)
             sn = spec(thr=0.5, relaxed=False)
-            out, attn, _ = sfsa_forward(x, w, sn, sn, 2)
+            out, attn = out_attn(sfsa_forward(x, w, sn, sn, 2))
         else:
             out, attn = csa_forward(rng.normal(size=(2, 6, 8)), w, 2)
         (out * np.random.default_rng(23).normal(size=out.shape)).sum().backward()
@@ -442,7 +446,8 @@ class TestScoreNode:
         sn = NeuronSpec(mode="binary")
         w = random_weights(8, seed=28)
         xs = (np.random.default_rng(29).random((2, 1, 4, 8)) < 0.5).astype(np.float64)
-        _, _, (k, v) = sfsa_forward(xs, w, sn, sn, 2)
+        full = sfsa_forward(xs, w, sn, sn, 2)
+        k, v = full["k"], full["v"]
         assert masks[-1] is not None
         sfsa_forward(xs, w, sn, sn, 2, last_row=True)
         sfsa_forward(xs[..., 3:, :], w, sn, sn, 2, past=(k[..., :3, :], v[..., :3, :]))

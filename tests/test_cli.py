@@ -221,6 +221,18 @@ class TestFiniteConfig:
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize("command,lr", [("train", "1e308"), ("train-teacher", "1e300")])
+    def test_overflow_is_one_error_line(self, command, lr, tmp_path, corpus_file, capsys):
+        """A step that overflows ends at the non-finite loss check, with no
+        numpy warning before it (pytest makes any warning an error)."""
+        out = tmp_path / "x.ckpt"
+        assert run_cli(command, "--corpus", corpus_file, "--out", str(out), "--steps", "6",
+                       "--seq-len", "8", "--batch-size", "2", *MODEL_FLAGS,
+                       "--set", "model.d_model=16", "--set", f"train.lr_peak={lr}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_writes_checkpoint_metrics_snapshot(self, tmp_path, corpus_file):
         out = str(tmp_path / "s.ckpt")
         metrics = str(tmp_path / "m.tsv")

@@ -97,29 +97,24 @@ class TestSnnForward:
         assert logits2.shape == (2, 6, 11)
 
     def test_trace_complete(self):
-        """One attention and one hidden trace per layer per time step."""
+        """One stack over all time steps per population, named in forward order."""
         _, trace = snn_forward(self.ids, self.cfg, self.params)
-        assert len(trace.attn_spikes) == self.cfg.n_layers
-        assert len(trace.hidden) == self.cfg.n_layers
-        assert all(len(t) == self.cfg.t_steps for t in trace.attn_spikes)
-        assert all(len(t) == self.cfg.t_steps for t in trace.hidden)
-        assert len(trace.embed_steps) == self.cfg.t_steps
-        assert trace.attn_spikes[0][0].shape == (1, 2, 6, 6)
+        parts = ("in", "q", "k", "v", "attn", "ctx", "out", "mid", "ffn1", "ffn2")
+        assert list(trace.activity) == ["enc"] + [
+            f"layer{i}.{part}" for i in range(self.cfg.n_layers) for part in parts]
+        assert all(len(s) == self.cfg.t_steps for s in trace.activity.values())
+        assert trace.activity["layer0.attn"][0].shape == (1, 2, 6, 6)
+        assert trace.activity["layer1.ffn1"][0].shape == (1, 6, self.cfg.d_ff)
 
     def test_inner_tensors_binary(self):
         params = init_params(self.cfg, seed=7)
         # scale weights up so plenty of spikes actually occur
         hot = {k: v * 40.0 for k, v in params.items()}
         _, trace = snn_forward(self.ids, self.cfg, hot)
-        saw_spike = 0.0
-        for l in range(self.cfg.n_layers):
-            for t in range(self.cfg.t_steps):
-                assert set(np.unique(trace.attn_spikes[l][t])) <= {0.0, 1.0}
-                assert set(np.unique(trace.hidden[l][t])) <= {0.0, 1.0}
-                saw_spike += trace.hidden[l][t].sum()
-        for t in range(self.cfg.t_steps):
-            assert set(np.unique(trace.embed_steps[t])) <= {0.0, 1.0}
-        assert saw_spike > 0
+        for name, stack in trace.activity.items():
+            if not name.endswith((".in", ".mid")):  # residual sums, not populations
+                assert set(np.unique(stack)) <= {0.0, 1.0}, name
+        assert trace.activity["layer1.ffn2"].sum() > 0
 
     def test_zeroed_blocks_pass_encoder_through(self):
         """With all block weights zero, the head sees the raw spike code."""
@@ -130,7 +125,7 @@ class TestSnnForward:
         # strong embeddings so the encoder actually fires
         p["tok_emb"] = p["tok_emb"] * 80.0
         logits, trace = snn_forward(self.ids, self.cfg, p)
-        enc_mean = time_mean(trace.embed_steps)[0]
+        enc_mean = time_mean(trace.activity["enc"])[0]
         np.testing.assert_allclose(logits, enc_mean @ p["head.w"], rtol=1e-12)
 
     def test_deterministic(self):
@@ -166,8 +161,9 @@ class TestSnnForward:
     def test_firing_counters(self):
         _, trace = snn_forward(self.ids, self.cfg, self.params)
         expect_total = self.cfg.t_steps * 1 * 6 * self.cfg.d_model
-        assert trace.sfsa_in_total.tolist() == [expect_total] * 2
-        assert trace.sffn_in_total.tolist() == [expect_total] * 2
+        for i in range(self.cfg.n_layers):
+            assert trace.count(f"layer{i}.in")[1] == expect_total
+            assert trace.count(f"layer{i}.mid")[1] == expect_total
         assert 0.0 <= trace.mean_firing_rate() <= 1.0
 
     def test_ternary_mode_runs(self):
@@ -175,7 +171,7 @@ class TestSnnForward:
         p = init_params(cfg, seed=2)
         logits, trace = snn_forward(self.ids, cfg, p)
         assert np.isfinite(logits).all()
-        vals = set(np.unique(trace.hidden[0][0]))
+        vals = set(np.unique(trace.activity["layer0.ffn2"][0]))
         assert vals <= {-cfg.ternary_amp, 0.0, cfg.ternary_amp}
 
     @pytest.mark.parametrize("mode", ["binary", "ternary"])
@@ -205,10 +201,11 @@ class TestSnnForward:
         cfg = tiny_cfg(neuron_mode="ternary", ternary_amp=amp, attn_thr=attn_thr)
         logits, trace = snn_forward(self.ids, cfg, firing_params(cfg, 2))
         assert np.isfinite(logits).all()
-        assert np.any(trace.embed_steps[0] < 0) and np.any(trace.embed_steps[0] > 0)
+        enc = trace.activity["enc"][0]
+        assert np.any(enc < 0) and np.any(enc > 0)
         for i in range(cfg.n_layers):
-            assert sum(np.count_nonzero(a) for a in trace.attn_spikes[i]) > 0
-            assert set(np.unique(trace.hidden[i][0])) <= {-amp, 0.0, amp}
+            assert np.count_nonzero(trace.activity[f"layer{i}.attn"]) > 0
+            assert set(np.unique(trace.activity[f"layer{i}.ffn2"][0])) <= {-amp, 0.0, amp}
 
 
 class TestTapeMemory:
@@ -398,21 +395,14 @@ class TestIncrementalDecode:
         cfg, p = self.make(mode)
         _, trace = snn_forward(np.array([1, 4, 2, 9, 0, 5]), cfg, p)
         for i in range(cfg.n_layers):
-            assert sum(np.count_nonzero(a) for a in trace.attn_spikes[i]) > 0
+            assert np.count_nonzero(trace.activity[f"layer{i}.attn"]) > 0
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_cached_forward_matches_full(self, mode, monkeypatch):
+    def test_cached_forward_matches_full(self, mode):
         cfg, p = self.make(mode)
         ids = np.array([[1, 4, 2, 9, 0, 5], [3, 3, 7, 1, 10, 2]])
-        full_kv = []
-
-        def recording_sfsa(*args, **kwargs):
-            out = attention.sfsa_forward(*args, **kwargs)
-            full_kv.append(out[2])
-            return out
-        monkeypatch.setattr(model, "sfsa_forward", recording_sfsa)
         full, full_trace = snn_forward(ids, cfg, p)
-        monkeypatch.undo()
+        full_acts = full_trace.activity
         for split in ([6], [1, 5], [4, 1, 1], [1] * 6):
             cache = DecodeCache()
             for n in split:
@@ -426,12 +416,13 @@ class TestIncrementalDecode:
                 np.testing.assert_allclose(logits[:, 0], full[:, end - 1],
                                            rtol=1e-12, atol=1e-12)
                 np.testing.assert_array_equal(
-                    trace.attn_spikes[0], full_trace.attn_spikes[0][..., start:end, :end])
+                    trace.activity["layer0.attn"], full_acts["layer0.attn"][..., start:end, :end])
                 np.testing.assert_array_equal(
-                    trace.attn_spikes[1], full_trace.attn_spikes[1][..., end - 1:end, :end])
-            for i, (k, v) in enumerate(full_kv):
-                np.testing.assert_array_equal(cache.k[i][:, :, :6], k)
-                np.testing.assert_array_equal(cache.v[i][:, :, :6], v)
+                    trace.activity["layer1.attn"],
+                    full_acts["layer1.attn"][..., end - 1:end, :end])
+            for i in range(cfg.n_layers):
+                np.testing.assert_array_equal(cache.k[i][:, :, :6], full_acts[f"layer{i}.k"])
+                np.testing.assert_array_equal(cache.v[i][:, :, :6], full_acts[f"layer{i}.v"])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_post_slide_step_costs_analytic_macs(self, mode):
@@ -493,58 +484,59 @@ def per_step_snn_forward(tokens, cfg, params, collect=True):
 
     Each step's spikes pass through every block before the next step
     starts, and every neuron population carries its NeuronState across
-    steps. Returns (logits, TraceBundle) with the firing counters filled.
+    steps. Returns (logits, TraceBundle) with each population's steps
+    stacked under the name snn_forward records it by.
     """
     ids = np.asarray(tokens)
     squeeze = ids.ndim == 1
     ids = np.atleast_2d(ids)
     b, l = ids.shape
     n, h, t_steps = cfg.n_layers, cfg.n_heads, cfg.t_steps
-    specs = {"attn": cfg.attn_spec()}
-    states = {}
+    states, steps = {}, {}
+
+    def record(name, s):
+        steps.setdefault(name, []).append(s)
+        return s
 
     def fire(name, current):
-        sn = specs.get(name[-1], cfg.neuron_spec())
+        sn = cfg.attn_spec() if name.endswith(".attn") else cfg.neuron_spec()
         state = states.get(name, NeuronState())
         if sn.mode == "binary":
             s, states[name] = lif_step(state, current, sn.lif, sn.relaxed)
         else:
             s, states[name] = ternary_step(state, current, sn.ternary, sn.relaxed)
-        return s
+        return record(name, s)
 
     def split(x):
         return x.reshape(b, -1, h, cfg.d_model // h).swapaxes(1, 2)
 
     emb = params["tok_emb"][ids] + params["pos_emb"][:l]
     mask = attention.causal_mask(l)
-    trace = model.TraceBundle(seq_len=l, t_steps=t_steps)
-    counters = [np.zeros(n) for _ in range(4)]
-    (trace.sfsa_in_active, trace.sfsa_in_total,
-     trace.sffn_in_active, trace.sffn_in_total) = counters
     head = []
     for t in range(t_steps):
-        stream = fire(("enc",), emb)
+        stream = fire("enc", emb)
         for i in range(n):
-            counters[0][i] += np.count_nonzero(stream)
-            counters[1][i] += stream.size
+            pre = f"layer{i}."
+            record(pre + "in", stream)
             w = model._attn_weights(params, i)
-            sq = fire((i, "q"), stream @ w.w_q + w.b_q)
-            sk = fire((i, "k"), stream @ w.w_k + w.b_k)
-            sv = fire((i, "v"), stream @ w.w_v + w.b_v)
-            s_attn = fire((i, "attn"), (split(sq) @ split(sk).swapaxes(-1, -2)) * mask)
-            s_ctx = fire((i, "ctx"), s_attn @ split(sv))
+            sq = fire(pre + "q", stream @ w.w_q + w.b_q)
+            sk = fire(pre + "k", stream @ w.w_k + w.b_k)
+            sv = fire(pre + "v", stream @ w.w_v + w.b_v)
+            s_attn = fire(pre + "attn", (split(sq) @ split(sk).swapaxes(-1, -2)) * mask)
+            s_ctx = fire(pre + "ctx", s_attn @ split(sv))
             merged = s_ctx.swapaxes(1, 2).reshape(b, l, cfg.d_model)
-            y = stream + fire((i, "out"), merged @ w.w_out + w.b_out)
-            counters[2][i] += np.count_nonzero(y)
-            counters[3][i] += y.size
-            pre = f"layers.{i}.ffn."
-            hid = fire((i, "fc1"), y @ params[pre + "w1"] + params[pre + "b1"])
-            stream = y + fire((i, "fc2"), hid @ params[pre + "w2"] + params[pre + "b2"])
+            y = record(pre + "mid", stream + fire(pre + "out", merged @ w.w_out + w.b_out))
+            ffn = f"layers.{i}.ffn."
+            hid = fire(pre + "ffn1", y @ params[ffn + "w1"] + params[ffn + "b1"])
+            stream = y + fire(pre + "ffn2", hid @ params[ffn + "w2"] + params[ffn + "b2"])
         head.append(stream)
     total = head[0]
     for x in head[1:]:
         total = total + x
     logits = (total / t_steps) @ params["head.w"]
+    trace = model.TraceBundle(seq_len=l, t_steps=t_steps, n_layers=n)
+    if collect:
+        trace.activity = {name: np.stack(s) for name, s in steps.items()}
     return (logits[0] if squeeze else logits), trace
 
 
@@ -563,10 +555,30 @@ class TestMultiStepMatchesPerStep:
         ids = np.array([[1, 4, 2, 9, 0, 5], [3, 3, 7, 1, 10, 2]])
         logits, trace = snn_forward(ids, cfg, p)
         want, want_trace = per_step_snn_forward(ids, cfg, p)
-        assert all(np.count_nonzero(a) for a in trace.attn_spikes)
+        assert all(np.count_nonzero(trace.activity[f"layer{i}.attn"]) for i in range(2))
         np.testing.assert_array_equal(logits, want)
         assert (energy.render_report(energy.energy_report(cfg, trace))
                 == energy.render_report(energy.energy_report(cfg, want_trace)))
+
+    @pytest.mark.parametrize("t_steps", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_activity_record_matches_per_step(self, mode, t_steps):
+        """Every population's stack, and so its count, is the oracle's."""
+        cfg, p = self.make(mode, t_steps)
+        ids = np.array([[1, 4, 2, 9, 0, 5], [3, 3, 7, 1, 10, 2]])
+        _, trace = snn_forward(ids, cfg, p)
+        _, want = per_step_snn_forward(ids, cfg, p)
+        assert list(trace.activity) == list(want.activity)
+        for name, stack in want.activity.items():
+            assert trace.count(name) == want.count(name), name
+            np.testing.assert_array_equal(trace.activity[name], stack, err_msg=name)
+
+    def test_uncollected_trace_has_no_rates(self):
+        cfg, p = self.make("binary", 2)
+        _, trace = snn_forward(np.array([1, 4, 2]), cfg, p, collect=False)
+        assert trace.activity == {}
+        with pytest.raises(ValidationError, match="collect=False"):
+            energy.measure_firing_rates(trace)
 
     @pytest.mark.parametrize("mode", ["binary", "ternary"])
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
