@@ -12,26 +12,28 @@ Training modes:
   "spad"     spiking student against a frozen dense teacher, five-term loss
 
 Metrics are tab-separated, one line per optimizer step, after a magic
-header line and a column-name line:
-  step  lr  loss  emb  attn  feat  soft  hard  fire_rate
-Component columns are the lambda-weighted values; fire_rate is the mean
-firing rate over all sublayer inputs for the step's last micro-batch.
+header line and a column-name line; the columns are MetricsRow's fields:
+  step       optimizer step, from 1
+  lr         the step's learning rate
+  loss       the loss the step's gradient is taken of
+  emb..hard  the lambda-weighted terms in LOSS_NAMES order, summing to loss
+             (CE-only modes report hard = loss and the other four as 0)
+  fire_rate  pooled firing rate of the blocks' residual inputs (0 if dense)
+Every column after lr is the mean over the step's micro-batches.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad, data
-from .distill import SpadConfig, layer_map, loss_hard, spad_losses
+from .distill import LOSS_NAMES, SpadConfig, layer_map, loss_hard, spad_losses
 from .errors import (ConfigError, EvaluationError, InternalError, ValidationError,
                      require_finite_fields)
 from .model import ModelConfig, ann_forward, init_params, snn_forward
 
 METRICS_MAGIC = "# spikeclm-metrics v1"
-METRICS_COLUMNS = ("step", "lr", "loss", "emb", "attn", "feat", "soft", "hard",
-                   "fire_rate")
 # A step loss above DIVERGED_NATS_PER_LN_VOCAB * ln(vocab_size) once warmup is
 # over means the run has diverged: a uniform prediction costs ln(vocab_size).
 DIVERGED_NATS_PER_LN_VOCAB = 10.0
@@ -185,9 +187,11 @@ class MetricsRow:
     fire_rate: float
 
     def as_line(self) -> str:
-        vals = (self.step, self.lr, self.loss, self.emb, self.attn, self.feat,
-                self.soft, self.hard, self.fire_rate)
+        vals = (getattr(self, f.name) for f in fields(self))
         return "\t".join(repr(v) if isinstance(v, int) else f"{v:.10g}" for v in vals)
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def format_metrics(rows) -> str:
@@ -210,7 +214,7 @@ def parse_metrics(text: str):
         if len(parts) != len(METRICS_COLUMNS):
             raise ValidationError(f"malformed metrics row: {ln!r}")
         try:
-            rows.append(MetricsRow(int(parts[0]), *(float(p) for p in parts[1:])))
+            rows.append(MetricsRow(*(f.type(p) for f, p in zip(fields(MetricsRow), parts))))
         except ValueError:
             raise ValidationError(f"malformed metrics row: {ln!r}") from None
     return rows
@@ -241,10 +245,12 @@ def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,
     for b in range(n_batches):
         rows = np.arange(b * batch_size, min(n, (b + 1) * batch_size))
         xb, yb = windows.inputs[rows], windows.targets[rows]
-        if dense:
-            logits, _ = ann_forward(xb, cfg, params)
-        else:
-            logits, _ = snn_forward(xb, cfg, params, collect=False)
+        # an overflow shows once, as the non-finite logits checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if dense:
+                logits, _ = ann_forward(xb, cfg, params)
+            else:
+                logits, _ = snn_forward(xb, cfg, params, collect=False)
         if not np.isfinite(ad.value(logits)).all():
             raise EvaluationError(f"non-finite logits in evaluation batch {b}")
         total += float(ad.value(_flat_ce(logits, yb))) * yb.size
@@ -254,22 +260,22 @@ def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,
 
 def _step_loss(mode, xb, yb, model_cfg, vparams, teacher_cfg, teacher_params,
                spad, lif):
-    zero = dict.fromkeys(("emb", "attn", "feat", "soft"), 0.0)
-    if mode == "teacher":
-        logits, _ = ann_forward(xb, model_cfg, vparams)
-        total = _flat_ce(logits, yb)
-        bd = dict(zero, hard=float(ad.value(total)))
-        return total, bd, 0.0
-    if mode == "hard":
+    """One micro-batch's taped loss and its record: every metrics column
+    after lr, by name."""
+    if mode == "spad":
+        # the teacher runs frozen on plain arrays, the student on the tape
+        _, t_trace = ann_forward(xb, teacher_cfg, teacher_params)
         logits, trace = snn_forward(xb, model_cfg, vparams)
+        total, record = spad_losses(logits, trace, t_trace, yb, spad, lif)
+    else:
+        forward = ann_forward if mode == "teacher" else snn_forward
+        logits, trace = forward(xb, model_cfg, vparams)
         total = _flat_ce(logits, yb)
-        bd = dict(zero, hard=float(ad.value(total)))
-        return total, bd, trace.mean_firing_rate()
-    # spad: teacher runs frozen on plain arrays, student on the tape
-    t_logits, t_trace = ann_forward(xb, teacher_cfg, teacher_params)
-    logits, trace = snn_forward(xb, model_cfg, vparams)
-    total, bd = spad_losses(logits, trace, t_trace, yb, spad, lif)
-    return total, bd, trace.mean_firing_rate()
+        record = dict.fromkeys(LOSS_NAMES, 0.0)
+        record["hard"] = float(ad.value(total))
+    record["loss"] = float(ad.value(total))
+    record["fire_rate"] = 0.0 if mode == "teacher" else trace.mean_firing_rate()
+    return total, record
 
 
 def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
@@ -310,19 +316,17 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     try:
         for step in range(cfg.total_steps):
             lr = lr_schedule(step + 1, cfg)
-            acc = {k: np.zeros_like(p) for k, p in params.items()}
-            loss_sum = 0.0
-            bd_sum = dict.fromkeys(("emb", "attn", "feat", "soft", "hard"), 0.0)
-            fire = 0.0
+            # one set of leaves per step: each micro-batch's backward adds
+            # its gradient into their .grad
+            vparams = {k: ad.Var(p) for k, p in params.items()}
+            sums = dict.fromkeys(METRICS_COLUMNS[2:], 0.0)
             # an overflow shows once, as the non-finite loss or norm checked below
             with np.errstate(over="ignore", invalid="ignore"):
                 for micro in range(cfg.grad_accum):
                     xb, yb = data.batch_at(windows, step * cfg.grad_accum + micro,
                                            cfg.batch_size)
-                    vparams = {k: ad.Var(p) for k, p in params.items()}
-                    total, bd, fire = _step_loss(mode, xb, yb, model_cfg, vparams,
-                                                 teacher_cfg, teacher_params, spad,
-                                                 lif)
+                    total, record = _step_loss(mode, xb, yb, model_cfg, vparams,
+                                               teacher_cfg, teacher_params, spad, lif)
                     # total keeps this step's tape alive until the next forward
                     # has built its own. Releasing it here (del total after the
                     # loss is read) cut train-hard's peak RSS from 121 to 91 MB,
@@ -332,15 +336,13 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
                     # (perfbench, 2 vCPUs, 3 pairs). Benchmark op_ms before
                     # releasing the tape earlier.
                     grads = bptt_backward(total, vparams)
-                    for k in acc:
-                        acc[k] += grads[k]
-                    loss_sum += float(ad.value(total))
-                    for k in bd_sum:
-                        bd_sum[k] += bd[k]
+                    for k in sums:
+                        sums[k] += record[k]
                 inv = 1.0 / cfg.grad_accum
-                grads = {k: g * inv for k, g in acc.items()}
-                grads, norm = clip_gradients(grads, cfg.grad_clip)
-            loss = loss_sum * inv
+                grads, norm = clip_gradients({k: g * inv for k, g in grads.items()},
+                                             cfg.grad_clip)
+            row = MetricsRow(step=step + 1, lr=lr, **{k: v * inv for k, v in sums.items()})
+            loss = row.loss
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise EvaluationError(f"non-finite loss {loss} or gradient norm {norm} "
                                       f"at training step {step + 1}")
@@ -349,9 +351,6 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
                     f"training diverged at step {step + 1}: loss {loss:.4g} exceeds "
                     f"{DIVERGED_NATS_PER_LN_VOCAB:g} ln(vocab_size) = {diverged:.4g}")
             params = adam_step(params, grads, opt, lr, cfg)
-            row = MetricsRow(step=step + 1, lr=lr, loss=loss,
-                             fire_rate=fire,
-                             **{k: v * inv for k, v in bd_sum.items()})
             rows.append(row)
             if fh:
                 fh.write(row.as_line() + "\n")

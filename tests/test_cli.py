@@ -605,3 +605,71 @@ class TestErrorPaths:
         assert len(written) == n_saved
         assert all(os.path.commonpath([p, tmp_path]) == str(tmp_path) for p in written)
         assert list(tmp_path.iterdir()) == []
+
+
+# The fuzz test's inputs: every numeric setting at each value, through every
+# command that reads the setting's section.
+FUZZ_VALUES = ("0", "-1", "1e-320", "1e308")
+FUZZ_COMMANDS = {"model": ("train-teacher", "train", "distill"),
+                 "train": ("train-teacher", "train", "distill", "eval", "profile"),
+                 "spad": ("distill",), "run": ("generate", "eval", "profile")}
+
+
+def test_fuzzed_inputs_exit_0_or_one_error_line(tmp_path, capsys):
+    """Mutated checkpoints, degenerate corpora and extreme settings: every run
+    exits 0 with nothing on stderr, or prints one error line and exits 2.
+    pytest turns any warning into a failure."""
+    rng = np.random.default_rng(8)
+    cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+    ckpt, teacher = tmp_path / "s.ckpt", tmp_path / "t.ckpt"
+    save_model(ckpt, cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
+    save_model(teacher, cfg, init_params(cfg, 0, kind="teacher"),
+               extra_fields={"arch": "dense"})
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("hello world " * 20)
+    tiny = [a for s in ("model.d_model=8", "model.n_layers=1", "model.n_heads=2",
+                        "model.d_ff=16", "model.max_seq_len=8", "train.total_steps=2",
+                        "train.seq_len=8", "train.batch_size=2") for a in ("--set", s)]
+    out = ["--out", str(tmp_path / "o.ckpt"), "--metrics", str(tmp_path / "o.tsv")]
+    # flags win over --set, so no setting a run fuzzes is given as a flag;
+    # the second of two steps has learning rate 0, the first does not
+    uses = {"train": ["--corpus", str(corpus), *out, *tiny],
+            "train-teacher": ["--corpus", str(corpus), *out, *tiny],
+            "distill": ["--corpus", str(corpus), "--teacher", str(teacher), *out, *tiny],
+            "generate": ["--checkpoint", str(ckpt), "--prompt", "he", "--set", "run.n_new=3"],
+            "eval": ["--checkpoint", str(ckpt), "--corpus", str(corpus)],
+            "profile": ["--checkpoint", str(ckpt), "--corpus", str(corpus)]}
+    runs = []
+    good = ckpt.read_bytes()
+    for i in range(12):
+        bad = bytearray(good)
+        pos = int(rng.integers(len(bad)))
+        if i % 3 == 0:
+            bad = bad[:pos]
+        elif i % 3 == 1:
+            bad[pos] = int(rng.integers(256))
+        else:
+            bad[pos] ^= 1 << int(rng.integers(8))
+        path = tmp_path / f"bad{i}.ckpt"
+        path.write_bytes(bytes(bad))
+        runs += [[c, *uses[c], "--checkpoint", str(path)]
+                 for c in ("eval", "generate", "profile")]
+    for i, text in enumerate((b"", b"h", b"\xff\xfe\x80 \xc3(" * 9)):
+        path = tmp_path / f"corpus{i}.txt"
+        path.write_bytes(text)
+        runs += [[c, *uses[c], "--corpus", str(path)] for c in ("train", "eval", "profile")]
+    for section, obj in (("model", ModelConfig), ("train", TrainConfig),
+                         ("spad", SpadConfig), ("run", RunConfig)):
+        names = [f.name for f in fields(obj) if f.type in (int, float, "int", "float")]
+        names += ["lambdas"] if section == "spad" else []
+        runs += [[c, *uses[c], "--set", f"{section}.{name}={value}"]
+                 for name in names for value in FUZZ_VALUES
+                 for c in FUZZ_COMMANDS[section]]
+    bad_runs = []
+    for argv in runs:
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        if not ((code == 0 and err == "") or
+                (code == 2 and err.startswith("error: ") and err.count("\n") == 1)):
+            bad_runs.append((argv[0], argv[-1], code, err))
+    assert not bad_runs, bad_runs

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from spikeclm import model
+from spikeclm.distill import LOSS_NAMES
+from spikeclm.training import METRICS_COLUMNS, parse_metrics
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +42,22 @@ def test_fingerprint_lists_every_walkthrough_file(walkthrough):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     assert [line.split("  ")[1] for line in lines] == sorted(FINGERPRINT_FILES)
     assert len(lines) == len(FINGERPRINT_FILES) == 21
+
+
+def test_walkthrough_metrics_parse_and_add_up(walkthrough):
+    """Each training run's metrics read back with one row per step. A row's
+    loss is the sum of its five weighted terms; a CE-only row's is all hard."""
+    out, _ = walkthrough
+    assert METRICS_COLUMNS[3:8] == LOSS_NAMES
+    for run in ("teacher", "hard", "ternary", "spad"):
+        rows = parse_metrics((out / f"{run}.metrics").read_text())
+        assert [r.step for r in rows] == list(range(1, 21)), run
+        for r in rows:
+            terms = [getattr(r, name) for name in LOSS_NAMES]
+            if run == "spad":
+                np.testing.assert_allclose(r.loss, sum(terms), rtol=1e-9)
+            else:
+                assert terms == [0.0, 0.0, 0.0, 0.0, r.loss], run
 
 
 @pytest.mark.parametrize("student", ["hard", "ternary", "spad"])

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from spikeclm import autodiff as ad, data
-from spikeclm.distill import SpadConfig
+from spikeclm import autodiff as ad, data, training
+from spikeclm.distill import SpadConfig, loss_hard
 from spikeclm.errors import ConfigError, EvaluationError, InternalError, ValidationError
-from spikeclm.model import ModelConfig, init_params
+from spikeclm.model import ModelConfig, init_params, snn_forward
 from spikeclm.training import (MetricsRow, TrainConfig, adam_step, bptt_backward,
                                check_compat, clip_gradients, evaluate_ce,
                                format_metrics, global_norm, init_adam, lr_schedule,
@@ -266,6 +266,47 @@ class TestTrainLoop:
         b = train_loop(split, tiny_model(), corpus)
         for k in a.params:
             np.testing.assert_allclose(a.params[k], b.params[k], atol=1e-12)
+
+    def test_grad_accum_step_is_the_mean_micro_batch_gradient(self):
+        """The micro-batches' gradients add up on one set of leaves exactly as
+        two backward passes over fresh leaves do; one clip and one update follow."""
+        corpus = data.encode("the quick brown fox jumps over the lazy dog " * 8)
+        cfg = TrainConfig(total_steps=1, batch_size=2, seq_len=8, grad_accum=2,
+                          seed=2, val_fraction=0.0)
+        m_cfg = tiny_model()
+        params = init_params(m_cfg, cfg.seed)
+        windows = data.make_windows(corpus, cfg.seq_len)
+        g = []
+        for micro in range(2):
+            xb, yb = data.batch_at(windows, micro, cfg.batch_size)
+            vparams = {k: ad.Var(p) for k, p in params.items()}
+            logits, _ = snn_forward(xb, m_cfg, vparams)
+            loss = loss_hard(logits.reshape((-1, logits.shape[-1])), yb.reshape(-1))
+            g.append(bptt_backward(loss, vparams))
+        grads, _ = clip_gradients({k: (g[0][k] + g[1][k]) * 0.5 for k in params},
+                                  cfg.grad_clip)
+        want = adam_step(params, grads, init_adam(params), lr_schedule(1, cfg), cfg)
+        got = train_loop(cfg, m_cfg, corpus).params
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
+
+    def test_grad_accum_fire_rate_is_the_micro_batch_mean(self, monkeypatch):
+        rates = []
+        forward = training.snn_forward
+
+        def recording(*args, **kwargs):
+            logits, trace = forward(*args, **kwargs)
+            rates.append(trace.mean_firing_rate())
+            return logits, trace
+        monkeypatch.setattr(training, "snn_forward", recording)
+        corpus = data.encode("the quick brown fox jumps over the lazy dog " * 8)
+        cfg = TrainConfig(total_steps=1, batch_size=2, seq_len=8, grad_accum=2,
+                          val_fraction=0.0)
+        # thresholds low enough that the residual inputs fire
+        m_cfg = tiny_model(u_thr=0.03, attn_thr=0.03)
+        (row,) = train_loop(cfg, m_cfg, corpus).metrics
+        assert len(rates) == 2 and rates[0] != rates[1]
+        assert row.fire_rate == (rates[0] + rates[1]) / 2
 
     def test_spad_requires_teacher(self):
         cfg = TrainConfig(total_steps=1, batch_size=2, seq_len=8)
