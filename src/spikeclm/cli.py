@@ -42,8 +42,7 @@ class RunConfig:
     eval_seq_len: int = 0   # 0 means min(the model's max_seq_len, train.seq_len)
     eval_t_steps: int = 0   # 0 means the checkpoint's t_steps
     model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    spad: SpadConfig = field(default_factory=SpadConfig)
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(spad=SpadConfig()))
 
 
 def _simple_fields(cls):
@@ -52,7 +51,7 @@ def _simple_fields(cls):
 
 def _sections(rc: RunConfig) -> dict:
     """Config sections in file order; each key is a simple field of its object."""
-    return {"run": rc, "model": rc.model, "train": rc.train, "spad": rc.spad}
+    return {"run": rc, "model": rc.model, "train": rc.train, "spad": rc.train.spad}
 
 
 # A v2 snapshot starts with this line and writes every string as a JSON
@@ -66,7 +65,7 @@ def to_ini(rc: RunConfig) -> str:
     for section, obj in _sections(rc).items():
         lines = [f"[{section}]"]
         if section == "spad":
-            lines.append("lambdas = " + ", ".join(repr(v) for v in rc.spad.lambdas))
+            lines.append("lambdas = " + ", ".join(repr(v) for v in obj.lambdas))
         for f in _simple_fields(type(obj)):
             v = getattr(obj, f.name)
             lines.append(f"{f.name} = {json.dumps(v) if isinstance(v, str) else v}")
@@ -81,7 +80,7 @@ def apply_setting(rc: RunConfig, section: str, key: str, raw: str) -> None:
         raise ConfigError(f"unknown config section [{section}]")
     if section == "spad" and key == "lambdas":
         parts = [p for p in raw.replace(",", " ").split() if p]
-        rc.spad.lambdas = tuple(parse_field(full, p, float) for p in parts)
+        obj.lambdas = tuple(parse_field(full, p, float) for p in parts)
         return
     for f in _simple_fields(type(obj)):
         if f.name == key:
@@ -131,6 +130,15 @@ def _require(rc: RunConfig, *names) -> None:
     for name in names:
         if not getattr(rc, name):
             raise ConfigError(f"missing required setting run.{name}")
+
+
+def _load_checkpoint(rc: RunConfig, key: str = "checkpoint", need: str = ""):
+    """Load run.<key>; its family, "dense" or "spiking", must be `need` if set."""
+    cfg, params, extra, _ = load_model(getattr(rc, key))
+    arch = "dense" if extra.get("arch") == "dense" else "spiking"
+    if need and arch != need:
+        raise ConfigError(f"{rc.command} needs a {need} {key}, got a {arch} one")
+    return cfg, params, arch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,10 +212,7 @@ def cmd_train(rc: RunConfig, mode: str) -> int:
     teacher_cfg = teacher_params = None
     if mode == "spad":
         _require(rc, "teacher")
-        teacher_cfg, teacher_params, extra, _ = load_model(rc.teacher)
-        if extra.get("arch") != "dense":
-            raise ConfigError("run.teacher must point at a dense (train-teacher) checkpoint")
-        rc.train.spad = rc.spad
+        teacher_cfg, teacher_params, _ = _load_checkpoint(rc, "teacher", need="dense")
     res = train_loop(rc.train, rc.model, corpus, mode=mode,
                      teacher_cfg=teacher_cfg, teacher_params=teacher_params,
                      metrics_path=rc.metrics or None)
@@ -224,9 +229,7 @@ def cmd_train(rc: RunConfig, mode: str) -> int:
 
 def cmd_generate(rc: RunConfig) -> int:
     _require(rc, "checkpoint")
-    cfg, params, extra, _ = load_model(rc.checkpoint)
-    if extra.get("arch") == "dense":
-        raise ConfigError("generate needs a spiking checkpoint, got a dense one")
+    cfg, params, _ = _load_checkpoint(rc, need="spiking")
     ids = [data.BOS_ID] + data.encode(rc.prompt).tolist()
     rng = Rng(rc.gen_seed) if rc.temperature > 0 else None
     res = generate(ids, rc.n_new, cfg, params, temperature=rc.temperature, rng=rng)
@@ -244,19 +247,19 @@ def _eval_slice(rc: RunConfig, cfg: ModelConfig):
     return data.make_windows(ids, seq_len), seq_len
 
 
+def _first_batch_trace(rc: RunConfig, cfg: ModelConfig, params: dict, windows):
+    xb, _ = data.batch_at(windows, 0, min(rc.train.batch_size, len(windows)))
+    return snn_forward(xb, cfg, params)[1]
+
+
 def cmd_profile(rc: RunConfig) -> int:
     _require(rc, "checkpoint", "corpus")
-    cfg, params, extra, _ = load_model(rc.checkpoint)
-    if extra.get("arch") == "dense":
-        raise ConfigError("profile needs a spiking checkpoint, got a dense one")
+    cfg, params, _ = _load_checkpoint(rc, need="spiking")
     if rc.eval_t_steps:
         cfg.t_steps = rc.eval_t_steps  # profile at a different T than trained
         cfg.validate()
-    windows, _ = _eval_slice(rc, cfg)
-    xb, _ = data.batch_at(windows, 0, min(rc.train.batch_size, len(windows)))
-    _, trace = snn_forward(xb, cfg, params)
-    report = energy.energy_report(cfg, trace)
-    text = energy.render_report(report)
+    trace = _first_batch_trace(rc, cfg, params, _eval_slice(rc, cfg)[0])
+    text = energy.render_report(energy.energy_report(cfg, trace))
     _write_output(rc, text)
     sys.stdout.write(text)
     return 0
@@ -264,14 +267,12 @@ def cmd_profile(rc: RunConfig) -> int:
 
 def cmd_eval(rc: RunConfig) -> int:
     _require(rc, "checkpoint", "corpus")
-    cfg, params, extra, _ = load_model(rc.checkpoint)
-    dense = extra.get("arch") == "dense"
+    cfg, params, arch = _load_checkpoint(rc)
     windows, seq_len = _eval_slice(rc, cfg)
-    ce = evaluate_ce(cfg, params, windows, rc.train.batch_size, dense=dense)
+    ce = evaluate_ce(cfg, params, windows, rc.train.batch_size, dense=arch == "dense")
     lines = [f"val_ce: {ce:.10g}", f"seq_len: {seq_len}", f"windows: {len(windows)}"]
-    if not dense:
-        xb, _ = data.batch_at(windows, 0, min(rc.train.batch_size, len(windows)))
-        _, trace = snn_forward(xb, cfg, params)
+    if arch == "spiking":
+        trace = _first_batch_trace(rc, cfg, params, windows)
         for i, rates in enumerate(energy.measure_firing_rates(trace)):
             lines.append(f"layer{i}.sfsa_rate: {rates['sfsa']:.10g}")
             lines.append(f"layer{i}.sffn_rate: {rates['sffn']:.10g}")
@@ -299,9 +300,8 @@ COMMANDS = {
 
 def run_command(args) -> int:
     rc = resolve(args)
-    rc.model.validate()
-    rc.train.validate()
-    rc.spad.validate()
+    for section in (rc.model, rc.train, rc.train.spad):
+        section.validate()
     for path in (rc.out, rc.metrics):  # fail before any work, not at the write
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: no such directory")

@@ -19,9 +19,12 @@ header line and a column-name line; the columns are MetricsRow's fields:
   emb..hard  the lambda-weighted terms in LOSS_NAMES order, summing to loss
              (CE-only modes report hard = loss and the other four as 0)
   fire_rate  pooled firing rate of the blocks' residual inputs (0 if dense)
-Every column after lr is the mean over the step's micro-batches.
+Every column after lr is the mean over the step's micro-batches. Rows
+stream, flushed one per step, into a temporary file that replaces the
+metrics path once the run and its validation pass end without an error.
 """
 
+import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -31,7 +34,7 @@ from . import autodiff as ad, data
 from .distill import LOSS_NAMES, SpadConfig, layer_map, loss_hard, spad_losses
 from .errors import (ConfigError, EvaluationError, InternalError, ValidationError,
                      require_finite_fields)
-from .model import ModelConfig, ann_forward, init_params, snn_forward
+from .model import ModelConfig, ann_forward, atomic_open, init_params, snn_forward
 
 METRICS_MAGIC = "# spikeclm-metrics v1"
 # A step loss above DIVERGED_NATS_PER_LN_VOCAB * ln(vocab_size) once warmup is
@@ -287,17 +290,21 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     if mode not in ("teacher", "hard", "spad"):
         raise ConfigError(f"unknown training mode {mode!r}")
     spad = cfg.spad if cfg.spad is not None else SpadConfig()
+    limits = {"model.max_seq_len": model_cfg.max_seq_len}
     if mode == "spad":
         if teacher_cfg is None or teacher_params is None:
             raise ConfigError("spad mode requires teacher_cfg and teacher_params")
         spad.validate()
         check_compat(model_cfg, teacher_cfg, spad)
+        limits["the teacher's max_seq_len"] = teacher_cfg.max_seq_len
+    for name, limit in limits.items():
+        if cfg.seq_len > limit:
+            raise ConfigError(f"train.seq_len {cfg.seq_len} exceeds {name} {limit}")
 
     train_ids, val_ids = data.split_corpus(np.asarray(corpus), cfg.val_fraction)
     windows = data.make_windows(train_ids, cfg.seq_len)
-    val_windows = None
-    if len(val_ids) >= cfg.seq_len:
-        val_windows = data.make_windows(val_ids, cfg.seq_len)
+    val_windows = (data.make_windows(val_ids, cfg.seq_len)
+                   if len(val_ids) >= cfg.seq_len else None)
 
     kind = "teacher" if mode == "teacher" else "student"
     if params is None:
@@ -310,10 +317,8 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     diverged = DIVERGED_NATS_PER_LN_VOCAB * math.log(model_cfg.vocab_size)
 
     rows = []
-    fh = open(metrics_path, "w") if metrics_path is not None else None
-    if fh:
+    with atomic_open(metrics_path) if metrics_path is not None else io.StringIO() as fh:
         fh.write(format_metrics([]))
-    try:
         for step in range(cfg.total_steps):
             lr = lr_schedule(step + 1, cfg)
             # one set of leaves per step: each micro-batch's backward adds
@@ -352,15 +357,9 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
                     f"{DIVERGED_NATS_PER_LN_VOCAB:g} ln(vocab_size) = {diverged:.4g}")
             params = adam_step(params, grads, opt, lr, cfg)
             rows.append(row)
-            if fh:
-                fh.write(row.as_line() + "\n")
-                fh.flush()
-    finally:
-        if fh:
-            fh.close()
+            fh.write(row.as_line() + "\n")
+            fh.flush()
 
-    val_ce = None
-    if val_windows is not None:
-        val_ce = evaluate_ce(model_cfg, params, val_windows, cfg.batch_size,
-                             dense=(mode == "teacher"))
+        val_ce = None if val_windows is None else evaluate_ce(
+            model_cfg, params, val_windows, cfg.batch_size, dense=(mode == "teacher"))
     return TrainResult(params=params, metrics=rows, val_ce=val_ce)

@@ -58,7 +58,7 @@ class TestConfigPlumbing:
         rc.corpus = "/x/corpus.txt"
         rc.model.d_model = 48
         rc.train.lr_peak = 0.003
-        rc.spad.lambdas = (0.0, 0.0, 0.0, 0.5, 0.5)
+        rc.train.spad.lambdas = (0.0, 0.0, 0.0, 0.5, 0.5)
         text = to_ini(rc)
         assert text.startswith(CONFIG_MAGIC + "\n")
         assert reload(text, tmp_path) == rc
@@ -69,7 +69,7 @@ class TestConfigPlumbing:
         reloads equal to it."""
         rc = RunConfig()
         nested = {"model", "train", "spad"}
-        for obj in (rc, rc.model, rc.train, rc.spad):
+        for obj in (rc, rc.model, rc.train, rc.train.spad):
             for f in fields(obj):
                 if f.name in nested:
                     continue
@@ -92,7 +92,7 @@ class TestConfigPlumbing:
         rc = RunConfig(command="generate", checkpoint="s.ckpt", prompt="the spike",
                        out="g.txt", temperature=0.8, gen_seed=3)
         rc.model.neuron_mode = "ternary"
-        rc.spad.lambdas = (0.0, 0.0, 0.0, 0.5, 0.5)
+        rc.train.spad.lambdas = (0.0, 0.0, 0.0, 0.5, 0.5)
         v1 = []
         for line in to_ini(rc).splitlines()[1:]:
             key, eq, value = line.partition(" = ")
@@ -263,6 +263,31 @@ class TestTrainCommand:
         assert out.read_bytes() == first_ckpt
         assert metrics.read_bytes() == first_metrics
 
+    def test_failed_run_keeps_earlier_outputs(self, tmp_path, corpus_file, capsys):
+        """A run that diverges over an earlier one's outputs leaves them byte
+        for byte, with no temp file beside them."""
+        out, metrics = tmp_path / "s.ckpt", tmp_path / "m.tsv"
+        args = ["train", "--corpus", corpus_file, "--out", str(out), "--metrics",
+                str(metrics), "--steps", "3", "--seq-len", "8", "--batch-size", "2",
+                *MODEL_FLAGS]
+        assert run_cli(*args) == 0
+        names = sorted(tmp_path.iterdir())
+        before = [p.read_bytes() for p in names]
+        capsys.readouterr()
+        assert run_cli(*args, "--lr", "1e9") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at step") and err.count("\n") == 1, err
+        assert sorted(tmp_path.iterdir()) == names
+        assert [p.read_bytes() for p in names] == before
+
+    def test_window_past_max_seq_len_fails_first(self, tmp_path, corpus_file, capsys):
+        out, metrics = tmp_path / "s.ckpt", tmp_path / "m.tsv"
+        assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--metrics",
+                       str(metrics), "--steps", "2", "--seq-len", "16", "--batch-size",
+                       "2", *MODEL_FLAGS) == 2
+        assert capsys.readouterr().err == "error: train.seq_len 16 exceeds model.max_seq_len 8\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "corpus.txt"]
+
     def test_output_in_missing_directory_fails_first(self, tmp_path, corpus_file,
                                                      monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -285,15 +310,22 @@ class TestTrainCommand:
 
 
 class TestDistillCommand:
-    def test_distill_requires_dense_teacher(self, tmp_path, corpus_file):
+    def test_distill_requires_dense_teacher(self, tmp_path, corpus_file, capsys):
         student = str(tmp_path / "s.ckpt")
         assert run_cli("train", "--corpus", corpus_file, "--out", student,
                        "--steps", "1", "--seq-len", "8", "--batch-size", "2",
                        *MODEL_FLAGS) == 0
+        capsys.readouterr()
+        out = tmp_path / "d.ckpt"
         rc = run_cli("distill", "--corpus", corpus_file, "--teacher", student,
-                     "--out", str(tmp_path / "d.ckpt"), "--steps", "1",
+                     "--out", str(out), "--metrics", str(tmp_path / "d.tsv"), "--steps", "1",
                      "--seq-len", "8", "--batch-size", "2", *MODEL_FLAGS)
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: distill needs a dense teacher, got a spiking one\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "s.ckpt",
+                                                               "s.ckpt.config"]
 
     def test_full_chain(self, tmp_path, corpus_file):
         teacher = str(tmp_path / "t.ckpt")
@@ -387,7 +419,11 @@ class TestGenerateCommand:
         t = str(tmp_path / "t.ckpt")
         run_cli("train-teacher", "--corpus", corpus_file, "--out", t, "--steps",
                 "1", "--seq-len", "8", "--batch-size", "2", *MODEL_FLAGS)
+        capsys.readouterr()
         assert run_cli("generate", "--checkpoint", t, "--prompt", "x") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: generate needs a spiking checkpoint, got a dense one\n"
 
     @pytest.mark.parametrize("prompt", TRICKY_PROMPTS[:3], ids=ascii)
     def test_snapshot_rerun_keeps_the_prompt(self, ckpt, prompt, tmp_path, capsys):

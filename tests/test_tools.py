@@ -44,6 +44,15 @@ def test_fingerprint_lists_every_walkthrough_file(walkthrough):
     assert len(lines) == len(FINGERPRINT_FILES) == 21
 
 
+def test_fingerprint_against_its_own_src_finds_no_difference(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fingerprint.py"),
+                           str(tmp_path / "fp"), "--against", str(ROOT / "src")], env=env,
+                          text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (0, "all 21 digests equal\n"), proc.stderr
+    assert sorted(p.name for p in (tmp_path / "fp").iterdir()) == ["against", "here"]
+
+
 def test_walkthrough_metrics_parse_and_add_up(walkthrough):
     """Each training run's metrics read back with one row per step. A row's
     loss is the sum of its five weighted terms; a CE-only row's is all hard."""

@@ -313,13 +313,21 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train_loop(cfg, tiny_model(), tiny_corpus(), mode="spad")
 
-    def test_spad_incompatible_teacher_rejected_before_step(self):
-        t_cfg = tiny_model(n_layers=1)
-        s_cfg = tiny_model(n_layers=2)
+    @pytest.mark.parametrize("t_kw,s_kw,match", [
+        (dict(n_layers=1), dict(n_layers=2), "student has 2 layers but teacher only 1"),
+        (dict(max_seq_len=4), {}, "train.seq_len 8 exceeds the teacher's max_seq_len 4"),
+        ({}, dict(max_seq_len=4), "train.seq_len 8 exceeds model.max_seq_len 4")])
+    def test_spad_incompatible_teacher_rejected_before_step(self, t_kw, s_kw, match,
+                                                            monkeypatch):
+        t_cfg = tiny_model(**t_kw)
         t_params = init_params(t_cfg, 0, kind="teacher")
         cfg = TrainConfig(total_steps=1, batch_size=2, seq_len=8)
-        with pytest.raises(ConfigError):
-            train_loop(cfg, s_cfg, tiny_corpus(), mode="spad",
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(training, "_step_loss", no_step)
+        with pytest.raises(ConfigError, match=match):
+            train_loop(cfg, tiny_model(**s_kw), tiny_corpus(), mode="spad",
                        teacher_cfg=t_cfg, teacher_params=t_params)
 
     def test_spad_mode_runs_and_logs_components(self):
@@ -339,14 +347,16 @@ class TestTrainLoop:
                        mode="qat")
 
     def test_non_finite_step_is_named(self, tmp_path):
+        """The failed run leaves the earlier metrics file, and no temp file."""
         params = init_params(tiny_model(), 0)
         params["head.w"][0, 0] = np.nan
         path = tmp_path / "m.tsv"
+        path.write_text("earlier")
         cfg = TrainConfig(total_steps=3, batch_size=2, seq_len=8)
         with pytest.raises(EvaluationError, match="training step 1"):
             train_loop(cfg, tiny_model(), tiny_corpus(), params=params,
                        metrics_path=path)
-        assert parse_metrics(path.read_text()) == []
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "earlier"
 
 
     def test_divergence_checked_once_warmup_is_over(self, tmp_path):
@@ -357,11 +367,32 @@ class TestTrainLoop:
         params["head.w"] *= 1e4
         cfg = TrainConfig(total_steps=4, batch_size=2, seq_len=8, warmup_ratio=0.5,
                           lr_peak=1e-9)
+        # the starting loss is already past the bound, so step 1 ran past it
+        ws = data.make_windows(tiny_corpus(), 8)
+        assert evaluate_ce(tiny_model(), params, ws) > 10 * np.log(257)
         path = tmp_path / "m.tsv"
         with pytest.raises(EvaluationError, match="diverged at step 2: loss .* exceeds 10 "):
             train_loop(cfg, tiny_model(), tiny_corpus(), params=params, metrics_path=path)
-        rows = parse_metrics(path.read_text())
-        assert len(rows) == 1 and rows[0].loss > 10 * np.log(257)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_metrics_replace_the_file_only_after_validation(self, tmp_path, monkeypatch):
+        """Rows stream into a temp file beside the target, which a failing
+        validation pass removes, leaving the earlier file."""
+        path = tmp_path / "m.tsv"
+        path.write_text("earlier")
+        seen = []
+
+        def failing_eval(*args, **kwargs):
+            seen.extend(p.name for p in tmp_path.iterdir())
+            tmp = next(p for p in tmp_path.iterdir() if p != path)
+            assert len(parse_metrics(tmp.read_text())) == 2
+            raise EvaluationError("validation failed")
+        monkeypatch.setattr(training, "evaluate_ce", failing_eval)
+        cfg = TrainConfig(total_steps=2, batch_size=2, seq_len=8)
+        with pytest.raises(EvaluationError, match="validation failed"):
+            train_loop(cfg, tiny_model(), tiny_corpus(), metrics_path=path)
+        assert len(seen) == 2 and any(name.endswith(".tmp") for name in seen)
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "earlier"
 
 
 class TestEvaluateCe:

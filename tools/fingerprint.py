@@ -1,6 +1,7 @@
 """Fingerprint a fixed-seed CLI walkthrough: the sha256 of every file it writes.
 
     PYTHONPATH=src python tools/fingerprint.py OUTDIR
+    PYTHONPATH=src python tools/fingerprint.py OUTDIR --against OTHER/src
 
 Writes a small repeating corpus to OUTDIR, then runs train-teacher, binary
 and ternary train, distill (each 20 steps with --metrics), greedy and
@@ -13,14 +14,19 @@ grows threefold per step, with 4 steps and a larger learning rate.
 Then it re-runs every command, in the same order, from the `<out>.config`
 snapshot that its first run wrote, and exits non-zero naming the first file
 whose digest changed. Otherwise it prints `sha256  name` for each of the 21
-files, sorted by name. spikeclm is imported from PYTHONPATH, so two
-checkouts compare by running this once with each one's src and diffing
-the two listings.
+files, sorted by name. spikeclm is imported from PYTHONPATH.
+
+With --against, the walkthrough runs into OUTDIR/here with that spikeclm,
+and again in a subprocess whose PYTHONPATH is OTHER/src, into
+OUTDIR/against. It prints the name of each file whose digest differs
+between the two, or is missing from one, and exits 1 if any does.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,9 +78,9 @@ def digests(out: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def fingerprint(out: Path) -> list:
+def fingerprint(out: Path) -> dict:
     """Run the walkthrough into the empty directory `out`, then again from its
-    snapshots; return its digest lines."""
+    snapshots; return each file's digest by name."""
     out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
@@ -90,10 +96,30 @@ def fingerprint(out: Path) -> list:
     for name, digest in first.items():
         if again.get(name) != digest:
             raise SystemExit(f"fingerprint: {name} changed when re-run from its .config snapshot")
-    return [f"{digest}  {name}" for name, digest in first.items()]
+    return first
+
+
+def against(out: Path, src: str) -> int:
+    """Run the walkthrough here and under the spikeclm in src; print each
+    file whose digest differs and return 1 if any does."""
+    here = fingerprint(out / "here")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, __file__, str(out / "against")], env=env,
+                          stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"fingerprint: the walkthrough under {src} exited {proc.returncode}")
+    there = {name: digest for digest, name in
+             (line.split("  ") for line in proc.stdout.splitlines())}
+    differ = sorted(name for name in here.keys() | there.keys()
+                    if here.get(name) != there.get(name))
+    print("\n".join(differ) if differ else f"all {len(here)} digests equal")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[2] == "--against":
+        sys.exit(against(Path(sys.argv[1]), sys.argv[3]))
     if len(sys.argv) != 2:
-        raise SystemExit("usage: fingerprint.py OUTDIR")
-    print("\n".join(fingerprint(Path(sys.argv[1]))))
+        raise SystemExit("usage: fingerprint.py OUTDIR [--against SRC]")
+    found = fingerprint(Path(sys.argv[1]))
+    print("\n".join(f"{digest}  {name}" for name, digest in found.items()))
