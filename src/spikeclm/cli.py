@@ -21,8 +21,8 @@ import numpy as np
 from . import data, energy
 from .distill import SpadConfig
 from .errors import ConfigError
-from .model import (ModelConfig, atomic_open, generate, load_model, parse_field,
-                    save_model, snn_forward)
+from .model import (ModelConfig, arch_of, atomic_open, generate, load_model,
+                    parse_field, save_model, snn_forward)
 from .numerics import Rng
 from .training import TrainConfig, evaluate_ce, train_loop
 
@@ -134,11 +134,10 @@ def _require(rc: RunConfig, *names) -> None:
 
 def _load_checkpoint(rc: RunConfig, key: str = "checkpoint", need: str = ""):
     """Load run.<key>; its family, "dense" or "spiking", must be `need` if set."""
-    cfg, params, extra, _ = load_model(getattr(rc, key))
-    arch = "dense" if extra.get("arch") == "dense" else "spiking"
-    if need and arch != need:
-        raise ConfigError(f"{rc.command} needs a {need} {key}, got a {arch} one")
-    return cfg, params, arch
+    cfg, params, _, _ = load_model(getattr(rc, key))
+    if need and arch_of(params) != need:
+        raise ConfigError(f"{rc.command} needs a {need} {key}, got a {arch_of(params)} one")
+    return cfg, params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,13 +211,13 @@ def cmd_train(rc: RunConfig, mode: str) -> int:
     teacher_cfg = teacher_params = None
     if mode == "spad":
         _require(rc, "teacher")
-        teacher_cfg, teacher_params, _ = _load_checkpoint(rc, "teacher", need="dense")
+        teacher_cfg, teacher_params = _load_checkpoint(rc, "teacher", need="dense")
     res = train_loop(rc.train, rc.model, corpus, mode=mode,
                      teacher_cfg=teacher_cfg, teacher_params=teacher_params,
                      metrics_path=rc.metrics or None)
-    arch = "dense" if mode == "teacher" else "spiking"
     save_model(rc.out, rc.model, res.params,
-               extra_fields={"arch": arch, "trained_steps": rc.train.total_steps})
+               extra_fields={"arch": arch_of(res.params),
+                             "trained_steps": rc.train.total_steps})
     _write_snapshot(rc, rc.out)
     last = res.metrics[-1].loss if res.metrics else float("nan")
     val = "n/a" if res.val_ce is None else f"{res.val_ce:.4f}"
@@ -229,7 +228,7 @@ def cmd_train(rc: RunConfig, mode: str) -> int:
 
 def cmd_generate(rc: RunConfig) -> int:
     _require(rc, "checkpoint")
-    cfg, params, _ = _load_checkpoint(rc, need="spiking")
+    cfg, params = _load_checkpoint(rc, need="spiking")
     ids = [data.BOS_ID] + data.encode(rc.prompt).tolist()
     rng = Rng(rc.gen_seed) if rc.temperature > 0 else None
     res = generate(ids, rc.n_new, cfg, params, temperature=rc.temperature, rng=rng)
@@ -254,7 +253,7 @@ def _first_batch_trace(rc: RunConfig, cfg: ModelConfig, params: dict, windows):
 
 def cmd_profile(rc: RunConfig) -> int:
     _require(rc, "checkpoint", "corpus")
-    cfg, params, _ = _load_checkpoint(rc, need="spiking")
+    cfg, params = _load_checkpoint(rc, need="spiking")
     if rc.eval_t_steps:
         cfg.t_steps = rc.eval_t_steps  # profile at a different T than trained
         cfg.validate()
@@ -267,11 +266,11 @@ def cmd_profile(rc: RunConfig) -> int:
 
 def cmd_eval(rc: RunConfig) -> int:
     _require(rc, "checkpoint", "corpus")
-    cfg, params, arch = _load_checkpoint(rc)
+    cfg, params = _load_checkpoint(rc)
     windows, seq_len = _eval_slice(rc, cfg)
-    ce = evaluate_ce(cfg, params, windows, rc.train.batch_size, dense=arch == "dense")
+    ce = evaluate_ce(cfg, params, windows, rc.train.batch_size)
     lines = [f"val_ce: {ce:.10g}", f"seq_len: {seq_len}", f"windows: {len(windows)}"]
-    if arch == "spiking":
+    if arch_of(params) == "spiking":
         trace = _first_batch_trace(rc, cfg, params, windows)
         for i, rates in enumerate(energy.measure_firing_rates(trace)):
             lines.append(f"layer{i}.sfsa_rate: {rates['sfsa']:.10g}")
@@ -298,6 +297,23 @@ COMMANDS = {
 }
 
 
+def _check_distinct_outputs(rc: RunConfig, used) -> None:
+    """Fail when an output the command writes would replace one of its
+    inputs or another of its outputs; `used` holds the settings it reads."""
+    def paths(*keys):
+        return [(k, getattr(rc, k[len("run."):])) for k in keys
+                if k in used and getattr(rc, k[len("run."):])]
+    seen = {os.path.realpath(p): k for k, p in paths("run.corpus", "run.teacher",
+                                                      "run.checkpoint")}
+    outputs = paths("run.out")
+    outputs += [("run.out's snapshot", p + ".config") for _, p in outputs]
+    for key, path in outputs + paths("run.metrics"):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{key} {path} names the same file as {seen[real]}")
+        seen[real] = key
+
+
 def run_command(args) -> int:
     rc = resolve(args)
     for section in (rc.model, rc.train, rc.train.spad):
@@ -305,6 +321,7 @@ def run_command(args) -> int:
     for path in (rc.out, rc.metrics):  # fail before any work, not at the write
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: no such directory")
+    _check_distinct_outputs(rc, FLAGS[args.command].values())
     return COMMANDS[args.command](rc)
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (AlignmentError, ConfigError, InternalError, ValidationError,
+from .errors import (AlignmentError, ConfigError, ValidationError,
                      require_finite_fields)
 from .model import time_mean, unit_layer_norm, unit_layer_norm_vjp
 from .neurons import LifParams, lif_constant_drive
@@ -86,11 +86,9 @@ def layer_map(n_student: int, n_teacher: int) -> list:
     if n_student > n_teacher:
         raise ConfigError(
             f"student has {n_student} layers but teacher only {n_teacher}")
-    out = [int(np.floor(i * n_teacher / n_student + 0.5)) - 1
-           for i in range(1, n_student + 1)]
-    if len(set(out)) != len(out):
-        raise InternalError(f"layer map {out} is not injective")
-    return out
+    # the step n_teacher / n_student is >= 1, so no teacher layer repeats
+    return [int(np.floor(i * n_teacher / n_student + 0.5)) - 1
+            for i in range(1, n_student + 1)]
 
 
 def pool_heads(attn: np.ndarray, n_heads_student: int) -> np.ndarray:

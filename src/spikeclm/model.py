@@ -129,6 +129,12 @@ def expected_param_count(cfg: ModelConfig, kind: str = "student") -> int:
     return total
 
 
+def arch_of(params: dict) -> str:
+    """The family a parameter dict belongs to: "dense" when it holds the
+    teacher's LayerNorm tensors, "spiking" otherwise."""
+    return "dense" if "final_ln.g" in params else "spiking"
+
+
 def count_params(params: dict) -> int:
     return sum(int(np.prod(ad.value(t).shape)) for t in params.values())
 
@@ -262,7 +268,11 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
     to rounding: a product over fewer rows may sum in another order inside
     BLAS, while spikes, scores and context sums are exact. Prefill is the
     same call on an empty cache.
+
+    A dense teacher's parameters are refused with a ConfigError.
     """
+    if arch_of(params) == "dense":
+        raise ConfigError("snn_forward needs a spiking model's parameters, got a dense one's")
     ids = _check_tokens(tokens, cfg)
     squeeze = np.asarray(tokens).ndim == 1
     b, l = ids.shape
@@ -389,8 +399,11 @@ def ann_forward(tokens, cfg: ModelConfig, params: dict):
     """Run the dense teacher once (no time dimension).
 
     Pre-norm blocks: x += attn(LN(x)); x += ffn(LN(x)); final LayerNorm
-    before the head. Returns (logits, TeacherTrace).
+    before the head. Returns (logits, TeacherTrace). A spiking model's
+    parameters are refused with a ConfigError.
     """
+    if arch_of(params) != "dense":
+        raise ConfigError("ann_forward needs a dense model's parameters, got a spiking one's")
     ids = _check_tokens(tokens, cfg)
     squeeze = np.asarray(tokens).ndim == 1
     b, l = ids.shape

@@ -34,7 +34,8 @@ from . import autodiff as ad, data
 from .distill import LOSS_NAMES, SpadConfig, layer_map, loss_hard, spad_losses
 from .errors import (ConfigError, EvaluationError, InternalError, ValidationError,
                      require_finite_fields)
-from .model import ModelConfig, ann_forward, atomic_open, init_params, snn_forward
+from .model import (ModelConfig, ann_forward, arch_of, atomic_open, init_params,
+                    snn_forward)
 
 METRICS_MAGIC = "# spikeclm-metrics v1"
 # A step loss above DIVERGED_NATS_PER_LN_VOCAB * ln(vocab_size) once warmup is
@@ -235,9 +236,9 @@ def _flat_ce(logits, targets):
                      np.reshape(targets, (-1,)))
 
 
-def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,
-                dense: bool = False) -> float:
-    """Mean next-token cross-entropy over a window set, taped nowhere."""
+def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8) -> float:
+    """Mean next-token cross-entropy over a window set, taped nowhere: through
+    ann_forward or snn_forward, as model.arch_of reads params' family."""
     n = len(windows)
     if n == 0:
         raise ValidationError("no evaluation windows")
@@ -250,7 +251,7 @@ def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8,
         xb, yb = windows.inputs[rows], windows.targets[rows]
         # an overflow shows once, as the non-finite logits checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            if dense:
+            if arch_of(params) == "dense":
                 logits, _ = ann_forward(xb, cfg, params)
             else:
                 logits, _ = snn_forward(xb, cfg, params, collect=False)
@@ -285,6 +286,12 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
                mode: str = "hard", teacher_cfg: ModelConfig | None = None,
                teacher_params: dict | None = None, params: dict | None = None,
                metrics_path=None) -> TrainResult:
+    """Train for cfg.total_steps optimizer steps in one of the modes above.
+
+    Given params (the starting point) must be of the mode's family, and
+    SpAD's teacher_params dense: a mismatch, like a bad setting, is a
+    ConfigError before step 1 and before the metrics file is opened.
+    """
     cfg.validate()
     model_cfg.validate()
     if mode not in ("teacher", "hard", "spad"):
@@ -294,6 +301,8 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     if mode == "spad":
         if teacher_cfg is None or teacher_params is None:
             raise ConfigError("spad mode requires teacher_cfg and teacher_params")
+        if arch_of(teacher_params) != "dense":
+            raise ConfigError("spad training needs a dense teacher, got a spiking one")
         spad.validate()
         check_compat(model_cfg, teacher_cfg, spad)
         limits["the teacher's max_seq_len"] = teacher_cfg.max_seq_len
@@ -309,6 +318,9 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     kind = "teacher" if mode == "teacher" else "student"
     if params is None:
         params = init_params(model_cfg, cfg.seed, kind=kind)
+    elif (kind == "teacher") != (arch_of(params) == "dense"):
+        raise ConfigError(f"{mode} training needs {kind} parameters, "
+                          f"got a {arch_of(params)} model's")
     else:
         params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     opt = init_adam(params)
@@ -361,5 +373,5 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
             fh.flush()
 
         val_ce = None if val_windows is None else evaluate_ce(
-            model_cfg, params, val_windows, cfg.batch_size, dense=(mode == "teacher"))
+            model_cfg, params, val_windows, cfg.batch_size)
     return TrainResult(params=params, metrics=rows, val_ce=val_ce)

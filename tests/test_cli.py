@@ -557,6 +557,50 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: no such directory\n"
 
+    @pytest.mark.parametrize("argv,err", [
+        (["train", "--corpus", "c.txt", "--out", "a.ckpt", "--metrics", "a.ckpt"],
+         "run.metrics a.ckpt names the same file as run.out"),
+        (["train", "--corpus", "c.txt", "--out", "a.ckpt", "--metrics", "a.ckpt.config"],
+         "run.metrics a.ckpt.config names the same file as run.out's snapshot"),
+        (["train-teacher", "--corpus", "c.txt", "--out", "c.txt"],
+         "run.out c.txt names the same file as run.corpus"),
+        (["train", "--corpus", "c.txt", "--out", "a.ckpt", "--metrics", "./c.txt"],
+         "run.metrics ./c.txt names the same file as run.corpus"),
+        (["distill", "--corpus", "c.txt", "--teacher", "m.ckpt", "--out", "m.ckpt"],
+         "run.out m.ckpt names the same file as run.teacher"),
+        (["eval", "--checkpoint", "m.ckpt", "--corpus", "c.txt", "--out", "m.ckpt"],
+         "run.out m.ckpt names the same file as run.checkpoint"),
+        (["profile", "--checkpoint", "m.ckpt", "--corpus", "c.txt", "--out", "./m.ckpt"],
+         "run.out ./m.ckpt names the same file as run.checkpoint"),
+        (["generate", "--checkpoint", "m.ckpt.config", "--out", "m.ckpt"],
+         "run.out's snapshot m.ckpt.config names the same file as run.checkpoint")])
+    def test_colliding_paths_fail_first(self, argv, err, tmp_path, monkeypatch, capsys):
+        """An output that names an input or another output is one error
+        line before any work: every earlier file stays as it was, and no
+        file is written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("hello world " * 40)
+        assert run_cli("train", "--corpus", "c.txt", "--out", "m.ckpt", "--metrics", "m.tsv",
+                       "--steps", "1", "--seq-len", "8", "--batch-size", "2",
+                       *MODEL_FLAGS) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run_cli(*argv, "--set", "train.total_steps=1", *MODEL_FLAGS) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_unused_settings_are_not_compared(self, tmp_path, monkeypatch, capsys):
+        """eval writes no metrics, so run.metrics naming its checkpoint is no
+        collision."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("hello world " * 40)
+        assert run_cli("train", "--corpus", "c.txt", "--out", "m.ckpt", "--steps", "1",
+                       "--seq-len", "8", "--batch-size", "2", *MODEL_FLAGS) == 0
+        ckpt = (tmp_path / "m.ckpt").read_bytes()
+        assert run_cli("eval", "--checkpoint", "m.ckpt", "--corpus", "c.txt",
+                       "--seq-len", "8", "--set", "run.metrics=m.ckpt") == 0
+        assert (tmp_path / "m.ckpt").read_bytes() == ckpt
+
     def test_checkpoint_missing_tensor(self, tmp_path, capsys):
         cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
         ckpt = str(tmp_path / "s.ckpt")

@@ -9,7 +9,7 @@ import pytest
 from spikeclm import attention, autodiff as ad, data, energy, model, numerics, training
 from spikeclm.distill import loss_hard
 from spikeclm.errors import ConfigError, EvaluationError, ShapeError, ValidationError
-from spikeclm.model import (DecodeCache, ModelConfig, ann_forward,
+from spikeclm.model import (DecodeCache, ModelConfig, ann_forward, arch_of,
                             decode_logits, generate, init_params, load_model, read_checkpoint,
                             save_model, snn_forward, time_mean, write_checkpoint)
 from spikeclm.neurons import NeuronState, lif_step, ternary_step
@@ -300,6 +300,35 @@ class TestTeacher:
         np.testing.assert_allclose(y.std(-1), 1.0, rtol=1e-3)
         z = model.layer_norm(np.zeros((2, 8)), np.ones(8), np.zeros(8))
         assert np.isfinite(z).all() and np.all(z == 0)
+
+
+class TestFamily:
+    """The family is read from the parameters, and a forward refuses the
+    other family's with one ConfigError instead of producing output."""
+
+    def setup_method(self):
+        self.cfg = tiny_cfg()
+        self.student = init_params(self.cfg, seed=3)
+        self.teacher = init_params(self.cfg, seed=3, kind="teacher")
+
+    def test_arch_of(self):
+        assert arch_of(self.student) == "spiking"
+        assert arch_of(self.teacher) == "dense"
+        assert arch_of({k: ad.Var(v) for k, v in self.teacher.items()}) == "dense"
+
+    def test_snn_forward_refuses_teacher_params(self):
+        with pytest.raises(ConfigError, match="snn_forward needs a spiking model's "
+                                              "parameters, got a dense one's"):
+            snn_forward(np.array([1, 2, 3]), self.cfg, self.teacher)
+
+    def test_generate_refuses_teacher_params(self):
+        with pytest.raises(ConfigError, match="snn_forward needs a spiking"):
+            generate([1, 2], 3, self.cfg, self.teacher)
+
+    def test_ann_forward_refuses_student_params(self):
+        with pytest.raises(ConfigError, match="ann_forward needs a dense model's "
+                                              "parameters, got a spiking one's"):
+            ann_forward(np.array([1, 2, 3]), self.cfg, self.student)
 
 
 class TestGenerate:

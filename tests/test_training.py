@@ -6,7 +6,7 @@ import pytest
 from spikeclm import autodiff as ad, data, training
 from spikeclm.distill import SpadConfig, loss_hard
 from spikeclm.errors import ConfigError, EvaluationError, InternalError, ValidationError
-from spikeclm.model import ModelConfig, init_params, snn_forward
+from spikeclm.model import ModelConfig, ann_forward, init_params, snn_forward
 from spikeclm.training import (MetricsRow, TrainConfig, adam_step, bptt_backward,
                                check_compat, clip_gradients, evaluate_ce,
                                format_metrics, global_norm, init_adam, lr_schedule,
@@ -330,6 +330,32 @@ class TestTrainLoop:
             train_loop(cfg, tiny_model(**s_kw), tiny_corpus(), mode="spad",
                        teacher_cfg=t_cfg, teacher_params=t_params)
 
+    @pytest.mark.parametrize("mode,kind,teacher_kind,match", [
+        ("hard", "teacher", None, "hard training needs student parameters, got a dense model's"),
+        ("spad", "teacher", "teacher",
+         "spad training needs student parameters, got a dense model's"),
+        ("teacher", "student", None,
+         "teacher training needs teacher parameters, got a spiking model's"),
+        ("spad", None, "student", "spad training needs a dense teacher, got a spiking one")])
+    def test_wrong_family_params_rejected_before_step(self, mode, kind, teacher_kind, match,
+                                                      tmp_path, monkeypatch):
+        """Given parameters of the other family fail before step 1, and no
+        metrics file (nor its temp file) is made."""
+        m_cfg = tiny_model()
+        kw = {}
+        if kind:
+            kw["params"] = init_params(m_cfg, 0, kind=kind)
+        if teacher_kind:
+            kw.update(teacher_cfg=m_cfg, teacher_params=init_params(m_cfg, 1, kind=teacher_kind))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(training, "_step_loss", no_step)
+        with pytest.raises(ConfigError, match=match):
+            train_loop(TrainConfig(total_steps=2, batch_size=2, seq_len=8), m_cfg,
+                       tiny_corpus(), mode=mode, metrics_path=tmp_path / "m.tsv", **kw)
+        assert list(tmp_path.iterdir()) == []
+
     def test_spad_mode_runs_and_logs_components(self):
         t_cfg = tiny_model(n_layers=2, n_heads=2)
         t_params = init_params(t_cfg, 0, kind="teacher")
@@ -407,8 +433,29 @@ class TestEvaluateCe:
         cfg = tiny_model()
         params = init_params(cfg, 0, kind="teacher")
         ws = data.make_windows(tiny_corpus(64), 8)
-        ce = evaluate_ce(cfg, params, ws, batch_size=4, dense=True)
+        ce = evaluate_ce(cfg, params, ws, batch_size=4)
         assert np.isfinite(ce) and ce > 0
+
+    @pytest.mark.parametrize("kind", ["teacher", "student"])
+    def test_forward_follows_the_params_family(self, kind):
+        """On a teacher's parameters evaluate_ce is, bit for bit, the
+        token-weighted mean CE of ann_forward over the batches; on a
+        student's, that of snn_forward."""
+        cfg = tiny_model()
+        params = init_params(cfg, 0, kind=kind)
+        params["tok_emb"] *= 50.0  # so that the student fires
+        ws = data.make_windows(tiny_corpus(64), 8)
+        total, denom = 0.0, 0
+        for start in range(0, len(ws), 3):
+            xb, yb = ws.inputs[start:start + 3], ws.targets[start:start + 3]
+            if kind == "teacher":
+                logits, _ = ann_forward(xb, cfg, params)
+            else:
+                logits, _ = snn_forward(xb, cfg, params, collect=False)
+            total += float(loss_hard(logits.reshape(-1, 257), yb.reshape(-1))) * yb.size
+            denom += yb.size
+        ce = evaluate_ce(cfg, params, ws, batch_size=3)
+        assert ce == total / denom and ce != np.log(257)
 
     def test_non_finite_logits_name_the_batch(self):
         cfg = tiny_model(d_model=16, d_ff=32)
