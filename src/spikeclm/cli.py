@@ -297,12 +297,16 @@ COMMANDS = {
 }
 
 
-def _check_distinct_outputs(rc: RunConfig, used) -> None:
-    """Fail when an output the command writes would replace one of its
-    inputs or another of its outputs; `used` holds the settings it reads."""
+def _check_outputs(rc: RunConfig, used) -> None:
+    """Fail, before any work, when an output the command writes has no
+    directory or would replace one of its inputs or another of its outputs;
+    `used` holds the settings it reads."""
     def paths(*keys):
         return [(k, getattr(rc, k[len("run."):])) for k in keys
                 if k in used and getattr(rc, k[len("run."):])]
+    for _, path in paths("run.out", "run.metrics"):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: no such directory")
     seen = {os.path.realpath(p): k for k, p in paths("run.corpus", "run.teacher",
                                                       "run.checkpoint")}
     outputs = paths("run.out")
@@ -318,10 +322,7 @@ def run_command(args) -> int:
     rc = resolve(args)
     for section in (rc.model, rc.train, rc.train.spad):
         section.validate()
-    for path in (rc.out, rc.metrics):  # fail before any work, not at the write
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"cannot write {path}: no such directory")
-    _check_distinct_outputs(rc, FLAGS[args.command].values())
+    _check_outputs(rc, FLAGS[args.command].values())
     return COMMANDS[args.command](rc)
 
 

@@ -24,6 +24,7 @@ stream, flushed one per step, into a temporary file that replaces the
 metrics path once the run and its validation pass end without an error.
 """
 
+import ctypes
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -282,6 +283,26 @@ def _step_loss(mode, xb, yb, model_cfg, vparams, teacher_cfg, teacher_params,
     return total, record
 
 
+def _keep_freed_pages_mapped() -> bool:
+    """Keep the heap pages a released tape frees mapped, for the rest of the
+    process, so each step's forward reuses them without page faults.
+
+    By default glibc mmaps large arrays afresh and trims the heap's freed top,
+    so every step would fault its tape's pages in again. A fixed mmap
+    threshold of 32 MiB (which also ends glibc's dynamic threshold) puts the
+    tape's arrays on the heap, and a 1 GiB trim threshold keeps them there.
+    Returns whether both were set: without glibc's mallopt nothing is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(-3, 32 << 20) == 1     # M_MMAP_THRESHOLD
+            and mallopt(-1, 1 << 30) == 1)  # M_TRIM_THRESHOLD
+
+
 def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
                mode: str = "hard", teacher_cfg: ModelConfig | None = None,
                teacher_params: dict | None = None, params: dict | None = None,
@@ -291,6 +312,8 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     Given params (the starting point) must be of the mode's family, and
     SpAD's teacher_params dense: a mismatch, like a bad setting, is a
     ConfigError before step 1 and before the metrics file is opened.
+    On glibc it sets two allocator thresholds for the rest of the process
+    (_keep_freed_pages_mapped).
     """
     cfg.validate()
     model_cfg.validate()
@@ -328,6 +351,7 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     warmup = cfg.warmup_ratio * cfg.total_steps
     diverged = DIVERGED_NATS_PER_LN_VOCAB * math.log(model_cfg.vocab_size)
 
+    _keep_freed_pages_mapped()
     rows = []
     with atomic_open(metrics_path) if metrics_path is not None else io.StringIO() as fh:
         fh.write(format_metrics([]))
@@ -344,15 +368,10 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
                                            cfg.batch_size)
                     total, record = _step_loss(mode, xb, yb, model_cfg, vparams,
                                                teacher_cfg, teacher_params, spad, lif)
-                    # total keeps this step's tape alive until the next forward
-                    # has built its own. Releasing it here (del total after the
-                    # loss is read) cut train-hard's peak RSS from 121 to 91 MB,
-                    # but the allocator then hands the freed pages back after
-                    # each step and every forward faults them in again: ~6.7k
-                    # more minor faults per step, and op_ms_p50 25.7 -> 36-37 ms
-                    # (perfbench, 2 vCPUs, 3 pairs). Benchmark op_ms before
-                    # releasing the tape earlier.
                     grads = bptt_backward(total, vparams)
+                    # release the tape, so the next forward builds its own in
+                    # the pages this one freed
+                    del total
                     for k in sums:
                         sums[k] += record[k]
                 inv = 1.0 / cfg.grad_accum

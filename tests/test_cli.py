@@ -557,6 +557,22 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: no such directory\n"
 
+    def test_only_written_outputs_need_a_directory(self, tmp_path, corpus_file,
+                                                   monkeypatch, capsys):
+        """generate writes no metrics, so run.metrics in a missing directory
+        stops train but not generate."""
+        monkeypatch.chdir(tmp_path)
+        cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        save_model("s.ckpt", cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
+        assert run_cli("generate", "--checkpoint", "s.ckpt", "--prompt", "ab",
+                       "--n-new", "2", "--set", "run.metrics=nope/m.tsv") == 0
+        capsys.readouterr()
+        assert run_cli("train", "--corpus", corpus_file, "--out", "t.ckpt", "--metrics",
+                       "nope/m.tsv", "--steps", "1", "--seq-len", "8", "--batch-size", "2",
+                       *MODEL_FLAGS) == 2
+        assert capsys.readouterr() == ("", "error: cannot write nope/m.tsv: no such directory\n")
+        assert not (tmp_path / "t.ckpt").exists()
+
     @pytest.mark.parametrize("argv,err", [
         (["train", "--corpus", "c.txt", "--out", "a.ckpt", "--metrics", "a.ckpt"],
          "run.metrics a.ckpt names the same file as run.out"),
