@@ -327,15 +327,3 @@ def _pick(x, idx):
 def take_rows(table, ids):
     """table[ids] where ids is an integer array; rows may repeat."""
     return _pick(table, np.asarray(ids))
-
-
-def gather_last(x, ids):
-    """Pick x[..., ids[...]] along the trailing axis (one pick per row)."""
-    ids = np.asarray(ids)[..., None]
-    xv = value(x)
-
-    def vjp(g):
-        buf = np.zeros_like(xv)
-        np.put_along_axis(buf, ids, g[..., None], axis=-1)
-        return buf
-    return custom_op(np.take_along_axis(xv, ids, axis=-1)[..., 0], (x, vjp))

@@ -46,7 +46,7 @@ class RunConfig:
 
 
 def _simple_fields(cls):
-    return [f for f in dc_fields(cls) if f.type in (int, float, str, "int", "float", "str")]
+    return [f for f in dc_fields(cls) if f.type in (int, float, str)]
 
 
 def _sections(rc: RunConfig) -> dict:
@@ -92,7 +92,8 @@ def apply_setting(rc: RunConfig, section: str, key: str, raw: str) -> None:
 def load_ini(rc: RunConfig, path) -> None:
     """Apply a config file: a v2 snapshot, or a v1 snapshot or hand-written
     INI file, whose values are taken as configparser reads them."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # `[]` is never a header, so [DEFAULT] is an ordinary, unknown section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             text = fh.read()
@@ -299,19 +300,20 @@ COMMANDS = {
 
 def _check_outputs(rc: RunConfig, used) -> None:
     """Fail, before any work, when an output the command writes has no
-    directory or would replace one of its inputs or another of its outputs;
-    `used` holds the settings it reads."""
+    directory, is a directory, or would replace one of its inputs or another
+    of its outputs; `used` holds the settings it reads."""
     def paths(*keys):
         return [(k, getattr(rc, k[len("run."):])) for k in keys
                 if k in used and getattr(rc, k[len("run."):])]
-    for _, path in paths("run.out", "run.metrics"):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"cannot write {path}: no such directory")
     seen = {os.path.realpath(p): k for k, p in paths("run.corpus", "run.teacher",
                                                       "run.checkpoint")}
     outputs = paths("run.out")
     outputs += [("run.out's snapshot", p + ".config") for _, p in outputs]
     for key, path in outputs + paths("run.metrics"):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: no such directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(f"{key} {path} names the same file as {seen[real]}")

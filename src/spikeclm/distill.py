@@ -34,8 +34,6 @@ Structural alignment: teacher layers are matched by uniform spacing
 count, and the embedding and feature losses need equal model widths.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -41,5 +41,5 @@ def require_finite_fields(cfg) -> None:
     (nan <= 0 is false), so config validation runs this first.
     """
     for f in fields(cfg):
-        if f.type in (float, "float") and not math.isfinite(getattr(cfg, f.name)):
+        if f.type is float and not math.isfinite(getattr(cfg, f.name)):
             raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)}")

@@ -18,8 +18,6 @@ Checkpoints are a small self-describing binary format, documented at
 write_checkpoint, with every multi-byte value little-endian.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import struct
@@ -119,24 +117,10 @@ def init_params(cfg: ModelConfig, seed: int, kind: str = "student") -> dict:
     return p
 
 
-def expected_param_count(cfg: ModelConfig, kind: str = "student") -> int:
-    """Closed-form size of init_params output, for cross-checking."""
-    d, f, v, s, n = cfg.d_model, cfg.d_ff, cfg.vocab_size, cfg.max_seq_len, cfg.n_layers
-    per_layer = 4 * (d * d + d) + (d * f + f) + (f * d + d)
-    total = v * d + s * d + n * per_layer + d * v
-    if kind == "teacher":
-        total += n * 4 * d + 2 * d
-    return total
-
-
 def arch_of(params: dict) -> str:
     """The family a parameter dict belongs to: "dense" when it holds the
     teacher's LayerNorm tensors, "spiking" otherwise."""
     return "dense" if "final_ln.g" in params else "spiking"
-
-
-def count_params(params: dict) -> int:
-    return sum(int(np.prod(ad.value(t).shape)) for t in params.values())
 
 
 def _attn_weights(params: dict, layer: int) -> AttnWeights:
@@ -606,15 +590,11 @@ def config_from_fields(fields: dict) -> ModelConfig:
 
 
 def parse_field(name: str, raw: str, typ):
-    """Parse a stored string as the int, float or str a config field declares.
-
-    typ is a dataclass field's type, either the class or, under postponed
-    annotations, its name.
-    """
+    """Parse a stored string as the int, float or str a config field declares."""
     try:
-        if typ in (int, "int"):
+        if typ is int:
             return int(raw)
-        if typ in (float, "float"):
+        if typ is float:
             return float(raw)
         return raw
     except ValueError:

@@ -42,8 +42,6 @@ and spikes. The ternary backward rebuilds the pre-spike membranes from the
 currents, so a ternary run keeps them in its closure.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -1,18 +1,18 @@
-"""Built-in check suite, runnable without pytest: `spikeclm selftest`.
+"""The acceptance criteria that need no trained model, runnable without
+pytest: `spikeclm selftest`.
 
 A check is a plain function of no arguments. It raises
 AssertionError(detail) on failure, through require() or an explicit
 raise and never a bare assert, so `python -O` checks just as much. It
 may otherwise return a detail string for its report line. The suite
-holds small invariant checks of the building blocks and, at full size,
-every acceptance criterion that needs no trained model (01-08, 12 and
-the model-free half of 11).
-tests/test_acceptance.py calls those criterion checks for its verdict
-lines, so each criterion is written once; the criteria that need trained
-models stay there, on the session fixtures.
+holds, at full size, every acceptance criterion that needs no trained
+model: 01-08, 12 and the model-free half of 11. The building blocks are
+checked by the unit tests under tests/.
+tests/test_acceptance.py calls these checks for its verdict lines, so
+each criterion is written once; the criteria that need trained models
+stay there, on the session fixtures.
 """
 
-import os
 import sys
 import tempfile
 import time
@@ -22,26 +22,15 @@ import numpy as np
 
 from . import autodiff as ad, data, energy
 from .attention import sfsa_forward
-from .distill import (SpadConfig, layer_map, loss_attention, loss_embedding,
-                      loss_feature, loss_hard, loss_soft, loss_total, pool_heads,
-                      spad_losses, spike_encode)
-from .errors import ConfigError
-from .model import (ModelConfig, _attn_weights, ann_forward, count_params,
-                    expected_param_count, generate, init_params, load_model,
+from .distill import (SpadConfig, loss_attention, loss_embedding, loss_feature, loss_hard,
+                      loss_soft, loss_total, spad_losses, spike_encode)
+from .model import (ModelConfig, _attn_weights, ann_forward, generate, init_params,
                     save_model, snn_forward)
 from .neurons import (LifParams, NeuronState, TernaryParams, eligibility_trace,
                       empirical_rate, lif_constant_drive, lif_step, surrogate_forward,
                       surrogate_grad, ternary_step)
-from .numerics import Rng, count_macs, finite_diff_grad, matmul
-from .training import (TrainConfig, adam_step, clip_gradients, global_norm, init_adam,
-                       lr_schedule, train_loop)
-
-
-def _tiny_cfg(**kw):
-    base = dict(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
-                max_seq_len=8, t_steps=2)
-    base.update(kw)
-    return ModelConfig(**base)
+from .numerics import Rng, count_macs, finite_diff_grad
+from .training import TrainConfig, train_loop
 
 
 def require(ok, detail: str = "") -> str:
@@ -50,128 +39,6 @@ def require(ok, detail: str = "") -> str:
         raise AssertionError(detail)
     return detail
 
-
-def check_rng_reference():
-    def ref(state):
-        state = (state + 0x9E3779B97F4A7C15) & (1 << 64) - 1
-        z = state
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & (1 << 64) - 1
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & (1 << 64) - 1
-        return state, z ^ (z >> 31)
-
-    rng = Rng(12345)
-    state = 12345
-    for _ in range(5):
-        state, want = ref(state)
-        got = int(rng.next_u64())
-        require(got == want, f"splitmix64 mismatch: {got} != {want}")
-
-
-def check_rng_uniform():
-    rng = Rng(7)
-    u = rng.uniform(1000)
-    require(u.min() >= 0.0 and u.max() < 1.0, "uniform draws outside [0, 1)")
-    require(np.array_equal(Rng(7).uniform(1000), u), "rng not deterministic")
-
-
-def check_matmul_macs():
-    with count_macs() as c:
-        matmul(np.ones((3, 4)), np.ones((4, 5)))
-    require(c.macs == 3 * 4 * 5, f"mac count {c.macs} != 60")
-
-
-def check_autodiff_fd():
-    rng = np.random.default_rng(0)
-    x0 = rng.normal(size=(3, 3))
-
-    def f(x):
-        return float((ad.softmax(x @ x + 0.5) * ad.relu(x)).sum())
-
-    v = ad.Var(x0.copy())
-    (ad.softmax(v @ v + 0.5) * ad.relu(v)).sum().backward()
-    fd = finite_diff_grad(f, x0.copy())
-    err = np.abs(v.grad - fd).max()
-    require(err < 1e-6, f"autodiff vs fd error {err}")
-
-
-def check_csa_rows():
-    cfg = _tiny_cfg()
-    params = init_params(cfg, 0, kind="teacher")
-    ids = np.arange(5)
-    _, trace = ann_forward(ids, cfg, params)
-    a = trace.attn_maps[0]
-    require(np.allclose(a.sum(axis=-1), 1.0), "attention rows must sum to 1")
-    require(np.allclose(np.triu(a, k=1), 0.0), "causality violated")
-
-
-def check_param_count():
-    for kind in ("student", "teacher"):
-        cfg = _tiny_cfg(n_layers=2)
-        params = init_params(cfg, 0, kind=kind)
-        require(count_params(params) == expected_param_count(cfg, kind),
-                f"{kind} parameter count {count_params(params)}")
-
-
-def check_checkpoint_roundtrip():
-    cfg = _tiny_cfg()
-    params = init_params(cfg, 4)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "selftest.ckpt")
-        save_model(path, cfg, params, extra_fields={"arch": "spiking"})
-        cfg2, params2, extra, _ = load_model(path)
-    require(cfg2 == cfg and extra["arch"] == "spiking", "config or arch changed")
-    for k in params:
-        require(np.array_equal(params[k], params2[k]), f"{k} changed")
-
-
-def check_layer_alignment():
-    require(layer_map(2, 4) == [1, 3], "layer_map(2, 4)")
-    require(layer_map(3, 6) == [1, 3, 5], "layer_map(3, 6)")
-    require(layer_map(4, 4) == [0, 1, 2, 3], "layer_map(4, 4)")
-    try:
-        layer_map(4, 2)
-    except ConfigError:
-        pass
-    else:
-        raise AssertionError("student deeper than teacher must fail")
-    a = np.stack([np.full((2, 2), v) for v in (1.0, 3.0)])
-    require(np.array_equal(pool_heads(a, 1)[0], np.full((2, 2), 2.0)), "pool_heads mean")
-
-
-def check_spike_encode_rate():
-    p = LifParams()
-    grid = np.linspace(0, 2, 5)
-    enc = spike_encode(grid, 32, p).mean(axis=0)
-    for g, r in zip(grid, enc):
-        require(r == empirical_rate(g, 32, p), f"encoded rate at drive {g}")
-
-
-def check_schedule_and_clip():
-    cfg = TrainConfig(total_steps=100, lr_peak=5e-4, warmup_ratio=0.2)
-    require(lr_schedule(0, cfg) == 0.0, "lr at step 0")
-    require(abs(lr_schedule(20, cfg) - 5e-4) < 1e-18, "lr at the warmup peak")
-    require(abs(lr_schedule(100, cfg)) < 1e-12, "lr at the last step")
-    g = {"a": np.array([3.0]), "b": np.array([2.0, 6.0])}
-    out, norm = clip_gradients(g, 0.7)
-    require(abs(norm - 7.0) < 1e-12, f"gradient norm {norm} != 7")
-    require(abs(global_norm(out) - 0.7) < 1e-9, "clipped norm != 0.7")
-    params = {"w": np.array([1.0])}
-    st = init_adam(params)
-    out = adam_step(params, {"w": np.zeros(1)}, st, 1e-3, TrainConfig())
-    require(out["w"][0] == 1.0, "zero gradient moved a weight")
-
-
-def check_data_pipeline():
-    s = "spikes are sparse ✓"
-    require(data.decode(data.encode(s)) == s, "byte round trip")
-    ws = data.make_windows(np.arange(16), 4)
-    require(np.array_equal(ws.inputs[:, 1:], ws.targets[:, :-1]), "targets not shifted inputs")
-    require((ws.inputs[:, 0] == data.BOS_ID).all(), "window does not start with BOS")
-    train, val = data.split_corpus(np.arange(100), 0.1)
-    require(len(train) == 90 and len(val) == 10, f"split {len(train)}/{len(val)}")
-
-
-# -- acceptance criteria without a trained model --------------------------------
 
 # drive grid shared by the rate-monotonicity and concentration checks
 DRIVE_GRID = np.array([-1.0, -0.5] + [0.25 * i for i in range(13)])
@@ -522,17 +389,6 @@ def check_determinism():
 
 
 CHECKS = [
-    ("rng-reference", check_rng_reference),
-    ("rng-uniform", check_rng_uniform),
-    ("matmul-mac-count", check_matmul_macs),
-    ("autodiff-finite-diff", check_autodiff_fd),
-    ("csa-rows", check_csa_rows),
-    ("param-count", check_param_count),
-    ("checkpoint-roundtrip", check_checkpoint_roundtrip),
-    ("layer-alignment", check_layer_alignment),
-    ("spike-encode-rate", check_spike_encode_rate),
-    ("schedule-and-clip", check_schedule_and_clip),
-    ("data-pipeline", check_data_pipeline),
     ("criterion-01-neuron-fidelity", check_neuron_fidelity),
     ("criterion-02-rate-monotonicity", check_rate_monotonicity),
     ("criterion-03-surrogate-gradient", check_surrogate_gradient),

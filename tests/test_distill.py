@@ -13,6 +13,8 @@ from spikeclm.model import (LN_EPS, ModelConfig, ann_forward, init_params, layer
 from spikeclm.neurons import LifParams, empirical_rate
 from spikeclm.training import TrainConfig, evaluate_ce, train_loop
 
+from reference import gather_last
+
 
 class TestLayerMap:
     def test_identity_when_equal(self):
@@ -359,7 +361,7 @@ def ref_soft(z_ann, z_snn, tau):
 
 
 def ref_hard(z_snn, targets):
-    return -ad.gather_last(ad.log_softmax(z_snn), targets).mean()
+    return -gather_last(ad.log_softmax(z_snn), targets).mean()
 
 
 LIF = LifParams(beta=0.5, u_thr=0.4)

@@ -44,6 +44,8 @@ class TestRng:
         a = numerics.Rng(123).normal((50,))
         b = numerics.Rng(123).normal((50,))
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(numerics.Rng(7).uniform(1000),
+                                      numerics.Rng(7).uniform(1000))
 
     def test_different_seeds_differ(self):
         a = numerics.Rng(1).uniform((50,))
