@@ -94,7 +94,10 @@ def _merge_heads(x):
     return x.swapaxes(-2, -3).reshape(tuple(lead) + (l, h * dh))
 
 
-def _check_weights(w: AttnWeights, d: int) -> None:
+def _check_weights(w: AttnWeights, d: int, n_heads: int) -> None:
+    """The head contract of an attention block of width d: heads, then weights."""
+    if n_heads < 1 or d % n_heads != 0:
+        raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
     for name in ("w_q", "w_k", "w_v", "w_out"):
         shape = np.shape(getattr(w, name))
         if shape != (d, d):
@@ -164,9 +167,7 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
     if x.ndim != 4:
         raise ShapeError(f"sfsa_forward input must be [T, B, L, d], got shape {x.shape}")
     t, b, l, d = x.shape
-    if n_heads < 1 or d % n_heads != 0:
-        raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
-    _check_weights(w, d)
+    _check_weights(w, d, n_heads)
     if past is not None:
         past_k, past_v = (np.asarray(p, dtype=np.float64) for p in past)
         if past_k.shape != past_v.shape or past_k.shape[:2] + past_k.shape[3:] != (t, b, d):
@@ -205,9 +206,7 @@ def csa_forward(x, w: AttnWeights, n_heads: int):
     if x.ndim != 3:
         raise ShapeError(f"csa_forward input must be [B, L, d], got shape {x.shape}")
     b, l, d = x.shape
-    if n_heads < 1 or d % n_heads != 0:
-        raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
-    _check_weights(w, d)
+    _check_weights(w, d, n_heads)
     mask = causal_mask(l)
 
     q = _split_heads(ad.linear(x, w.w_q, w.b_q), n_heads)

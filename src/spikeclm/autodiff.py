@@ -70,9 +70,6 @@ class Var:
     def ndim(self):
         return self.data.ndim
 
-    def __repr__(self):
-        return f"Var(shape={self.data.shape})"
-
     # -- graph walk ---------------------------------------------------------
 
     def backward(self, seed=1.0) -> None:
@@ -136,10 +133,6 @@ class Var:
         out = self.data / o
         return custom_op(out, (self, lambda g: g / o), (other, lambda g: -g * out / o))
 
-    def __rtruediv__(self, other):
-        out = value(other) / self.data
-        return custom_op(out, (self, lambda g: -g * out / self.data))
-
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise ShapeError("Var ** exponent must be a Python scalar")
@@ -148,9 +141,6 @@ class Var:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     # -- shape ops ----------------------------------------------------------
 

@@ -331,8 +331,11 @@ def run_command(args) -> int:
 def main(argv=None) -> int:
     try:
         return run_command(build_parser().parse_args(argv))
-    except (ValueError, OSError) as e:  # the package error family derives from ValueError
-        print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:  # the package errors are ValueErrors
+        detail = " ".join(str(e).splitlines())
+        if isinstance(e, MemoryError):  # numpy's names the allocation it could not make
+            detail = "out of memory" + (": " + detail if detail else "")
+        print("error: " + detail, file=sys.stderr)
         return 2
 
 

@@ -7,10 +7,10 @@ soft, hard):
              the time-mean of the student's per-step embedding spikes,
              normalized by element count.
   attention  two branches mixed by gamma_attn. The rate branch encodes the
-             teacher's attention map into spike trains (each entry drives
-             a LIF neuron as a constant current for T steps) and compares
-             time-means; the direct branch compares the raw teacher map
-             against the student's time-mean spike map.
+             teacher's attention map into spike trains (neurons.spike_encode:
+             each entry drives a LIF neuron as a constant current for T
+             steps) and compares time-means; the direct branch compares the
+             raw teacher map against the student's time-mean spike map.
   feature    two branches mixed by gamma_feat. The rate branch compares
              the spike-encoded teacher features against the raw student
              time-mean; the direct branch compares both sides after a
@@ -26,7 +26,8 @@ loss is one tape node over its student tensor: its value is computed on
 plain arrays, with the same expressions a composition of tape ops would
 evaluate, and its gradient is closed-form (MSE against a time-mean, the
 LayerNorm backward, tau * (q - p) / n for the KL and (softmax - onehot) / n
-for the cross-entropy). A taped loss therefore adds one scalar node, not a
+for the cross-entropy). The three squared-error losses share one gradient
+rule, in _mean_loss. A taped loss therefore adds one scalar node, not a
 chain of [T, ...]-sized ones.
 
 Structural alignment: teacher layers are matched by uniform spacing
@@ -43,7 +44,7 @@ from . import autodiff as ad
 from .errors import (AlignmentError, ConfigError, ValidationError,
                      require_finite_fields)
 from .model import time_mean, unit_layer_norm, unit_layer_norm_vjp
-from .neurons import LifParams, lif_constant_drive
+from .neurons import LifParams, spike_encode
 
 LOSS_NAMES = ("emb", "attn", "feat", "soft", "hard")
 
@@ -101,17 +102,6 @@ def pool_heads(attn: np.ndarray, n_heads_student: int) -> np.ndarray:
     return attn.reshape(shape).mean(axis=-3)
 
 
-def spike_encode(x: np.ndarray, t_steps: int, p: LifParams) -> np.ndarray:
-    """Encode real values as spike trains: constant-current LIF, T steps.
-
-    Entrywise, the time-mean of the result is empirical_rate(x_ij, T, p).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValidationError("spike_encode: non-finite input")
-    return lif_constant_drive(x, t_steps, p)
-
-
 def _student_mean(steps, teacher: np.ndarray, mismatch: str):
     """(stack, mean) for a student [T, ...] stack, plain or taped.
 
@@ -126,15 +116,20 @@ def _student_mean(steps, teacher: np.ndarray, mismatch: str):
     return stack, mean
 
 
-def _mean_loss(value, steps, stack: np.ndarray, mean_grad):
-    """One node for a loss of the time-mean of steps.
+def _mean_loss(value, steps, stack: np.ndarray, residual):
+    """One node for a mean squared error of the time-mean of steps.
 
-    mean_grad(g) is the loss gradient with respect to that mean, already
-    divided by T; every step receives it, in a fresh array.
+    The loss is a mean of squared residuals over the N entries of that
+    mean; residual() is the target minus the mean, gamma-mixed over the
+    loss's branches (a branch through a LayerNorm goes through its VJP).
+    Each of the T steps receives -2 g residual / (N T), in a fresh array;
+    residual runs only in the backward.
     """
+    coef = -2.0 / stack.size
+
     def vjp(g):
         out = np.empty_like(stack)
-        out[...] = mean_grad(g)
+        out[...] = (g * coef) * residual()
         return out
     return ad.custom_op(value, (steps, vjp))
 
@@ -148,9 +143,7 @@ def loss_embedding(e_ann: np.ndarray, e_snn_steps):
     e_ann = np.asarray(e_ann, dtype=np.float64)
     stack, mean = _student_mean(e_snn_steps, e_ann, "embedding shapes differ")
     diff = e_ann - mean
-    coef = -2.0 / (diff.size * len(stack))
-    return _mean_loss((diff * diff).mean(), e_snn_steps, stack,
-                      lambda g: (g * coef) * diff)
+    return _mean_loss((diff * diff).mean(), e_snn_steps, stack, lambda: diff)
 
 
 def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
@@ -161,9 +154,8 @@ def loss_attention(a_ann: np.ndarray, a_snn_steps, p: LifParams, gamma: float):
     d_rate = spike_encode(a_ann, len(stack), p).mean(axis=0) - mean
     d_map = a_ann - mean
     value = gamma * (d_rate * d_rate).mean() + (1.0 - gamma) * (d_map * d_map).mean()
-    coef = -2.0 / (mean.size * len(stack))
     return _mean_loss(value, a_snn_steps, stack,
-                      lambda g: (g * coef) * (gamma * d_rate + (1.0 - gamma) * d_map))
+                      lambda: gamma * d_rate + (1.0 - gamma) * d_map)
 
 
 def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float):
@@ -174,8 +166,7 @@ def loss_feature(h_ann: np.ndarray, h_snn_steps, p: LifParams, gamma: float):
     y, r = unit_layer_norm(mean)
     d_ln = unit_layer_norm(h_ann)[0] - y
     value = gamma * (d_rate * d_rate).mean() + (1.0 - gamma) * (d_ln * d_ln).mean()
-    coef = -2.0 / (mean.size * len(stack))
-    return _mean_loss(value, h_snn_steps, stack, lambda g: (g * coef) * (
+    return _mean_loss(value, h_snn_steps, stack, lambda: (
         gamma * d_rate + (1.0 - gamma) * unit_layer_norm_vjp(y, r, d_ln)))
 
 

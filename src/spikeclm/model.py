@@ -22,7 +22,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
@@ -76,7 +76,10 @@ class ModelConfig:
             relaxed=relaxed)
 
     def attn_spec(self, relaxed: bool = False) -> NeuronSpec:
-        return self.neuron_spec(relaxed).with_threshold(self.attn_thr)
+        """neuron_spec with attn_thr as the LIF threshold and the ternary band."""
+        sn = self.neuron_spec(relaxed)
+        return replace(sn, lif=replace(sn.lif, u_thr=self.attn_thr),
+                       ternary=replace(sn.ternary, amp=self.attn_thr))
 
 
 # -- parameters ---------------------------------------------------------------

@@ -40,6 +40,10 @@ VJP. The tape then keeps no [T, ...] current, and the current is freed
 when the forward returns, since the LIF backward reads only the membranes
 and spikes. The ternary backward rebuilds the pre-spike membranes from the
 currents, so a ternary run keeps them in its closure.
+
+spike_encode is the one constant-drive encoder: each real value drives a
+LIF neuron from rest for T steps. SpAD's rate branches encode teacher
+tensors with it; empirical_rate is the time-mean of one such train.
 """
 
 from dataclasses import dataclass, field
@@ -290,30 +294,25 @@ class NeuronSpec:
         return _run_population(ternary_step, _ternary_bptt, currents, self.ternary,
                                self.relaxed, t_steps)
 
-    def with_threshold(self, u_thr: float) -> "NeuronSpec":
-        """Copy with a different firing threshold (binary) or band (ternary)."""
-        if self.mode == "binary":
-            lif = LifParams(self.lif.beta, u_thr, self.lif.surrogate_alpha)
-            return NeuronSpec("binary", lif, self.ternary, self.relaxed)
-        tern = TernaryParams(u_thr, self.ternary.u_reset, self.ternary.surrogate_alpha)
-        return NeuronSpec("ternary", self.lif, tern, self.relaxed)
-
 
 # -- rate and trace helpers ---------------------------------------------------
 
 
-def lif_constant_drive(a: np.ndarray, t_steps: int, p: LifParams) -> np.ndarray:
-    """Spike trains of LIF neurons driven by constant currents a.
+def spike_encode(x, t_steps: int, p: LifParams) -> np.ndarray:
+    """Encode real values as spike trains: constant-current LIF, T steps.
 
-    Starts from a zero membrane and returns spikes of shape (t_steps, *a.shape).
+    Each entry of x drives one LIF neuron from rest; returns spikes of shape
+    (t_steps, *x.shape). A non-finite entry is a ValidationError.
     """
-    return NeuronSpec(lif=p).run(np.asarray(a, dtype=np.float64)[None], t_steps)
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValidationError("spike_encode: non-finite input")
+    return NeuronSpec(lif=p).run(x[None], t_steps)
 
 
 def empirical_rate(a: float, t_steps: int, p: LifParams) -> float:
     """Fraction of steps a constant-current LIF neuron fires, from rest."""
-    spikes = lif_constant_drive(np.asarray(float(a)), t_steps, p)
-    return float(spikes.mean())
+    return float(spike_encode(float(a), t_steps, p).mean())
 
 
 def eligibility_trace(inputs, beta: float) -> list:

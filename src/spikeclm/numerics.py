@@ -109,18 +109,6 @@ class count_macs:
         return False
 
 
-def _record_macs(lead, a_shape, b_shape) -> None:
-    """Add the MACs of a @ b to every active counter; lead is their batch shape."""
-    m, k = a_shape[-2], a_shape[-1]
-    n = b_shape[-1]
-    batch = 1
-    for s in lead:
-        batch *= s
-    macs = batch * m * k * n
-    for counter in _mac_counter_stack:
-        counter.macs += macs
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched matrix product with shape validation and MAC counting.
 
@@ -138,8 +126,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}") from e
         raise ShapeError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}") from e
-    if _mac_counter_stack:
-        _record_macs(out.shape[:-2], a.shape, b.shape)
+    for counter in _mac_counter_stack:  # batch * m * k * n
+        counter.macs += out.size * a.shape[-1]
     return out
 
 

@@ -23,11 +23,11 @@ import numpy as np
 from . import autodiff as ad, data, energy
 from .attention import sfsa_forward
 from .distill import (SpadConfig, loss_attention, loss_embedding, loss_feature, loss_hard,
-                      loss_soft, loss_total, spad_losses, spike_encode)
+                      loss_soft, loss_total, spad_losses)
 from .model import (ModelConfig, _attn_weights, ann_forward, generate, init_params,
                     save_model, snn_forward)
 from .neurons import (LifParams, NeuronState, TernaryParams, eligibility_trace,
-                      empirical_rate, lif_constant_drive, lif_step, surrogate_forward,
+                      empirical_rate, lif_step, spike_encode, surrogate_forward,
                       surrogate_grad, ternary_step)
 from .numerics import Rng, count_macs, finite_diff_grad
 from .training import TrainConfig, train_loop
@@ -46,36 +46,22 @@ DRIVE_GRID = np.array([-1.0, -0.5] + [0.25 * i for i in range(13)])
 
 def check_neuron_fidelity():
     """Criterion 01: LIF hand traces and the ternary branch table."""
+    def trace(p, drive, steps):
+        """(spike, membrane) per step of one LIF neuron from rest, constant drive."""
+        st, got = NeuronState(), []
+        for _ in range(steps):
+            s, st = lif_step(st, np.array(drive), p)
+            got.append((float(s), float(st.u)))
+        return got
+
     p = LifParams(beta=0.5, u_thr=1.0)
-    ok = True
-
-    # zero input from rest stays silent with a zero membrane
-    st = NeuronState()
-    for _ in range(5):
-        s, st = lif_step(st, np.array(0.0), p)
-        ok &= float(s) == 0.0 and float(st.u) == 0.0
-
-    # single step at I=2: membrane 2.0, immediate spike
-    s, st = lif_step(NeuronState(), np.array(2.0), p)
-    ok &= float(st.u) == 2.0 and float(s) == 1.0
-
-    # float input I=1: membranes 1.0, 0.5, 1.25, 0.625 (decay plus soft reset)
-    st = NeuronState()
-    got_u = []
-    for _ in range(4):
-        s, st = lif_step(st, 1.0, p)
-        got_u.append(float(st.u))
-    ok &= got_u == [1.0, 0.5, 1.25, 0.625]
-
-    # beta=1, I=0.5: membranes 0.5, 1.0, 0.5, 1.0 -> spikes 0,1,0,1
-    p2 = LifParams(beta=1.0, u_thr=1.0)
-    st = NeuronState()
-    got_s, got_u = [], []
-    for _ in range(4):
-        s, st = lif_step(st, np.array(0.5), p2)
-        got_s.append(float(s))
-        got_u.append(float(st.u))
-    ok &= got_s == [0.0, 1.0, 0.0, 1.0] and got_u == [0.5, 1.0, 0.5, 1.0]
+    require(trace(p, 0.0, 5) == [(0.0, 0.0)] * 5, "I=0 from rest: no spike, membrane 0")
+    require(trace(p, 2.0, 1) == [(1.0, 2.0)], "I=2: membrane 2.0, immediate spike")
+    require([u for _, u in trace(p, 1.0, 4)] == [1.0, 0.5, 1.25, 0.625],
+            "I=1: membranes 1.0, 0.5, 1.25, 0.625 (decay plus soft reset)")
+    require(trace(LifParams(beta=1.0, u_thr=1.0), 0.5, 4)
+            == [(0.0, 0.5), (1.0, 1.0), (0.0, 0.5), (1.0, 1.0)],
+            "beta=1, I=0.5: membranes 0.5, 1.0, 0.5, 1.0, spikes 0, 1, 0, 1")
 
     # ternary branch table on 21 membrane values; |U| <= amp stays silent
     tp = TernaryParams(amp=1.0)
@@ -83,9 +69,10 @@ def check_neuron_fidelity():
     spikes, st = ternary_step(NeuronState(u=np.zeros(21), s_prev=np.zeros(21)),
                               grid, tp)
     expect = np.where(grid > 1.0, 1.0, np.where(grid < -1.0, -1.0, 0.0))
-    ok &= np.array_equal(spikes, expect)
-    ok &= np.array_equal(st.u, grid * (tp.amp - expect) + tp.u_reset * expect)
-    return require(ok)
+    require(np.array_equal(spikes, expect), "ternary spikes: sign of U past +-amp")
+    require(np.array_equal(st.u, grid * (tp.amp - expect) + tp.u_reset * expect),
+            "ternary membranes: U (amp - S) + U_reset S")
+    return ""
 
 
 def check_rate_monotonicity():
@@ -307,7 +294,7 @@ def check_concentration():
     p = LifParams()
 
     def time_avg(t_steps):
-        return lif_constant_drive(DRIVE_GRID, t_steps, p).mean(axis=0)
+        return spike_encode(DRIVE_GRID, t_steps, p).mean(axis=0)
 
     r_ref = time_avg(8192)
     v16 = float((time_avg(16) - r_ref).var())

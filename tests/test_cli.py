@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spikeclm import energy, selftest
+from spikeclm import energy, selftest, training
 from spikeclm.cli import (CONFIG_MAGIC, FLAGS, RunConfig, apply_setting, build_parser,
                           load_ini, main, resolve, to_ini)
 from spikeclm.distill import SpadConfig
@@ -504,6 +504,26 @@ class TestErrorPaths:
         assert run_cli("train", "--corpus", str(tmp_path / "nope.txt"), "--out",
                        str(tmp_path / "x.ckpt"), "--steps", "1", *MODEL_FLAGS) == 2
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, corpus_file, monkeypatch,
+                                             capsys):
+        """A refused allocation, and one whose MemoryError says nothing, each end
+        in one error line. The refusal is patched in: under overcommit a real
+        oversized request can succeed and the process dies touching it."""
+        out = tmp_path / "x.ckpt"
+        for message, err in [("Unable to allocate 4.66 PiB for an array with shape "
+                              "(10000000000000, 64) and data type float64",
+                              "error: out of memory: Unable to allocate 4.66 PiB for an "
+                              "array with shape (10000000000000, 64) and data type "
+                              "float64\n"),
+                             ("", "error: out of memory\n")]:
+            def refuse(*args, **kw):
+                raise MemoryError(message)
+            monkeypatch.setattr(training, "init_params", refuse)
+            assert run_cli("train", "--corpus", corpus_file, "--out", str(out),
+                           "--steps", "1", "--seq-len", "8", *MODEL_FLAGS) == 2
+            assert capsys.readouterr().err == err
+            assert not out.exists()
+
     def test_diverging_run_is_one_error_line(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "x.ckpt"
         assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "3",
@@ -692,7 +712,8 @@ class TestErrorPaths:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, text=True,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines() == ["FAIL criterion-01: ", "0/1 checks passed"]
+        assert proc.stdout.splitlines() == [
+            "FAIL criterion-01: I=0 from rest: no spike, membrane 0", "0/1 checks passed"]
 
     def test_selftest_rejects_config_flags(self, tmp_path, capsys):
         """selftest reads no config: --config and --set are unknown flags."""

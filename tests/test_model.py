@@ -12,7 +12,8 @@ from spikeclm.errors import ConfigError, EvaluationError, ShapeError, Validation
 from spikeclm.model import (DecodeCache, ModelConfig, ann_forward, arch_of,
                             decode_logits, generate, init_params, load_model, read_checkpoint,
                             save_model, snn_forward, time_mean, write_checkpoint)
-from spikeclm.neurons import NeuronState, lif_step, ternary_step
+from spikeclm.neurons import (LifParams, NeuronSpec, NeuronState, TernaryParams, lif_step,
+                              ternary_step)
 
 from reference import gather_last
 
@@ -57,6 +58,17 @@ class TestConfig:
             tiny_cfg(beta=-0.1).validate()
         with pytest.raises(ConfigError):
             tiny_cfg(neuron_mode="dense").validate()
+
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    def test_attn_spec_threshold(self, mode):
+        """attn_thr is the attention neurons' threshold and ternary band; the
+        block's own spec and every other parameter stay as configured."""
+        cfg = ModelConfig(neuron_mode=mode, beta=0.25, u_thr=1.0, attn_thr=3.0,
+                          surrogate_alpha=4.0, ternary_amp=1.5, ternary_reset=0.5)
+        sn, hot = cfg.neuron_spec(relaxed=True), cfg.attn_spec(relaxed=True)
+        assert hot == NeuronSpec(mode, LifParams(0.25, 3.0, 4.0),
+                                 TernaryParams(3.0, 0.5, 4.0), relaxed=True)
+        assert sn.lif.u_thr == 1.0 and sn.ternary.amp == 1.5
 
 
 def expected_param_count(cfg: ModelConfig, kind: str = "student") -> int:

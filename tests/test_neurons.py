@@ -540,7 +540,7 @@ class TestRatesAndTraces:
     def test_constant_drive_matches_stepwise(self):
         p = LifParams(beta=0.5, u_thr=1.0)
         a = np.array([[0.3, 1.0], [2.5, 0.9]])
-        got = neurons.lif_constant_drive(a, 6, p)
+        got = neurons.spike_encode(a, 6, p)
         state = NeuronState()
         for t in range(6):
             s, state = neurons.lif_step(state, a, p)
@@ -550,6 +550,9 @@ class TestRatesAndTraces:
         p = LifParams(beta=0.5, u_thr=1.0)
         assert neurons.empirical_rate(0.0, 64, p) == 0.0
         assert neurons.empirical_rate(10.0, 64, p) == 1.0
+        for drive in (np.nan, np.inf, -np.inf):  # no rate for a non-finite drive
+            with pytest.raises(ValidationError, match="non-finite input"):
+                neurons.empirical_rate(drive, 64, p)
 
     def test_rate_monotone_in_drive(self):
         p = LifParams(beta=0.5, u_thr=1.0)
@@ -559,7 +562,7 @@ class TestRatesAndTraces:
 
     def test_rate_needs_positive_steps(self):
         with pytest.raises(ValidationError):
-            neurons.lif_constant_drive(np.asarray(1.0), 0, LifParams())
+            neurons.spike_encode(np.asarray(1.0), 0, LifParams())
 
     def test_eligibility_hand_trace(self):
         """X=(1,1,1), beta=0.5 gives e=(1, 1.5, 1.75)."""
@@ -591,12 +594,6 @@ class TestNeuronSpec:
         with pytest.raises(ConfigError):
             NeuronSpec(mode="analog").validate()
         NeuronSpec(mode="ternary").validate()
-
-    def test_with_threshold_binary(self):
-        spec = NeuronSpec(mode="binary", lif=LifParams(beta=0.5, u_thr=1.0))
-        hot = spec.with_threshold(3.0)
-        assert hot.lif.u_thr == 3.0 and spec.lif.u_thr == 1.0
-        assert hot.lif.beta == 0.5
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
