@@ -20,14 +20,12 @@ only where some query row cannot see some key: a block that scores one
 row, the last, sees every key and multiplies by no mask. No 1/sqrt(d)
 scaling is applied anywhere; thresholds play that role.
 
-The dense block (csa_forward) is the ordinary scaled-dot-product causal
-attention used by the teacher, sharing the same weight container. Both
-blocks build their own mask with causal_mask and take batched input only.
+The dense block (csa_forward) is the teacher's ordinary scaled-dot-product
+causal attention. Both blocks read their weights from a dict keyed by
+ATTN_NAMES, build their own mask with causal_mask and take batched input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +34,8 @@ from .errors import ConfigError, ShapeError, ValidationError
 from .neurons import NeuronSpec
 
 
-@dataclass
-class AttnWeights:
-    """Projection weights for one attention block; entries [d, d] and [d]."""
-
-    w_q: object
-    b_q: object
-    w_k: object
-    b_k: object
-    w_v: object
-    b_v: object
-    w_out: object
-    b_out: object
+# One block's [d, d] weights and [d] biases, in the order init_params draws them.
+ATTN_NAMES = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_out", "b_out")
 
 
 def causal_mask(seq_len: int, offset: int = 0) -> np.ndarray:
@@ -94,18 +82,15 @@ def _merge_heads(x):
     return x.swapaxes(-2, -3).reshape(tuple(lead) + (l, h * dh))
 
 
-def _check_weights(w: AttnWeights, d: int, n_heads: int) -> None:
-    """The head contract of an attention block of width d: heads, then weights."""
+def _check_weights(w: dict, d: int, n_heads: int) -> None:
+    """The head contract of an attention block of width d: heads, weights, biases."""
     if n_heads < 1 or d % n_heads != 0:
         raise ConfigError(f"d_model {d} is not divisible by n_heads {n_heads}")
-    for name in ("w_q", "w_k", "w_v", "w_out"):
-        shape = np.shape(getattr(w, name))
-        if shape != (d, d):
-            raise ShapeError(f"{name} must be [{d}, {d}], got {list(shape)}")
-    for name in ("b_q", "b_k", "b_v", "b_out"):
-        shape = np.shape(getattr(w, name))
-        if shape != (d,):
-            raise ShapeError(f"{name} must be [{d}], got {list(shape)}")
+    for name in ATTN_NAMES[0::2] + ATTN_NAMES[1::2]:
+        want = (d, d) if name.startswith("w") else (d,)
+        shape = np.shape(w[name])
+        if shape != want:
+            raise ShapeError(f"{name} must be {list(want)}, got {list(shape)}")
 
 
 def _scores(q, k_t, mask, scale=None):
@@ -137,7 +122,7 @@ def _scores(q, k_t, mask, scale=None):
     return ad.custom_op(s, (q, lambda g: product_grad(g) @ kv.swapaxes(-1, -2)), (k_t, k_vjp))
 
 
-def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
+def sfsa_forward(x, w: dict, sn: NeuronSpec, attn_sn: NeuronSpec,
                  n_heads: int, past=None, last_row: bool = False):
     """Causal spiking attention over all time steps.
 
@@ -179,9 +164,9 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
     if not sn.relaxed:
         _check_spike_input(x, "sfsa_forward", sn)
 
-    sq = sn.run(ad.linear(x[:, :, -1:] if last_row else x, w.w_q, w.b_q))
-    sk = sn.run(ad.linear(x, w.w_k, w.b_k))
-    sv = sn.run(ad.linear(x, w.w_v, w.b_v))
+    sq = sn.run(ad.linear(x[:, :, -1:] if last_row else x, w["w_q"], w["b_q"]))
+    sk = sn.run(ad.linear(x, w["w_k"], w["b_k"]))
+    sv = sn.run(ad.linear(x, w["w_v"], w["b_v"]))
     keys, values = sk, sv
     if past is not None:
         if ad.is_var(sk) or sn.relaxed:
@@ -193,11 +178,11 @@ def sfsa_forward(x, w: AttnWeights, sn: NeuronSpec, attn_sn: NeuronSpec,
                      _split_heads(keys, n_heads).swapaxes(-1, -2), mask)
     s_attn = attn_sn.run(scores)
     s_ctx = sn.run(ad.matmul(s_attn, _split_heads(values, n_heads)))
-    out = sn.run(ad.linear(_merge_heads(s_ctx), w.w_out, w.b_out))
+    out = sn.run(ad.linear(_merge_heads(s_ctx), w["w_out"], w["b_out"]))
     return {"q": sq, "k": sk, "v": sv, "attn": s_attn, "ctx": s_ctx, "out": out}
 
 
-def csa_forward(x, w: AttnWeights, n_heads: int):
+def csa_forward(x, w: dict, n_heads: int):
     """Dense causal attention (softmax over scaled dot products).
 
     x is [B, L, d]; any other rank is a ShapeError. Returns (out, attn):
@@ -209,13 +194,13 @@ def csa_forward(x, w: AttnWeights, n_heads: int):
     _check_weights(w, d, n_heads)
     mask = causal_mask(l)
 
-    q = _split_heads(ad.linear(x, w.w_q, w.b_q), n_heads)
-    k = _split_heads(ad.linear(x, w.w_k, w.b_k), n_heads)
-    v = _split_heads(ad.linear(x, w.w_v, w.b_v), n_heads)
+    q = _split_heads(ad.linear(x, w["w_q"], w["b_q"]), n_heads)
+    k = _split_heads(ad.linear(x, w["w_k"], w["b_k"]), n_heads)
+    v = _split_heads(ad.linear(x, w["w_v"], w["b_v"]), n_heads)
     d_head = d // n_heads
 
     # additive masking; -1e9 underflows to 0 after the softmax
     logits = _scores(q, k.swapaxes(-1, -2), mask, scale=1.0 / np.sqrt(d_head))
     attn = ad.softmax(logits, axis=-1)
-    out = ad.linear(_merge_heads(ad.matmul(attn, v)), w.w_out, w.b_out)
+    out = ad.linear(_merge_heads(ad.matmul(attn, v)), w["w_out"], w["b_out"])
     return out, attn

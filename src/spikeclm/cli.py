@@ -217,8 +217,7 @@ def cmd_train(rc: RunConfig, mode: str) -> int:
                      teacher_cfg=teacher_cfg, teacher_params=teacher_params,
                      metrics_path=rc.metrics or None)
     save_model(rc.out, rc.model, res.params,
-               extra_fields={"arch": arch_of(res.params),
-                             "trained_steps": rc.train.total_steps})
+               extra_fields={"trained_steps": rc.train.total_steps})
     _write_snapshot(rc, rc.out)
     last = res.metrics[-1].loss if res.metrics else float("nan")
     val = "n/a" if res.val_ce is None else f"{res.val_ce:.4f}"
@@ -331,10 +330,12 @@ def run_command(args) -> int:
 def main(argv=None) -> int:
     try:
         return run_command(build_parser().parse_args(argv))
-    except (ValueError, OSError, MemoryError) as e:  # the package errors are ValueErrors
+    except (ValueError, OSError, MemoryError, OverflowError) as e:  # package errors: ValueError
         detail = " ".join(str(e).splitlines())
         if isinstance(e, MemoryError):  # numpy's names the allocation it could not make
             detail = "out of memory" + (": " + detail if detail else "")
+        elif isinstance(e, OverflowError):  # such as an integer setting past int64
+            detail = "overflow: " + detail
         print("error: " + detail, file=sys.stderr)
         return 2
 

@@ -27,13 +27,16 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttnWeights, csa_forward, sfsa_forward
+from .attention import ATTN_NAMES, csa_forward, sfsa_forward
 from .errors import (ConfigError, EvaluationError, ShapeError, ValidationError,
                      require_finite_fields)
 from .neurons import LifParams, NeuronSpec, TernaryParams
 from .numerics import Rng
 
 LN_EPS = 1e-5
+# A block's sublayers and their tensors, stored as "layers.N.<sublayer>.<name>".
+FFN_NAMES = ("w1", "b1", "w2", "b2")
+SUBLAYERS = {"attn": ATTN_NAMES, "ffn": FFN_NAMES}
 
 
 @dataclass
@@ -85,37 +88,31 @@ class ModelConfig:
 # -- parameters ---------------------------------------------------------------
 
 
-def init_params(cfg: ModelConfig, seed: int, kind: str = "student") -> dict:
-    """Fresh parameter dict; kind 'teacher' adds LayerNorm tensors.
+def init_params(cfg: ModelConfig, seed: int, arch: str = "spiking") -> dict:
+    """Fresh parameter dict of the given family; "dense" adds LayerNorm tensors.
 
     Weights and embeddings draw N(0, 0.02) from one splitmix64 stream in a
-    fixed order; biases start at zero, norm gains at one.
+    fixed order, a layer's in SUBLAYERS order; biases start at zero, norm gains at one.
     """
     cfg.validate()
-    if kind not in ("student", "teacher"):
-        raise ConfigError(f"unknown model kind {kind!r}")
+    if arch not in ("spiking", "dense"):
+        raise ConfigError(f"unknown model arch {arch!r}")
     rng = Rng(seed)
     d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
+    shapes = {"attn": [(d, d), (d,)] * 4, "ffn": [(d, f), (f,), (f, d), (d,)]}
     p: dict[str, np.ndarray] = {}
     p["tok_emb"] = rng.normal((v, d), std=0.02)
     p["pos_emb"] = rng.normal((cfg.max_seq_len, d), std=0.02)
     for i in range(cfg.n_layers):
-        pre = f"layers.{i}."
-        for name in ("w_q", "w_k", "w_v", "w_out"):
-            p[pre + "attn." + name] = rng.normal((d, d), std=0.02)
-            p[pre + "attn." + name.replace("w", "b")] = np.zeros(d)
-        p[pre + "ffn.w1"] = rng.normal((d, f), std=0.02)
-        p[pre + "ffn.b1"] = np.zeros(f)
-        p[pre + "ffn.w2"] = rng.normal((f, d), std=0.02)
-        p[pre + "ffn.b2"] = np.zeros(d)
-        if kind == "teacher":
-            p[pre + "ln1.g"] = np.ones(d)
-            p[pre + "ln1.b"] = np.zeros(d)
-            p[pre + "ln2.g"] = np.ones(d)
-            p[pre + "ln2.b"] = np.zeros(d)
-    if kind == "teacher":
-        p["final_ln.g"] = np.ones(d)
-        p["final_ln.b"] = np.zeros(d)
+        for sub, names in SUBLAYERS.items():
+            for name, shape in zip(names, shapes[sub], strict=True):
+                p[f"layers.{i}.{sub}.{name}"] = (rng.normal(shape, std=0.02) if len(shape) == 2
+                                                 else np.zeros(shape))
+        if arch == "dense":
+            for norm in ("ln1", "ln2"):
+                p[f"layers.{i}.{norm}.g"], p[f"layers.{i}.{norm}.b"] = np.ones(d), np.zeros(d)
+    if arch == "dense":
+        p["final_ln.g"], p["final_ln.b"] = np.ones(d), np.zeros(d)
     p["head.w"] = rng.normal((d, v), std=0.02)
     return p
 
@@ -126,29 +123,28 @@ def arch_of(params: dict) -> str:
     return "dense" if "final_ln.g" in params else "spiking"
 
 
-def _attn_weights(params: dict, layer: int) -> AttnWeights:
-    pre = f"layers.{layer}.attn."
-    return AttnWeights(params[pre + "w_q"], params[pre + "b_q"],
-                       params[pre + "w_k"], params[pre + "b_k"],
-                       params[pre + "w_v"], params[pre + "b_v"],
-                       params[pre + "w_out"], params[pre + "b_out"])
+def sublayer(params: dict, layer: int, sub: str) -> dict:
+    """Layer `layer`'s "attn" or "ffn" tensors, keyed by their SUBLAYERS names."""
+    pre = f"layers.{layer}.{sub}."
+    return {name: params[pre + name] for name in SUBLAYERS[sub]}
 
 
 # -- spiking feed-forward ------------------------------------------------------
 
 
-def sffn_forward(x, w1, b1, w2, b2, sn: NeuronSpec) -> dict:
+def sffn_forward(x, w: dict, sn: NeuronSpec) -> dict:
     """Spiking FFN over all time steps: two linear maps, a neuron after each.
 
-    x is a [T, ..., d] stack; both neuron populations start from rest and
-    are returned by name: ffn1 [T, ..., d_ff] and ffn2, shaped like x.
+    x is a [T, ..., d] stack and w maps FFN_NAMES to tensors; both neuron
+    populations start from rest and are returned by name: ffn1
+    [T, ..., d_ff] and ffn2, shaped like x.
     """
     d_in = ad.value(x).shape[-1]
-    if ad.value(w1).shape[0] != d_in or ad.value(w2).shape[1] != d_in:
-        raise ShapeError(
-            f"ffn weights {ad.value(w1).shape}/{ad.value(w2).shape} do not match input width {d_in}")
-    h = sn.run(ad.linear(x, w1, b1))
-    return {"ffn1": h, "ffn2": sn.run(ad.linear(h, w2, b2))}
+    w1, w2 = ad.value(w["w1"]).shape, ad.value(w["w2"]).shape
+    if w1[0] != d_in or w2[1] != d_in:
+        raise ShapeError(f"ffn weights {w1}/{w2} do not match input width {d_in}")
+    h = sn.run(ad.linear(x, w["w1"], w["b1"]))
+    return {"ffn1": h, "ffn2": sn.run(ad.linear(h, w["w2"], w["b2"]))}
 
 
 # -- traces --------------------------------------------------------------------
@@ -300,7 +296,7 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
         # with a cache only the last position's logits are returned: beyond
         # its keys and values, the last block runs that row alone
         last_row = cache is not None and i == n - 1
-        attn = sfsa_forward(stream, _attn_weights(params, i), sn, attn_sn, cfg.n_heads,
+        attn = sfsa_forward(stream, sublayer(params, i, "attn"), sn, attn_sn, cfg.n_heads,
                             past=past, last_row=last_row)
         if cache is not None:
             cache.k[i][:, :, past_len:past_len + l] = attn["k"]
@@ -309,9 +305,7 @@ def snn_forward(tokens, cfg: ModelConfig, params: dict, relaxed: bool = False,
         if last_row:
             stream = stream[:, :, -1:]
         y = stream + attn["out"]
-        pre = f"layers.{i}.ffn."
-        ffn = sffn_forward(y, params[pre + "w1"], params[pre + "b1"],
-                           params[pre + "w2"], params[pre + "b2"], sn)
+        ffn = sffn_forward(y, sublayer(params, i, "ffn"), sn)
         record(f"layer{i}.", {"mid": y, **ffn})
         stream = y + ffn["ffn2"]
         del attn, ffn  # stacks not recorded are freed before the next layer runs
@@ -401,11 +395,11 @@ def ann_forward(tokens, cfg: ModelConfig, params: dict):
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         h = layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        attn_out, attn_map = csa_forward(h, _attn_weights(params, i), cfg.n_heads)
+        attn_out, attn_map = csa_forward(h, sublayer(params, i, "attn"), cfg.n_heads)
         x = x + attn_out
         h2 = layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        mid = ad.relu(ad.linear(h2, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
-        x = x + ad.linear(mid, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
+        w = sublayer(params, i, "ffn")
+        x = x + ad.linear(ad.relu(ad.linear(h2, w["w1"], w["b1"])), w["w2"], w["b2"])
         trace.attn_maps.append(attn_map)
         trace.hidden.append(x)
 
@@ -606,9 +600,14 @@ def parse_field(name: str, raw: str, typ):
 
 def save_model(path, cfg: ModelConfig, params: dict,
                extra_fields: dict | None = None) -> None:
+    """Write params under cfg's fields, kind "model", arch_of(params) as arch,
+    then extra_fields, which may not set arch."""
     fields = config_to_fields(cfg)
     fields["kind"] = "model"
+    fields["arch"] = arch_of(params)
     if extra_fields:
+        if "arch" in extra_fields:
+            raise ConfigError("save_model writes arch itself; extra_fields may not set it")
         fields.update({str(k): str(v) for k, v in extra_fields.items()})
     write_checkpoint(path, fields, {k: ad.value(v) for k, v in params.items()})
 
@@ -616,9 +615,9 @@ def save_model(path, cfg: ModelConfig, params: dict,
 def load_model(path):
     """Returns (cfg, params, extra_fields, opt_tensors).
 
-    The parameter tensors must match init_params for the stored config by
-    name and shape: the teacher layout when the arch field says "dense",
-    the student layout otherwise. Every parameter value must be finite.
+    The parameter tensors must match init_params for the stored config and
+    arch by name and shape, and every value must be finite. A file without
+    an arch field is spiking; an arch other than "spiking" or "dense" is refused.
     opt_tensors holds the "opt." tensors of older checkpoints (their Adam
     moments, unread) and is {} for files save_model writes; non-config
     fields, such as an older file's adam_t, land in extra_fields.
@@ -629,13 +628,15 @@ def load_model(path):
     opt = {k[len("opt."):]: v for k, v in tensors.items() if k.startswith("opt.")}
     known = {f.name for f in dc_fields(ModelConfig)}
     extra = {k: v for k, v in fields.items() if k not in known}
-    kind = "teacher" if extra.get("arch") == "dense" else "student"
-    expected = init_params(cfg, 0, kind)
+    arch = extra.get("arch", "spiking")
+    if arch not in ("spiking", "dense"):
+        raise ValidationError(f"{path}: unknown arch {arch!r}, expected 'spiking' or 'dense'")
+    expected = init_params(cfg, 0, arch)
     for name in sorted(expected.keys() | params.keys()):
         if name not in params:
-            raise ValidationError(f"{path}: {kind} checkpoint lacks tensor {name}")
+            raise ValidationError(f"{path}: {arch} checkpoint lacks tensor {name}")
         if name not in expected:
-            raise ValidationError(f"{path}: unexpected tensor {name} in {kind} checkpoint")
+            raise ValidationError(f"{path}: unexpected tensor {name} in {arch} checkpoint")
         if params[name].shape != expected[name].shape:
             raise ValidationError(
                 f"{path}: tensor {name} has shape {params[name].shape}, "

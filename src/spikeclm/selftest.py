@@ -24,8 +24,8 @@ from . import autodiff as ad, data, energy
 from .attention import sfsa_forward
 from .distill import (SpadConfig, loss_attention, loss_embedding, loss_feature, loss_hard,
                       loss_soft, loss_total, spad_losses)
-from .model import (ModelConfig, _attn_weights, ann_forward, generate, init_params,
-                    save_model, snn_forward)
+from .model import (ModelConfig, ann_forward, generate, init_params, save_model,
+                    snn_forward, sublayer)
 from .neurons import (LifParams, NeuronState, TernaryParams, eligibility_trace,
                       empirical_rate, lif_step, spike_encode, surrogate_forward,
                       surrogate_grad, ternary_step)
@@ -117,7 +117,7 @@ def check_bptt_finite_diff():
                         d_ff=12, max_seq_len=4, t_steps=1)
     # scaled init pushes membranes into the responsive band in relaxed mode
     p_s = {k: v * 25.0 for k, v in init_params(cfg_s, 1).items()}
-    p_t = init_params(cfg_t, 2, kind="teacher")
+    p_t = init_params(cfg_t, 2, "dense")
     ids = np.array([[3, 1, 4, 1]])
     targets = np.array([[1, 4, 1, 5]])
     _, t_trace = ann_forward(ids, cfg_t, p_t)
@@ -204,7 +204,7 @@ def check_sfsa_structure():
     rng = np.random.default_rng(6)
     t, l, h = cfg.t_steps, 8, cfg.n_heads
     d_head = cfg.d_model // h
-    w = _attn_weights(params, 0)
+    w = sublayer(params, 0, "attn")
     ok, out_spikes = True, 0
 
     for trial in range(100):
@@ -217,9 +217,9 @@ def check_sfsa_structure():
         ok &= bool(np.any(s_attn))
         out_spikes += int(np.count_nonzero(out))
 
-        # integer scores: replay the q/k branch and take the binary dot products
-        sq = sn.run(x @ w.w_q + w.b_q).reshape(t, 1, l, h, d_head).swapaxes(2, 3)
-        sk_h = sn.run(x @ w.w_k + w.b_k).reshape(t, 1, l, h, d_head).swapaxes(2, 3)
+        # integer scores: the binary dot products of the block's own q/k spikes
+        sq = pops["q"].reshape(t, 1, l, h, d_head).swapaxes(2, 3)
+        sk_h = sk.reshape(t, 1, l, h, d_head).swapaxes(2, 3)
         scores = sq @ sk_h.swapaxes(-1, -2)
         ok &= bool(np.array_equal(scores, np.round(scores))
                    and scores.min() >= 0 and scores.max() <= d_head)
@@ -249,43 +249,43 @@ def check_spad_fixed_points():
     """Criterion 07: every SpAD loss vanishes at its fixed point."""
     lif = LifParams()
     rng = np.random.default_rng(7)
-    ok = True
-
     # each loss must vanish when the student already matches the teacher;
     # attention/feature use the all-silent fixed point shared by both branches
     e = rng.normal(size=(3, 4))
-    ok &= float(ad.value(loss_embedding(e, [e]))) == 0.0
-    ok &= float(ad.value(loss_embedding(e, [e, e]))) == 0.0
-    a = np.zeros((2, 5, 5))
-    ok &= float(ad.value(loss_attention(a, [a, a], lif, 0.5))) == 0.0
-    h = np.zeros((3, 6))
-    ok &= float(ad.value(loss_feature(h, [h, h], lif, 0.5))) == 0.0
+    a, h = np.zeros((2, 5, 5)), np.zeros((3, 6))
     # each branch alone also vanishes on its own nonzero fixed point
     am = (rng.random((2, 5, 5)) < 0.4).astype(float)
     enc = spike_encode(am, 4, lif)
-    ok &= float(ad.value(loss_attention(am, list(enc), lif, 1.0))) == 0.0
-    ok &= float(ad.value(loss_attention(enc.mean(axis=0), list(enc), lif, 0.0))) == 0.0
     z = rng.normal(size=(4, 9))
-    ok &= float(ad.value(loss_soft(z, z.copy(), 2.0))) == 0.0
     big = np.full((3, 5), -60.0)
     big[np.arange(3), [1, 2, 4]] = 60.0
-    ok &= float(ad.value(loss_hard(big, np.array([1, 2, 4])))) == 0.0
     # far larger logits must not overflow on the way to the same zero
     huge = np.full((1, 4), -1000.0)
     huge[0, 1] = 0.0
-    ok &= float(ad.value(loss_hard(huge, np.array([1])))) == 0.0
+    for loss, what in (
+            (loss_embedding(e, [e]), "L_emb on a matching 1-step embedding"),
+            (loss_embedding(e, [e, e]), "L_emb on a matching 2-step embedding"),
+            (loss_attention(a, [a, a], lif, 0.5), "L_attn on silent maps"),
+            (loss_feature(h, [h, h], lif, 0.5), "L_feat on silent features"),
+            (loss_attention(am, list(enc), lif, 1.0), "L_attn's spike branch on a map's encoding"),
+            (loss_attention(enc.mean(axis=0), list(enc), lif, 0.0),
+             "L_attn's rate branch on an encoding's rates"),
+            (loss_soft(z, z.copy(), 2.0), "L_soft on equal logits"),
+            (loss_hard(big, np.array([1, 2, 4])), "L_hard on +-60 one-hot logits"),
+            (loss_hard(huge, np.array([1])), "L_hard on a 1000-nat margin")):
+        require(float(ad.value(loss)) == 0.0, f"{what} is {float(ad.value(loss)):.3g}, not 0")
 
     # loss_total respects the published weights exactly on unit probes
     lambdas = (0.2, 0.1, 0.1, 0.3, 0.3)
-    comps = [1.0, 1.0, 1.0, 1.0, 1.0]
-    total, bd = loss_total(comps, SpadConfig(lambdas=lambdas))
-    ok &= abs(float(ad.value(total)) - 1.0) < 1e-15
+    total, _ = loss_total([1.0] * 5, SpadConfig(lambdas=lambdas))
+    require(abs(float(ad.value(total)) - 1.0) < 1e-15, "loss_total of unit terms is not 1")
     for i, lam in enumerate(lambdas):
         comps = [0.0] * 5
         comps[i] = 1.0
         total, _ = loss_total(comps, SpadConfig(lambdas=lambdas))
-        ok &= abs(float(ad.value(total)) - lam) < 1e-15
-    return require(ok)
+        require(abs(float(ad.value(total)) - lam) < 1e-15,
+                f"loss_total of unit term {i} is not its lambda {lam}")
+    return ""
 
 
 def check_concentration():
@@ -307,23 +307,24 @@ def check_concentration():
 def check_energy_model():
     """Criterion 11, the half without a trained model: the energy constants,
     hand-counted FLOPs and energy, and the teacher's instrumented MACs."""
-    ok = True
     c = energy.EnergyConstants()
-    ok &= abs(1e9 * c.e_ac * 1e3 - 0.9) < 1e-12   # 1e9 ACs -> 0.9 mJ
-    ok &= abs(1e9 * c.e_mac * 1e3 - 4.6) < 1e-12  # 1e9 MACs -> 4.6 mJ
-    ok &= energy.sops(0.25, 4, 10**6) == 10**6    # f_r * T * FLOPs
+    require(abs(1e9 * c.e_ac * 1e3 - 0.9) < 1e-12, "1e9 ACs cost 0.9 mJ")
+    require(abs(1e9 * c.e_mac * 1e3 - 4.6) < 1e-12, "1e9 MACs cost 4.6 mJ")
+    require(energy.sops(0.25, 4, 10**6) == 10**6, "SOPs = f_r * T * FLOPs")
 
     # toy config: hand-counted flops and the assembled total, bit-exact
     toy = ModelConfig(vocab_size=4, d_model=2, n_layers=1, n_heads=1, d_ff=4,
                       max_seq_len=4, t_steps=2)
     fc = energy.count_flops(toy, 1)
-    ok &= fc.sfsa == [20] and fc.sffn == [16] and fc.head == 8 and fc.embed == 0
+    require((fc.sfsa, fc.sffn, fc.head, fc.embed) == ([20], [16], 8, 0),
+            f"toy FLOPs at L=1: sfsa 20, sffn 16, head 8, embed 0; got {fc}")
     fc = energy.count_flops(toy, 4)
     hand_sfsa = 4 * 4 * 2 * 2 + 4 * 4 * 2 + 4 * 4 * 2  # projections + scores + values
     hand_sffn = 2 * 4 * 2 * 4
     hand_head = 4 * 2 * 4
-    ok &= fc.sfsa == [hand_sfsa] and fc.sffn == [hand_sffn]
-    ok &= fc.head == hand_head and fc.embed == 0
+    require((fc.sfsa, fc.sffn, fc.head, fc.embed) == ([hand_sfsa], [hand_sffn], hand_head, 0),
+            f"toy FLOPs at L=4: sfsa {hand_sfsa}, sffn {hand_sffn}, head {hand_head}, "
+            f"embed 0; got {fc}")
     tparams = init_params(toy, 3)
     _, trace = snn_forward(np.array([1, 2, 3, 0]), toy, tparams)
     rep = energy.energy_report(toy, trace)
@@ -331,19 +332,22 @@ def check_energy_model():
     ac_ops = sum(int(round(r["sfsa"] * 2 * hand_sfsa))
                  + int(round(r["sffn"] * 2 * hand_sffn)) for r in rates)
     hand_total = c.e_mac * (0 + hand_head) + c.e_ac * ac_ops
-    ok &= hand_total == rep.snn_energy_j
-    for lay in rep.layers:
-        ok &= lay.sfsa_sops == energy.sops(lay.sfsa_rate, rep.t_steps, lay.sfsa_flops)
-        ok &= lay.sffn_sops == energy.sops(lay.sffn_rate, rep.t_steps, lay.sffn_flops)
-    ok &= rep.snn_energy_j >= 0 and rep.ann_energy_j >= 0
+    require(hand_total == rep.snn_energy_j,
+            f"toy spiking energy {rep.snn_energy_j!r} J: the hand total is {hand_total!r} J")
+    for i, lay in enumerate(rep.layers):
+        require(lay.sfsa_sops == energy.sops(lay.sfsa_rate, rep.t_steps, lay.sfsa_flops)
+                and lay.sffn_sops == energy.sops(lay.sffn_rate, rep.t_steps, lay.sffn_flops),
+                f"toy layer {i} SOPs are f_r * T * FLOPs")
+    require(rep.snn_energy_j >= 0 and rep.ann_energy_j >= 0, "toy energies are nonnegative")
 
     # teacher MAC instrumentation agrees with the analytic count exactly
     tcfg = ModelConfig(vocab_size=17, d_model=16, n_layers=2, n_heads=2,
                        d_ff=24, max_seq_len=12, t_steps=1)
     with count_macs() as cm:
-        ann_forward(np.arange(9), tcfg, init_params(tcfg, 4, kind="teacher"))
-    ok &= cm.macs == energy.count_flops(tcfg, 9).total()
-    return require(ok)
+        ann_forward(np.arange(9), tcfg, init_params(tcfg, 4, "dense"))
+    want = energy.count_flops(tcfg, 9).total()
+    require(cm.macs == want, f"the teacher counted {cm.macs} MACs, count_flops {want}")
+    return ""
 
 
 def check_determinism():

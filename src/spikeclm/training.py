@@ -338,11 +338,11 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
     val_windows = (data.make_windows(val_ids, cfg.seq_len)
                    if len(val_ids) >= cfg.seq_len else None)
 
-    kind = "teacher" if mode == "teacher" else "student"
+    arch = "dense" if mode == "teacher" else "spiking"
     if params is None:
-        params = init_params(model_cfg, cfg.seed, kind=kind)
-    elif (kind == "teacher") != (arch_of(params) == "dense"):
-        raise ConfigError(f"{mode} training needs {kind} parameters, "
+        params = init_params(model_cfg, cfg.seed, arch)
+    elif arch_of(params) != arch:
+        raise ConfigError(f"{mode} training needs {arch} parameters, "
                           f"got a {arch_of(params)} model's")
     else:
         params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}

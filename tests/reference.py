@@ -15,3 +15,9 @@ def gather_last(x, ids):
         np.put_along_axis(buf, ids, g[..., None], axis=-1)
         return buf
     return ad.custom_op(np.take_along_axis(xv, ids, axis=-1)[..., 0], (x, vjp))
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes once any Var is unwrapped to its array."""
+    a, b = np.asarray(ad.value(a)), np.asarray(ad.value(b))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

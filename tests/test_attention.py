@@ -4,13 +4,17 @@ Both blocks build their own causal mask and take batched inputs only:
 sfsa_forward a [T, B, L, d] stack, csa_forward a [B, L, d] batch.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from spikeclm import attention, autodiff as ad, numerics
-from spikeclm.attention import AttnWeights, causal_mask, csa_forward, sfsa_forward
+from spikeclm.attention import ATTN_NAMES, causal_mask, csa_forward, sfsa_forward
 from spikeclm.errors import ConfigError, ShapeError, ValidationError
 from spikeclm.neurons import LifParams, NeuronSpec, TernaryParams
+
+from reference import same_bits
 
 
 def out_attn(pops):
@@ -19,19 +23,15 @@ def out_attn(pops):
 
 
 def identity_weights(d):
-    eye = np.eye(d)
-    zero = np.zeros(d)
-    return AttnWeights(eye.copy(), zero.copy(), eye.copy(), zero.copy(),
-                       eye.copy(), zero.copy(), eye.copy(), zero.copy())
+    """Identity projections and zero biases, keyed by ATTN_NAMES."""
+    return {name: np.eye(d) if name.startswith("w") else np.zeros(d) for name in ATTN_NAMES}
 
 
 def random_weights(d, seed=0, std=0.5):
+    """N(0, std) projections and biases keyed by ATTN_NAMES, drawn in that order."""
     r = numerics.Rng(seed)
-    def w():
-        return r.normal((d, d), std=std)
-    def b():
-        return r.normal((d,), std=std)
-    return AttnWeights(w(), b(), w(), b(), w(), b(), w(), b())
+    return {name: r.normal((d, d) if name.startswith("w") else (d,), std=std)
+            for name in ATTN_NAMES}
 
 
 def spec(beta=0.5, thr=1.0, relaxed=False):
@@ -159,10 +159,15 @@ class TestSfsaProperties:
         with pytest.raises(ValidationError, match="not a count of"):
             sfsa_forward(x + 0.1, random_weights(2), sn, sn, 1)
 
-    def test_weight_shape_validation(self):
+    @pytest.mark.parametrize("bad,message", [
+        ({"w_q": (4, 3)}, "w_q must be [4, 4], got [4, 3]"),
+        ({"b_out": (3,)}, "b_out must be [4], got [3]"),
+        ({"b_q": (3,), "w_out": (4,)}, "w_out must be [4, 4], got [4]")])
+    def test_weight_shape_validation(self, bad, message):
+        """Each misshapen tensor is named, the weights checked before the biases."""
         w = random_weights(4)
-        w.w_q = np.zeros((4, 3))
-        with pytest.raises(ShapeError):
+        w.update((name, np.zeros(shape)) for name, shape in bad.items())
+        with pytest.raises(ShapeError, match=re.escape(message)):
             sfsa_forward(np.zeros((1, 1, 2, 4)), w, spec(), spec(), 2)
 
 
@@ -179,8 +184,8 @@ class TestCsa:
         """Zero q/k projections make each row uniform over its visible prefix."""
         x = np.random.default_rng(1).normal(size=(1, 4, 4))
         w = identity_weights(4)
-        w.w_q = np.zeros((4, 4))
-        w.w_k = np.zeros((4, 4))
+        w["w_q"] = np.zeros((4, 4))
+        w["w_k"] = np.zeros((4, 4))
         _, attn = csa_forward(x, w, 1)
         for i in range(4):
             np.testing.assert_allclose(attn[0, 0, i, :i + 1], 1.0 / (i + 1), rtol=1e-12)
@@ -192,7 +197,7 @@ class TestCsa:
 
         def f(wq):
             w = identity_weights(4)
-            w.w_q = wq
+            w["w_q"] = wq
             out, _ = csa_forward(x, w, 2)
             return (out ** 2).sum() if isinstance(out, ad.Var) else float((out ** 2).sum())
 
@@ -213,7 +218,7 @@ class TestSfsaGradients:
 
         def run(wq):
             w = identity_weights(d)
-            w.w_q = wq
+            w["w_q"] = wq
             out = sfsa_forward(x_steps, w, sn, sn, 1)["out"]
             return (out * out).sum()
 
@@ -228,12 +233,10 @@ class TestSfsaGradients:
         d = 4
         x = (rng.random((1, 1, 3, d)) < 0.5).astype(np.float64)
         w = random_weights(d, seed=9, std=0.5)
-        vw = AttnWeights(*[ad.Var(ad.value(getattr(w, f)))
-                           for f in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
-                                     "w_out", "b_out")])
+        vw = {name: ad.Var(ad.value(t)) for name, t in w.items()}
         out = sfsa_forward(x, vw, spec(), spec(), 2)["out"]
         out.sum().backward()
-        g = vw.w_q.grad
+        g = vw["w_q"].grad
         assert g is not None and np.isfinite(g).all()
 
 
@@ -255,8 +258,8 @@ class TestSfsaPast:
         rng = np.random.default_rng(11)
         sn = NeuronSpec(mode=mode)
         w = random_weights(8, seed=12, std=1.0)
-        w.b_q = w.b_q + 0.9
-        w.b_k = w.b_k + 0.9
+        w["b_q"] = w["b_q"] + 0.9
+        w["b_k"] = w["b_k"] + 0.9
         xs = (rng.random((3, 3, 6, 8)) < 0.5).astype(np.float64)
         full_out, full_attn = self.run_steps(xs, w, sn)
         assert sum(np.count_nonzero(a) for a in full_attn) > 0
@@ -274,8 +277,8 @@ class TestSfsaPast:
         rng = np.random.default_rng(5)
         sn = NeuronSpec(mode=mode)
         w = random_weights(8, seed=6, std=1.0)
-        w.b_q = w.b_q + 0.9
-        w.b_k = w.b_k + 0.9
+        w["b_q"] = w["b_q"] + 0.9
+        w["b_k"] = w["b_k"] + 0.9
         xs = (rng.random((2, 2, 6, 8)) < 0.5).astype(np.float64)
         full = sfsa_forward(xs, w, sn, sn, 2)
         full_out, full_attn, k, v = full["out"], full["attn"], full["k"], full["v"]
@@ -325,7 +328,7 @@ class TestSfsaPast:
             sfsa_forward(x, random_weights(4), spec(relaxed=True), spec(relaxed=True), 2,
                          past=past)
         w = random_weights(4)
-        w.w_k = ad.Var(w.w_k)
+        w["w_k"] = ad.Var(w["w_k"])
         with pytest.raises(ConfigError):
             sfsa_forward(x, w, spec(), spec(), 2, past=past)
 
@@ -338,15 +341,9 @@ def composed_scores(q, k_t, mask, scale=None):
     return s if mask is None else s * mask
 
 
-def same_bits(a, b):
-    a, b = ad.value(a), ad.value(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def taped_weights(w):
-    return AttnWeights(*[ad.Var(ad.value(getattr(w, f)).copy())
-                         for f in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
-                                   "w_out", "b_out")])
+    """A taped leaf holding a copy of each of w's tensors."""
+    return {name: ad.Var(ad.value(t).copy()) for name, t in w.items()}
 
 
 class TestScoreNode:
@@ -357,8 +354,8 @@ class TestScoreNode:
         monkeypatch.setattr(attention, "_scores", scores_fn)
         rng = np.random.default_rng(21)
         w = taped_weights(random_weights(8, seed=22, std=1.0))
-        w.b_q.data += 0.9
-        w.b_k.data += 0.9
+        w["b_q"].data += 0.9
+        w["b_k"].data += 0.9
         if block == "sfsa":
             x = (rng.random((2, 2, 6, 8)) < 0.5).astype(np.float64)
             sn = spec(thr=0.5, relaxed=False)
@@ -366,7 +363,7 @@ class TestScoreNode:
         else:
             out, attn = csa_forward(rng.normal(size=(2, 6, 8)), w, 2)
         (out * np.random.default_rng(23).normal(size=out.shape)).sum().backward()
-        return out, attn, [getattr(w, f).grad for f in ("w_q", "w_k", "w_v", "w_out")]
+        return out, attn, [w[name].grad for name in ATTN_NAMES[0::2]]
 
     @pytest.mark.parametrize("block", ["sfsa", "csa"])
     def test_blocks_match_the_composed_scores_bit_for_bit(self, block, monkeypatch):

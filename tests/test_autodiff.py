@@ -6,7 +6,7 @@ import pytest
 from spikeclm import autodiff as ad
 from spikeclm import numerics
 
-from reference import gather_last
+from reference import gather_last, same_bits
 
 
 def tape_grad(f, x: np.ndarray) -> np.ndarray:
@@ -21,10 +21,6 @@ def check_against_fd(f, x, rtol=1e-5, atol=1e-7):
     got = tape_grad(f, x)
     want = numerics.finite_diff_grad(lambda v: float(f(ad.Var(v)).data), x)
     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -50,6 +50,14 @@ def reload(text: str, tmp_path) -> RunConfig:
 # that was not UTF-8 on the command line (a surrogate escape)
 TRICKY_PROMPTS = ["the spike ", "a\nb ", '  "q" ; # [x] %s \u00e9', "", "\"", "x\\n",
                   "".join(map(chr, range(0x300))) + "\u2028\udcff"]
+
+
+def one_more_head_mac(count_flops):
+    """count_flops with one MAC too many in the head."""
+    def patched(*args):
+        fc = count_flops(*args)
+        return replace(fc, head=fc.head + 1)
+    return patched
 
 
 class TestConfigPlumbing:
@@ -524,6 +532,30 @@ class TestErrorPaths:
             assert capsys.readouterr().err == err
             assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["model.vocab_size=100000000000000000000000",
+                                         "model.max_seq_len=100000000000000000000"])
+    def test_integer_past_int64_is_one_error_line(self, setting, tmp_path, corpus_file,
+                                                   capsys):
+        """An integer setting numpy cannot hold fails, before any allocation,
+        as the shape of the first tensor init_params draws."""
+        out = tmp_path / "x.ckpt"
+        assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "1",
+                       "--set", setting) == 2
+        assert capsys.readouterr() == (
+            "", "error: overflow: Python int too large to convert to C long\n")
+        assert not out.exists()
+
+    def test_unknown_arch_is_one_error_line(self, tmp_path, corpus_file, capsys):
+        cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        ckpt = str(tmp_path / "s.ckpt")
+        save_model(ckpt, cfg, init_params(cfg, 0))
+        fields, tensors = read_checkpoint(ckpt)
+        fields["arch"] = "bogus"
+        write_checkpoint(ckpt, fields, tensors)
+        assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus_file) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {ckpt}: unknown arch 'bogus', expected 'spiking' or 'dense'\n")
+
     def test_diverging_run_is_one_error_line(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "x.ckpt"
         assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "3",
@@ -574,7 +606,7 @@ class TestErrorPaths:
     def test_generate_output_in_missing_directory(self, tmp_path, capsys):
         cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
         ckpt = str(tmp_path / "s.ckpt")
-        save_model(ckpt, cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
+        save_model(ckpt, cfg, init_params(cfg, 0))
         out = str(tmp_path / "nope" / "g.txt")
         assert run_cli("generate", "--checkpoint", ckpt, "--prompt", "x", "--out", out) == 2
         captured = capsys.readouterr()
@@ -587,7 +619,7 @@ class TestErrorPaths:
         stops train but not generate."""
         monkeypatch.chdir(tmp_path)
         cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
-        save_model("s.ckpt", cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
+        save_model("s.ckpt", cfg, init_params(cfg, 0))
         assert run_cli("generate", "--checkpoint", "s.ckpt", "--prompt", "ab",
                        "--n-new", "2", "--set", "run.metrics=nope/m.tsv") == 0
         capsys.readouterr()
@@ -657,7 +689,7 @@ class TestErrorPaths:
     def test_checkpoint_missing_tensor(self, tmp_path, capsys):
         cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
         ckpt = str(tmp_path / "s.ckpt")
-        save_model(ckpt, cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
+        save_model(ckpt, cfg, init_params(cfg, 0))
         fields, tensors = read_checkpoint(ckpt)
         del tensors["layers.0.ffn.w1"]
         write_checkpoint(ckpt, fields, tensors)
@@ -671,7 +703,7 @@ class TestErrorPaths:
         params = init_params(cfg, 0)
         params["layers.0.attn.w_q"][0, 0] = np.nan
         ckpt = str(tmp_path / "nan.ckpt")
-        save_model(ckpt, cfg, params, extra_fields={"arch": "spiking"})
+        save_model(ckpt, cfg, params)
         assert run_cli("generate", "--checkpoint", ckpt, "--prompt", "x") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -701,6 +733,22 @@ class TestErrorPaths:
         assert capsys.readouterr().out.splitlines() == [
             "FAIL boom: broken on purpose", "ok   criterion-01-neuron-fidelity",
             "1/2 checks passed"]
+
+    @pytest.mark.parametrize("name,module,callee,patch,line", [
+        ("criterion-07-spad-fixed-points", selftest, "loss_soft",
+         lambda orig: lambda *args: orig(*args) + 1e-3,
+         "FAIL criterion-07-spad-fixed-points: L_soft on equal logits is 0.001, not 0"),
+        ("criterion-11-energy-model", energy, "count_flops", one_more_head_mac,
+         "FAIL criterion-11-energy-model: toy FLOPs at L=1: sfsa 20, sffn 16, head 8, "
+         "embed 0; got FlopCounts(embed=0, head=9, sfsa=[20], sffn=[16])")],
+        ids=["criterion-07", "criterion-11"])
+    def test_selftest_failure_names_the_clause(self, name, module, callee, patch, line,
+                                               monkeypatch, capsys):
+        """A criterion that checks several clauses names the one that failed."""
+        monkeypatch.setattr(selftest, "CHECKS", [(name, dict(selftest.CHECKS)[name])])
+        monkeypatch.setattr(module, callee, patch(getattr(module, callee)))
+        assert run_cli("selftest") == 1
+        assert capsys.readouterr().out.splitlines() == [line, "0/1 checks passed"]
 
     def test_selftest_fails_under_optimize_flag(self):
         """python -O strips bare asserts; the checks must still fail."""
@@ -753,9 +801,8 @@ def test_fuzzed_inputs_exit_0_or_one_error_line(tmp_path, capsys):
     rng = np.random.default_rng(8)
     cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
     ckpt, teacher = tmp_path / "s.ckpt", tmp_path / "t.ckpt"
-    save_model(ckpt, cfg, init_params(cfg, 0), extra_fields={"arch": "spiking"})
-    save_model(teacher, cfg, init_params(cfg, 0, kind="teacher"),
-               extra_fields={"arch": "dense"})
+    save_model(ckpt, cfg, init_params(cfg, 0))
+    save_model(teacher, cfg, init_params(cfg, 0, arch="dense"))
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("hello world " * 20)
     tiny = [a for s in ("model.d_model=8", "model.n_layers=1", "model.n_heads=2",

@@ -13,7 +13,7 @@ from spikeclm.model import (LN_EPS, ModelConfig, ann_forward, init_params, layer
 from spikeclm.neurons import LifParams, empirical_rate
 from spikeclm.training import TrainConfig, evaluate_ce, train_loop
 
-from reference import gather_last
+from reference import gather_last, same_bits
 
 
 class TestLayerMap:
@@ -241,7 +241,7 @@ def build_pair(d_s=8, d_t=8, layers_s=2, layers_t=2, heads_s=2, heads_t=2):
                         n_heads=heads_s, d_ff=12, max_seq_len=8, t_steps=2)
     cfg_t = ModelConfig(vocab_size=13, d_model=d_t, n_layers=layers_t,
                         n_heads=heads_t, d_ff=12, max_seq_len=8, t_steps=1)
-    return cfg_s, init_params(cfg_s, 1), cfg_t, init_params(cfg_t, 2, kind="teacher")
+    return cfg_s, init_params(cfg_s, 1), cfg_t, init_params(cfg_t, 2, arch="dense")
 
 
 class TestSpadLosses:
@@ -403,10 +403,6 @@ def taped_loss(fn, student, *args):
     out = fn(v, *args)
     out.backward(0.7)
     return out.data, v.grad
-
-
-def same_bits(a, b):
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestLossNodes:

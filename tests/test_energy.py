@@ -43,7 +43,7 @@ class TestFlopCounts:
         """Dense forward performs exactly the analytically counted MACs."""
         cfg = ModelConfig(vocab_size=13, d_model=8, n_layers=2, n_heads=2,
                           d_ff=12, max_seq_len=9, t_steps=1)
-        params = init_params(cfg, seed=1, kind="teacher")
+        params = init_params(cfg, seed=1, arch="dense")
         ids = np.arange(7) % 13
         with numerics.count_macs() as c:
             ann_forward(ids, cfg, params)
@@ -68,7 +68,7 @@ class TestFlopCounts:
         with numerics.count_macs() as c:
             vparams = {k: ad.Var(v) for k, v in params.items()}
             logits, s_trace = snn_forward(ids, cfg, vparams)
-            _, t_trace = ann_forward(ids, tcfg, init_params(tcfg, 2, kind="teacher"))
+            _, t_trace = ann_forward(ids, tcfg, init_params(tcfg, 2, arch="dense"))
             total, _ = spad_losses(logits, s_trace, t_trace, ids + 1,
                                    SpadConfig(), cfg.neuron_spec().lif)
             total.backward()
@@ -77,7 +77,7 @@ class TestFlopCounts:
     def test_teacher_macs_scale_with_batch(self):
         cfg = ModelConfig(vocab_size=13, d_model=8, n_layers=1, n_heads=2,
                           d_ff=12, max_seq_len=9, t_steps=1)
-        params = init_params(cfg, seed=1, kind="teacher")
+        params = init_params(cfg, seed=1, arch="dense")
         batch = np.stack([np.arange(5), np.arange(5) + 2]) % 13
         with numerics.count_macs() as c:
             ann_forward(batch, cfg, params)

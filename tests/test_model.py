@@ -1,5 +1,6 @@
 """Model-level tests: wiring, traces, decoding, generation, checkpoints."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -9,7 +10,8 @@ import pytest
 from spikeclm import attention, autodiff as ad, data, energy, model, numerics, training
 from spikeclm.distill import loss_hard
 from spikeclm.errors import ConfigError, EvaluationError, ShapeError, ValidationError
-from spikeclm.model import (DecodeCache, ModelConfig, ann_forward, arch_of,
+from spikeclm.attention import ATTN_NAMES
+from spikeclm.model import (FFN_NAMES, DecodeCache, ModelConfig, ann_forward, arch_of,
                             decode_logits, generate, init_params, load_model, read_checkpoint,
                             save_model, snn_forward, time_mean, write_checkpoint)
 from spikeclm.neurons import (LifParams, NeuronSpec, NeuronState, TernaryParams, lif_step,
@@ -71,12 +73,12 @@ class TestConfig:
         assert sn.lif.u_thr == 1.0 and sn.ternary.amp == 1.5
 
 
-def expected_param_count(cfg: ModelConfig, kind: str = "student") -> int:
+def expected_param_count(cfg: ModelConfig, arch: str = "spiking") -> int:
     """Closed-form size of init_params output, for cross-checking."""
     d, f, v, s, n = cfg.d_model, cfg.d_ff, cfg.vocab_size, cfg.max_seq_len, cfg.n_layers
     per_layer = 4 * (d * d + d) + (d * f + f) + (f * d + d)
     total = v * d + s * d + n * per_layer + d * v
-    if kind == "teacher":
+    if arch == "dense":
         total += n * 4 * d + 2 * d
     return total
 
@@ -93,8 +95,8 @@ class TestParams:
 
     def test_teacher_count_matches_closed_form(self):
         cfg = tiny_cfg()
-        p = init_params(cfg, seed=0, kind="teacher")
-        assert count_params(p) == expected_param_count(cfg, "teacher")
+        p = init_params(cfg, seed=0, arch="dense")
+        assert count_params(p) == expected_param_count(cfg, "dense")
         assert "layers.0.ln1.g" in p and "final_ln.g" in p
 
     def test_init_deterministic(self):
@@ -103,6 +105,36 @@ class TestParams:
         b = init_params(cfg, seed=5)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    @pytest.mark.parametrize("arch", ["spiking", "dense"])
+    def test_keys_follow_the_name_lists_in_draw_order(self, arch):
+        """Each layer holds its attention tensors under ATTN_NAMES, then its FFN
+        tensors under FFN_NAMES, then the dense model's LayerNorms; every
+        weight is the next N(0, 0.02) draw of the seed's stream, in that order,
+        and the slicer hands back the same tensor objects."""
+        cfg = tiny_cfg()
+        p = init_params(cfg, seed=4, arch=arch)
+        norms = ["ln1.g", "ln1.b", "ln2.g", "ln2.b"] if arch == "dense" else []
+        want = ["tok_emb", "pos_emb"]
+        for i in range(cfg.n_layers):
+            want += [f"layers.{i}.attn.{name}" for name in ATTN_NAMES]
+            want += [f"layers.{i}.ffn.{name}" for name in FFN_NAMES]
+            want += [f"layers.{i}.{name}" for name in norms]
+        want += ["final_ln.g", "final_ln.b"] if arch == "dense" else []
+        assert list(p) == want + ["head.w"]
+        rng = numerics.Rng(4)
+        for t in p.values():
+            if t.ndim == 2:
+                np.testing.assert_array_equal(t, rng.normal(t.shape, std=0.02))
+        for i in range(cfg.n_layers):
+            for sub, names in (("attn", ATTN_NAMES), ("ffn", FFN_NAMES)):
+                got = model.sublayer(p, i, sub)
+                assert list(got) == list(names)
+                assert all(got[name] is p[f"layers.{i}.{sub}.{name}"] for name in names)
+
+    def test_unknown_arch_rejected(self):
+        with pytest.raises(ConfigError, match="unknown model arch 'teacher'"):
+            init_params(tiny_cfg(), seed=0, arch="teacher")
 
     def test_biases_zero_weights_spread(self):
         p = init_params(tiny_cfg(), seed=1)
@@ -287,7 +319,7 @@ class TestDecodeLogits:
 class TestTeacher:
     def setup_method(self):
         self.cfg = tiny_cfg()
-        self.params = init_params(self.cfg, seed=9, kind="teacher")
+        self.params = init_params(self.cfg, seed=9, arch="dense")
         self.ids = np.array([3, 1, 4, 1, 5])
 
     def test_shapes_and_traces(self):
@@ -338,7 +370,7 @@ class TestFamily:
     def setup_method(self):
         self.cfg = tiny_cfg()
         self.student = init_params(self.cfg, seed=3)
-        self.teacher = init_params(self.cfg, seed=3, kind="teacher")
+        self.teacher = init_params(self.cfg, seed=3, arch="dense")
 
     def test_arch_of(self):
         assert arch_of(self.student) == "spiking"
@@ -576,17 +608,17 @@ def per_step_snn_forward(tokens, cfg, params, collect=True):
         for i in range(n):
             pre = f"layer{i}."
             record(pre + "in", stream)
-            w = model._attn_weights(params, i)
-            sq = fire(pre + "q", stream @ w.w_q + w.b_q)
-            sk = fire(pre + "k", stream @ w.w_k + w.b_k)
-            sv = fire(pre + "v", stream @ w.w_v + w.b_v)
+            w = model.sublayer(params, i, "attn")
+            sq = fire(pre + "q", stream @ w["w_q"] + w["b_q"])
+            sk = fire(pre + "k", stream @ w["w_k"] + w["b_k"])
+            sv = fire(pre + "v", stream @ w["w_v"] + w["b_v"])
             s_attn = fire(pre + "attn", (split(sq) @ split(sk).swapaxes(-1, -2)) * mask)
             s_ctx = fire(pre + "ctx", s_attn @ split(sv))
             merged = s_ctx.swapaxes(1, 2).reshape(b, l, cfg.d_model)
-            y = record(pre + "mid", stream + fire(pre + "out", merged @ w.w_out + w.b_out))
-            ffn = f"layers.{i}.ffn."
-            hid = fire(pre + "ffn1", y @ params[ffn + "w1"] + params[ffn + "b1"])
-            stream = y + fire(pre + "ffn2", hid @ params[ffn + "w2"] + params[ffn + "b2"])
+            y = record(pre + "mid", stream + fire(pre + "out", merged @ w["w_out"] + w["b_out"]))
+            f = model.sublayer(params, i, "ffn")
+            hid = fire(pre + "ffn1", y @ f["w1"] + f["b1"])
+            stream = y + fire(pre + "ffn2", hid @ f["w2"] + f["b2"])
         head.append(stream)
     total = head[0]
     for x in head[1:]:
@@ -708,6 +740,39 @@ class TestCheckpoint:
         _, tensors = read_checkpoint(path)
         assert tensors.keys() == params.keys()
 
+    @pytest.mark.parametrize("arch", ["spiking", "dense"])
+    def test_arch_is_written_for_every_caller(self, arch, tmp_path):
+        """save_model writes arch_of(params) right after kind, before the
+        caller's fields, and the file loads back as that family."""
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=2, arch=arch)
+        for extra in (None, {"trained_steps": 3}):
+            save_model(tmp_path / "m.ckpt", cfg, params, extra_fields=extra)
+            fields, _ = read_checkpoint(tmp_path / "m.ckpt")
+            assert list(fields)[len(dataclasses.fields(ModelConfig)):] == (
+                ["kind", "arch"] + list(extra or ()))
+            assert fields["arch"] == arch
+            _, p2, extra2, _ = load_model(tmp_path / "m.ckpt")
+            assert arch_of(p2) == arch and extra2["arch"] == arch
+            assert list(p2) == sorted(params)
+
+    def test_arch_in_extra_fields_refused(self, tmp_path):
+        cfg = tiny_cfg()
+        with pytest.raises(ConfigError, match="arch"):
+            save_model(tmp_path / "m.ckpt", cfg, init_params(cfg, seed=0),
+                       extra_fields={"arch": "dense"})
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_file_without_arch_loads_as_spiking(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        cfg = tiny_cfg()
+        save_model(path, cfg, init_params(cfg, seed=0))
+        fields, tensors = read_checkpoint(path)
+        del fields["arch"]
+        write_checkpoint(path, fields, tensors)
+        _, params, extra, _ = load_model(path)
+        assert arch_of(params) == "spiking" and "arch" not in extra
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=2)
@@ -773,7 +838,8 @@ class TestCheckpoint:
         good = init_params(cfg, seed=1)
         cases = {
             "layers.0.ffn.w1": {k: v for k, v in good.items() if k != "layers.0.ffn.w1"},
-            "final_ln.g": dict(good, **{"final_ln.g": np.ones(cfg.d_model)}),
+            # a block norm alone leaves arch_of, and so the arch field, spiking
+            "layers.0.ln1.g": dict(good, **{"layers.0.ln1.g": np.ones(cfg.d_model)}),
             "head.w": dict(good, **{"head.w": np.ones((cfg.d_model, 3))}),
         }
         for name, params in cases.items():
@@ -781,10 +847,6 @@ class TestCheckpoint:
             save_model(path, cfg, params)
             with pytest.raises(ValidationError, match=name):
                 load_model(path)
-        # the arch field selects the teacher layout, LayerNorm tensors included
-        save_model(tmp_path / "t.ckpt", cfg, init_params(cfg, 1, kind="teacher"),
-                   extra_fields={"arch": "dense"})
-        load_model(tmp_path / "t.ckpt")
 
     def test_roundtrip_through_forward(self, tmp_path):
         """Loaded model reproduces the saved model's logits exactly."""

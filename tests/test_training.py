@@ -361,7 +361,7 @@ class TestTrainLoop:
     def test_spad_incompatible_teacher_rejected_before_step(self, t_kw, s_kw, match,
                                                             monkeypatch):
         t_cfg = tiny_model(**t_kw)
-        t_params = init_params(t_cfg, 0, kind="teacher")
+        t_params = init_params(t_cfg, 0, arch="dense")
         cfg = TrainConfig(total_steps=1, batch_size=2, seq_len=8)
 
         def no_step(*args, **kwargs):
@@ -371,23 +371,23 @@ class TestTrainLoop:
             train_loop(cfg, tiny_model(**s_kw), tiny_corpus(), mode="spad",
                        teacher_cfg=t_cfg, teacher_params=t_params)
 
-    @pytest.mark.parametrize("mode,kind,teacher_kind,match", [
-        ("hard", "teacher", None, "hard training needs student parameters, got a dense model's"),
-        ("spad", "teacher", "teacher",
-         "spad training needs student parameters, got a dense model's"),
-        ("teacher", "student", None,
-         "teacher training needs teacher parameters, got a spiking model's"),
-        ("spad", None, "student", "spad training needs a dense teacher, got a spiking one")])
-    def test_wrong_family_params_rejected_before_step(self, mode, kind, teacher_kind, match,
+    @pytest.mark.parametrize("mode,arch,teacher_arch,match", [
+        ("hard", "dense", None, "hard training needs spiking parameters, got a dense model's"),
+        ("spad", "dense", "dense",
+         "spad training needs spiking parameters, got a dense model's"),
+        ("teacher", "spiking", None,
+         "teacher training needs dense parameters, got a spiking model's"),
+        ("spad", None, "spiking", "spad training needs a dense teacher, got a spiking one")])
+    def test_wrong_family_params_rejected_before_step(self, mode, arch, teacher_arch, match,
                                                       tmp_path, monkeypatch):
         """Given parameters of the other family fail before step 1, and no
         metrics file (nor its temp file) is made."""
         m_cfg = tiny_model()
         kw = {}
-        if kind:
-            kw["params"] = init_params(m_cfg, 0, kind=kind)
-        if teacher_kind:
-            kw.update(teacher_cfg=m_cfg, teacher_params=init_params(m_cfg, 1, kind=teacher_kind))
+        if arch:
+            kw["params"] = init_params(m_cfg, 0, arch)
+        if teacher_arch:
+            kw.update(teacher_cfg=m_cfg, teacher_params=init_params(m_cfg, 1, teacher_arch))
 
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
@@ -399,7 +399,7 @@ class TestTrainLoop:
 
     def test_spad_mode_runs_and_logs_components(self):
         t_cfg = tiny_model(n_layers=2, n_heads=2)
-        t_params = init_params(t_cfg, 0, kind="teacher")
+        t_params = init_params(t_cfg, 0, arch="dense")
         cfg = TrainConfig(total_steps=2, batch_size=2, seq_len=8, seed=4)
         res = train_loop(cfg, tiny_model(), tiny_corpus(), mode="spad",
                          teacher_cfg=t_cfg, teacher_params=t_params)
@@ -472,24 +472,24 @@ class TestEvaluateCe:
 
     def test_dense_path(self):
         cfg = tiny_model()
-        params = init_params(cfg, 0, kind="teacher")
+        params = init_params(cfg, 0, arch="dense")
         ws = data.make_windows(tiny_corpus(64), 8)
         ce = evaluate_ce(cfg, params, ws, batch_size=4)
         assert np.isfinite(ce) and ce > 0
 
-    @pytest.mark.parametrize("kind", ["teacher", "student"])
-    def test_forward_follows_the_params_family(self, kind):
+    @pytest.mark.parametrize("arch", ["dense", "spiking"])
+    def test_forward_follows_the_params_family(self, arch):
         """On a teacher's parameters evaluate_ce is, bit for bit, the
         token-weighted mean CE of ann_forward over the batches; on a
         student's, that of snn_forward."""
         cfg = tiny_model()
-        params = init_params(cfg, 0, kind=kind)
+        params = init_params(cfg, 0, arch)
         params["tok_emb"] *= 50.0  # so that the student fires
         ws = data.make_windows(tiny_corpus(64), 8)
         total, denom = 0.0, 0
         for start in range(0, len(ws), 3):
             xb, yb = ws.inputs[start:start + 3], ws.targets[start:start + 3]
-            if kind == "teacher":
+            if arch == "dense":
                 logits, _ = ann_forward(xb, cfg, params)
             else:
                 logits, _ = snn_forward(xb, cfg, params, collect=False)
