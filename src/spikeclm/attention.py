@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad, numerics
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError
 from .neurons import NeuronSpec
 
 
@@ -50,24 +50,6 @@ def causal_mask(seq_len: int, offset: int = 0) -> np.ndarray:
     if offset < 0:
         raise ShapeError(f"offset must be >= 0, got {offset}")
     return np.tri(seq_len, offset + seq_len, k=offset)
-
-
-def _check_spike_input(x, where: str, sn: NeuronSpec) -> None:
-    """Spiking blocks consume spike counts: finite integer multiples of a spike.
-
-    A binary spike is 1, so counts are nonnegative integers. A ternary spike
-    is +-amp, so counts are signed integer multiples of amp.
-    """
-    d = x.data if ad.is_var(x) else x
-    if not np.isfinite(d).all():
-        raise ValidationError(f"{where}: input contains non-finite values")
-    if sn.mode == "ternary":
-        n = d / sn.ternary.amp
-        if (np.abs(n - np.rint(n)) > 1e-9 * np.maximum(1.0, np.abs(n))).any():
-            raise ValidationError(
-                f"{where}: input is not a count of +-{sn.ternary.amp} spikes")
-    elif (d < 0.0).any() or (d != np.rint(d)).any():
-        raise ValidationError(f"{where}: input is not a spike-count tensor")
 
 
 def _split_heads(x, n_heads: int):
@@ -161,8 +143,7 @@ def sfsa_forward(x, w: dict, sn: NeuronSpec, attn_sn: NeuronSpec,
     mask = None
     if l != 1 and not (last_row and l):  # an empty L still meets causal_mask's check
         mask = causal_mask(l, 0 if past is None else past_k.shape[2])
-    if not sn.relaxed:
-        _check_spike_input(x, "sfsa_forward", sn)
+    sn.check_spike_counts(x, "sfsa_forward")
 
     sq = sn.run(ad.linear(x[:, :, -1:] if last_row else x, w["w_q"], w["b_q"]))
     sk = sn.run(ad.linear(x, w["w_k"], w["b_k"]))

@@ -34,12 +34,18 @@ class InternalError(RuntimeError):
     """Invariant broken inside the package; indicates a bug, not bad input."""
 
 
-def require_finite_fields(cfg) -> None:
-    """ConfigError naming the first float field of dataclass cfg that is nan or inf.
+def require_finite_fields(cfg, seeds=()) -> None:
+    """ConfigError naming the first field of dataclass cfg that no machine
+    number holds: a float that is nan or inf, or an int outside int64.
 
-    A non-finite value slips past every range check written as a comparison
-    (nan <= 0 is false), so config validation runs this first.
+    nan slips past every range check written as a comparison, and numpy
+    refuses an int past int64 without naming the setting, so config
+    validation runs this first. Fields named in seeds are exempt: Rng masks
+    a seed to 64 bits.
     """
     for f in fields(cfg):
-        if f.type is float and not math.isfinite(getattr(cfg, f.name)):
-            raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)}")
+        v = getattr(cfg, f.name)
+        if f.type is float and not math.isfinite(v):
+            raise ConfigError(f"{f.name} must be finite, got {v}")
+        if f.type is int and f.name not in seeds and not -2 ** 63 <= v < 2 ** 63:
+            raise ConfigError(f"{f.name} must fit in int64, got {v}")

@@ -22,23 +22,24 @@ Inputs accumulate onto the rescaled membrane with no extra decay term;
 the rescaling itself plays that role.
 
 The step functions take plain ndarrays (or floats) and advance one time
-step, writing into buffers they are given. From rest (the float zeros of
-NeuronState()) the LIF update is the single op I + 0.0, which is what
-I + beta * 0 - 0 * U_thr computes, -0.0 included. A network runs each
-neuron population over all T steps at once through NeuronSpec.run: its
-forward loops the step function over t into the rows of its [T, ...]
-output. Untaped, one membrane buffer advances in place over t; on the tape
-the run keeps every membrane and is the population's one node, whose
-backward runs the BPTT recurrence in reverse over t (Neftci, Mostafa &
-Zenke 2019), through the input, decay, reset and surrogate paths. That
-backward writes dL/dI over the surrogate slope, row by row.
+step, writing into buffers they are given. The carried membrane and last
+spike are None at rest, and from there the LIF update is the single op
+I + 0.0, which is what I + beta * 0 - 0 * U_thr computes, -0.0 included.
+NeuronSpec.run is the one runner: it loops its mode's step over t into the
+rows of a [T, ...] output. Untaped, one membrane buffer advances in place
+over t; on the tape the run keeps every membrane and is the population's
+one node, whose backward runs the BPTT recurrence in reverse over t
+(Neftci, Mostafa & Zenke 2019), through the input, decay, reset and
+surrogate paths. That backward writes dL/dI over the surrogate slope, row
+by row. NeuronSpec also holds the rule for what its spikes sum to, which
+the spiking blocks check their input against.
 
 A taped population takes over the node that produced its current (a
 linear map, attention scores or a matmul; autodiff.chain_op): it inherits
 that node's parents, and its backward hands dL/dI straight to that node's
 VJP. The tape then keeps no [T, ...] current, and the current is freed
-when the forward returns, since the LIF backward reads only the membranes
-and spikes. The ternary backward rebuilds the pre-spike membranes from the
+when the forward returns, since the LIF backward reads only the
+membranes. The ternary backward rebuilds the pre-spike membranes from the
 currents, so a ternary run keeps them in its closure.
 
 spike_encode is the one constant-drive encoder: each real value drives a
@@ -85,18 +86,6 @@ class TernaryParams:
             raise ConfigError(f"surrogate_alpha must be positive, got {self.surrogate_alpha}")
 
 
-@dataclass
-class NeuronState:
-    """Carried state of one neuron population (membrane and last spike).
-
-    The defaults are the fresh state: zero membrane, no prior spike, which
-    broadcast against any input shape.
-    """
-
-    u: object = 0.0
-    s_prev: object = 0.0
-
-
 # -- surrogate --------------------------------------------------------------
 
 
@@ -120,54 +109,50 @@ def surrogate_grad(u, alpha: float = 2.0, shift: float = 0.0):
 # -- step functions ----------------------------------------------------------
 
 
-# The fresh state. Its float zeros are the objects every NeuronState() holds,
-# so `state.u is _REST.u` recognises a step from rest without a comparison.
-_REST = NeuronState()
-
-
-def _buffers(state: NeuronState, input_current, s_out, u_out, scratch):
+def _buffers(u, s_prev, input_current, s_out, u_out, scratch):
     """The step's output and scratch arrays: those given, fresh ones for the rest."""
-    shape = np.broadcast_shapes(np.shape(input_current), np.shape(state.u),
-                                np.shape(state.s_prev))
+    shape = np.broadcast_shapes(np.shape(input_current), np.shape(u), np.shape(s_prev))
     return tuple(np.empty(shape) if b is None else b for b in (s_out, u_out, scratch))
 
 
-def lif_step(state: NeuronState, input_current, p: LifParams, relaxed: bool = False,
+def lif_step(u, s_prev, input_current, p: LifParams, relaxed: bool = False,
              s_out=None, u_out=None, scratch=None):
-    """One LIF update on plain arrays. Returns (spikes, new_state).
+    """One LIF update on plain arrays. Returns (spikes, membrane).
 
-    The spikes and the new membrane are written to s_out and u_out, and
-    scratch holds a temporary; each is a fresh array when not given. u_out
-    may be the carried membrane state.u, which then advances in place;
-    scratch must share memory with nothing else. From rest the update is
-    I + 0.0, which is what I + beta * 0 - 0 * U_thr computes, -0.0 included.
+    u and s_prev are the carried membrane and last spikes. At rest both are
+    None and the update is I + 0.0, which is what I + beta * 0 - 0 * U_thr
+    computes, -0.0 included. The spikes and the new membrane are written
+    to s_out and u_out, and scratch holds a temporary; each is a fresh
+    array when not given. u_out may be u, which then advances in place;
+    scratch must share memory with nothing else.
     """
     if s_out is None or u_out is None or scratch is None:
-        s_out, u_out, scratch = _buffers(state, input_current, s_out, u_out, scratch)
-    if state.u is _REST.u and state.s_prev is _REST.s_prev:
+        s_out, u_out, scratch = _buffers(u, s_prev, input_current, s_out, u_out, scratch)
+    if u is None and s_prev is None:
         np.add(input_current, 0.0, out=u_out)
     else:
         # i + beta * U_prev - S_prev * U_thr
-        np.add(input_current, np.multiply(state.u, p.beta, out=scratch), out=u_out)
-        u_out -= np.multiply(state.s_prev, p.u_thr, out=scratch)
+        np.add(input_current, np.multiply(u, p.beta, out=scratch), out=u_out)
+        u_out -= np.multiply(s_prev, p.u_thr, out=scratch)
     if relaxed:  # the surrogate stands in for the threshold
         s_out[...] = surrogate_forward(u_out - p.u_thr, p.surrogate_alpha)
     else:
         np.greater_equal(u_out, p.u_thr, out=s_out)
-    return s_out, NeuronState(u_out, s_out)
+    return s_out, u_out
 
 
-def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: bool = False,
+def ternary_step(u, s_prev, input_current, p: TernaryParams, relaxed: bool = False,
                  s_out=None, u_out=None, scratch=None):
-    """One ternary update on plain arrays. Returns (spikes, new_state).
+    """One ternary update on plain arrays. Returns (spikes, membrane).
 
-    The input integrates onto the carried membrane, the spike is read out,
-    and the membrane is rescaled by (amp - S) with U_reset blended in. The
-    buffers are those of lif_step.
+    The input integrates onto the carried membrane u (0.0 at rest, when u
+    is None), the spike is read out, and the membrane is rescaled by
+    (amp - S) with U_reset blended in. s_prev goes unread; the buffers are
+    those of lif_step.
     """
     if s_out is None or u_out is None or scratch is None:
-        s_out, u_out, scratch = _buffers(state, input_current, s_out, u_out, scratch)
-    np.add(input_current, state.u, out=u_out)
+        s_out, u_out, scratch = _buffers(u, s_prev, input_current, s_out, u_out, scratch)
+    np.add(input_current, 0.0 if u is None else u, out=u_out)
     if relaxed:  # the surrogates stand in for the band edges +-amp
         s_out[...] = p.amp * (surrogate_forward(u_out - p.amp, p.surrogate_alpha)
                               + surrogate_forward(u_out + p.amp, p.surrogate_alpha) - 1.0)
@@ -178,19 +163,19 @@ def ternary_step(state: NeuronState, input_current, p: TernaryParams, relaxed: b
     # u * (amp - s) + u_reset * s
     u_out *= np.subtract(p.amp, s_out, out=scratch)
     u_out += np.multiply(s_out, p.u_reset, out=scratch)
-    return s_out, NeuronState(u_out, s_out)
+    return s_out, u_out
 
 
 # -- multi-step runner ---------------------------------------------------------
 
 
-def _lif_bptt(g, currents, u, s, p: LifParams):
+def _lif_bptt(g, u, p: LifParams):
     """Reverse LIF recurrence: dL/dI [T, ...] from dL/dS [T, ...].
 
-    u and s are the forward membranes and spikes. S_t reaches the loss
-    directly and through U_{t+1} (-U_thr); U_t through S_t (the surrogate
-    slope) and through U_{t+1} (beta). Row t of the slope is overwritten
-    with dL/dI_t once it is read, through one step-sized temporary.
+    u holds the forward membranes. S_t reaches the loss directly and
+    through U_{t+1} (-U_thr); U_t through S_t (the surrogate slope) and
+    through U_{t+1} (beta). Row t of the slope is overwritten with dL/dI_t
+    once it is read, through one step-sized temporary.
     """
     gi = surrogate_grad(u, p.surrogate_alpha, p.u_thr)
     gi[-1, ...] *= g[-1]
@@ -235,42 +220,6 @@ def _ternary_bptt(g, currents, u, s, p: TernaryParams):
     return gi
 
 
-def _run_population(step, bptt, currents, p, relaxed: bool = False, t_steps: int | None = None):
-    """Spike trains [T, ...] of one neuron population from rest.
-
-    currents is a [T, ...] stack, or [1, ...] for a drive held constant
-    over t_steps. The forward calls step at each t on plain arrays, which
-    writes row t of the spike stack through one scratch buffer. A taped run
-    keeps every membrane in a [T, ...] stack for the backward; an untaped
-    one advances a single membrane buffer in place, so the states a step
-    returns are overwritten by the next. When currents is a Var the result
-    is one tape node whose backward is bptt, built by autodiff.chain_op
-    over the node that produced the currents.
-    """
-    taped = isinstance(currents, Var)
-    data = currents.data if taped else np.asarray(currents, dtype=np.float64)
-    t_steps = len(data) if t_steps is None else t_steps
-    if t_steps < 1 or len(data) != t_steps:
-        if t_steps < 1:
-            raise ValidationError(f"t_steps must be >= 1, got {t_steps}")
-        if len(data) != 1:
-            raise ShapeError(f"{len(data)} input steps do not drive {t_steps} time steps")
-        data = np.broadcast_to(data, (t_steps,) + data.shape[1:])
-    spikes = np.empty(data.shape)
-    membranes = np.empty(data.shape if taped else data.shape[1:])
-    scratch = np.empty(data.shape[1:])
-    state = _REST
-    for t in range(t_steps):
-        # [t, ...] is a view even when a row is 0-d
-        u_out = membranes[t, ...] if taped else membranes
-        _, state = step(state, data[t], p, relaxed, spikes[t, ...], u_out, scratch)
-    if not taped:
-        return spikes
-    kept = data if bptt is _ternary_bptt else None  # only it reads the currents
-    return autodiff.chain_op(
-        spikes, currents, lambda g: bptt(g, kept, membranes, spikes, p))
-
-
 @dataclass
 class NeuronSpec:
     """Which neuron a network runs, plus its parameters and forward mode."""
@@ -287,12 +236,62 @@ class NeuronSpec:
         self.ternary.validate()
 
     def run(self, currents, t_steps: int | None = None):
-        """Spikes [T, ...] of a population from rest; see _run_population."""
-        if self.mode == "binary":
-            return _run_population(lif_step, _lif_bptt, currents, self.lif,
-                                   self.relaxed, t_steps)
-        return _run_population(ternary_step, _ternary_bptt, currents, self.ternary,
-                               self.relaxed, t_steps)
+        """Spike trains [T, ...] of one population from rest.
+
+        currents is a [T, ...] stack, or [1, ...] for a drive held constant
+        over t_steps. At each t the mode's step (lif_step or ternary_step,
+        looked up at each run) writes row t of the spike stack through one
+        scratch buffer. A taped run keeps every membrane for the backward;
+        an untaped one advances one membrane buffer in place. When currents
+        is a Var the result is one tape node whose backward is the mode's
+        BPTT, built by autodiff.chain_op over the currents' own node.
+        """
+        binary = self.mode == "binary"
+        step, p = (lif_step, self.lif) if binary else (ternary_step, self.ternary)
+        taped = isinstance(currents, Var)
+        data = currents.data if taped else np.asarray(currents, dtype=np.float64)
+        t_steps = len(data) if t_steps is None else t_steps
+        if t_steps < 1 or len(data) != t_steps:
+            if t_steps < 1:
+                raise ValidationError(f"t_steps must be >= 1, got {t_steps}")
+            if len(data) != 1:
+                raise ShapeError(f"{len(data)} input steps do not drive {t_steps} time steps")
+            data = np.broadcast_to(data, (t_steps,) + data.shape[1:])
+        spikes = np.empty(data.shape)
+        membranes = np.empty(data.shape if taped else data.shape[1:])
+        scratch = np.empty(data.shape[1:])
+        s = u = None
+        for t in range(t_steps):
+            # [t, ...] is a view even when a row is 0-d
+            s, u = step(u, s, data[t], p, self.relaxed, spikes[t, ...],
+                        membranes[t, ...] if taped else membranes, scratch)
+        if not taped:
+            return spikes
+        if binary:  # the LIF backward reads no currents, so they are not kept
+            return autodiff.chain_op(spikes, currents, lambda g: _lif_bptt(g, membranes, p))
+        return autodiff.chain_op(
+            spikes, currents, lambda g: _ternary_bptt(g, data, membranes, spikes, p))
+
+    def check_spike_counts(self, x, where: str) -> None:
+        """ValidationError unless x (an array or a Var) holds sums of this
+        neuron's spikes: finite integer multiples of a spike.
+
+        A binary spike is 1, so counts are nonnegative integers. A ternary
+        spike is +-amp, so counts are signed integer multiples of amp. A
+        relaxed neuron emits surrogate values, which are not checked.
+        """
+        if self.relaxed:
+            return
+        d = x.data if isinstance(x, Var) else x
+        if not np.isfinite(d).all():
+            raise ValidationError(f"{where}: input contains non-finite values")
+        if self.mode == "ternary":
+            n = d / self.ternary.amp
+            if (np.abs(n - np.rint(n)) > 1e-9 * np.maximum(1.0, np.abs(n))).any():
+                raise ValidationError(
+                    f"{where}: input is not a count of +-{self.ternary.amp} spikes")
+        elif (d < 0.0).any() or (d != np.rint(d)).any():
+            raise ValidationError(f"{where}: input is not a spike-count tensor")
 
 
 # -- rate and trace helpers ---------------------------------------------------

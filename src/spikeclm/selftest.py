@@ -26,9 +26,9 @@ from .distill import (SpadConfig, loss_attention, loss_embedding, loss_feature, 
                       loss_soft, loss_total, spad_losses)
 from .model import (ModelConfig, ann_forward, generate, init_params, save_model,
                     snn_forward, sublayer)
-from .neurons import (LifParams, NeuronState, TernaryParams, eligibility_trace,
-                      empirical_rate, lif_step, spike_encode, surrogate_forward,
-                      surrogate_grad, ternary_step)
+from .neurons import (LifParams, TernaryParams, eligibility_trace, empirical_rate,
+                      lif_step, spike_encode, surrogate_forward, surrogate_grad,
+                      ternary_step)
 from .numerics import Rng, count_macs, finite_diff_grad
 from .training import TrainConfig, train_loop
 
@@ -48,10 +48,10 @@ def check_neuron_fidelity():
     """Criterion 01: LIF hand traces and the ternary branch table."""
     def trace(p, drive, steps):
         """(spike, membrane) per step of one LIF neuron from rest, constant drive."""
-        st, got = NeuronState(), []
+        got, s, u = [], None, None
         for _ in range(steps):
-            s, st = lif_step(st, np.array(drive), p)
-            got.append((float(s), float(st.u)))
+            s, u = lif_step(u, s, np.array(drive), p)
+            got.append((float(s), float(u)))
         return got
 
     p = LifParams(beta=0.5, u_thr=1.0)
@@ -66,11 +66,10 @@ def check_neuron_fidelity():
     # ternary branch table on 21 membrane values; |U| <= amp stays silent
     tp = TernaryParams(amp=1.0)
     grid = np.linspace(-2.5, 2.5, 21)
-    spikes, st = ternary_step(NeuronState(u=np.zeros(21), s_prev=np.zeros(21)),
-                              grid, tp)
+    spikes, u = ternary_step(np.zeros(21), np.zeros(21), grid, tp)
     expect = np.where(grid > 1.0, 1.0, np.where(grid < -1.0, -1.0, 0.0))
     require(np.array_equal(spikes, expect), "ternary spikes: sign of U past +-amp")
-    require(np.array_equal(st.u, grid * (tp.amp - expect) + tp.u_reset * expect),
+    require(np.array_equal(u, grid * (tp.amp - expect) + tp.u_reset * expect),
             "ternary membranes: U (amp - S) + U_reset S")
     return ""
 

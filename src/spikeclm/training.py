@@ -61,7 +61,7 @@ class TrainConfig:
     spad: SpadConfig | None = None
 
     def validate(self) -> None:
-        require_finite_fields(self)
+        require_finite_fields(self, seeds=("seed",))
         if self.total_steps < 0:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
         if self.batch_size < 1 or self.grad_accum < 1:

@@ -159,6 +159,18 @@ class TestSfsaProperties:
         with pytest.raises(ValidationError, match="not a count of"):
             sfsa_forward(x + 0.1, random_weights(2), sn, sn, 1)
 
+    @pytest.mark.parametrize("mode", ["binary", "ternary"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused(self, mode, bad):
+        """A non-finite entry anywhere in the stack is refused, and named as
+        such before any count rule sees it."""
+        sn = NeuronSpec(mode=mode)
+        x = np.ones((2, 1, 2, 2))
+        x[1, 0, 1, 0] = bad
+        with pytest.raises(ValidationError,
+                           match="^sfsa_forward: input contains non-finite values$"):
+            sfsa_forward(x, identity_weights(2), sn, sn, 1)
+
     @pytest.mark.parametrize("bad,message", [
         ({"w_q": (4, 3)}, "w_q must be [4, 4], got [4, 3]"),
         ({"b_out": (3,)}, "b_out must be [4], got [3]"),

@@ -533,17 +533,29 @@ class TestErrorPaths:
             assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["model.vocab_size=100000000000000000000000",
-                                         "model.max_seq_len=100000000000000000000"])
+                                         "model.max_seq_len=100000000000000000000",
+                                         "train.batch_size=100000000000000000000",
+                                         "model.d_ff=100000000000000000000",
+                                         "model.t_steps=100000000000000000000"])
     def test_integer_past_int64_is_one_error_line(self, setting, tmp_path, corpus_file,
                                                    capsys):
-        """An integer setting numpy cannot hold fails, before any allocation,
-        as the shape of the first tensor init_params draws."""
+        """An integer setting that int64 cannot hold is refused by config
+        validation, before any allocation, with its name and value."""
         out = tmp_path / "x.ckpt"
         assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "1",
+                       "--set", "model.d_model=8", "--set", "model.n_heads=2",
                        "--set", setting) == 2
-        assert capsys.readouterr() == (
-            "", "error: overflow: Python int too large to convert to C long\n")
+        name, value = setting.split(".")[1].split("=")
+        assert capsys.readouterr() == ("", f"error: {name} must fit in int64, got {value}\n")
         assert not out.exists()
+
+    def test_seed_past_int64_still_runs(self, tmp_path, corpus_file):
+        """Rng masks a seed to 64 bits, so seeds keep their range."""
+        out = tmp_path / "x.ckpt"
+        assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps", "1",
+                       "--set", "model.d_model=8", "--set", "model.n_heads=2",
+                       "--set", "model.n_layers=1", "--seed", "18446744073709551615") == 0
+        assert out.exists()
 
     def test_unknown_arch_is_one_error_line(self, tmp_path, corpus_file, capsys):
         cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
@@ -754,7 +766,7 @@ class TestErrorPaths:
         """python -O strips bare asserts; the checks must still fail."""
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selftest.__file__)))
         code = ("import sys; from spikeclm import selftest; "
-                "selftest.lif_step = lambda state, current, p: (1.0, state); "
+                "selftest.lif_step = lambda u, s, current, p: (1.0, current); "
                 "selftest.CHECKS = [('criterion-01', selftest.check_neuron_fidelity)]; "
                 "from spikeclm.cli import main; sys.exit(main(['selftest']))")
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, text=True,

@@ -14,8 +14,7 @@ from spikeclm.attention import ATTN_NAMES
 from spikeclm.model import (FFN_NAMES, DecodeCache, ModelConfig, ann_forward, arch_of,
                             decode_logits, generate, init_params, load_model, read_checkpoint,
                             save_model, snn_forward, time_mean, write_checkpoint)
-from spikeclm.neurons import (LifParams, NeuronSpec, NeuronState, TernaryParams, lif_step,
-                              ternary_step)
+from spikeclm.neurons import LifParams, NeuronSpec, TernaryParams, lif_step, ternary_step
 
 from reference import gather_last
 
@@ -573,9 +572,9 @@ def per_step_snn_forward(tokens, cfg, params, collect=True):
     """The spiking model run one time step at a time: the untaped oracle.
 
     Each step's spikes pass through every block before the next step
-    starts, and every neuron population carries its NeuronState across
-    steps. Returns (logits, TraceBundle) with each population's steps
-    stacked under the name snn_forward records it by.
+    starts, and every neuron population carries its membrane and last
+    spikes across steps. Returns (logits, TraceBundle) with each
+    population's steps stacked under the name snn_forward records it by.
     """
     ids = np.asarray(tokens)
     squeeze = ids.ndim == 1
@@ -590,11 +589,12 @@ def per_step_snn_forward(tokens, cfg, params, collect=True):
 
     def fire(name, current):
         sn = cfg.attn_spec() if name.endswith(".attn") else cfg.neuron_spec()
-        state = states.get(name, NeuronState())
+        u, s = states.get(name, (None, None))
         if sn.mode == "binary":
-            s, states[name] = lif_step(state, current, sn.lif, sn.relaxed)
+            s, u = lif_step(u, s, current, sn.lif, sn.relaxed)
         else:
-            s, states[name] = ternary_step(state, current, sn.ternary, sn.relaxed)
+            s, u = ternary_step(u, s, current, sn.ternary, sn.relaxed)
+        states[name] = u, s
         return record(name, s)
 
     def split(x):

@@ -9,25 +9,27 @@ import pytest
 from spikeclm import autodiff as ad
 from spikeclm import attention, neurons, numerics
 from spikeclm.errors import ConfigError, ShapeError, ValidationError
-from spikeclm.neurons import LifParams, NeuronSpec, NeuronState, TernaryParams
+from spikeclm.neurons import LifParams, NeuronSpec, TernaryParams
+
+from reference import same_bits
 
 
 class TestLifHandTraces:
     def test_single_strong_input_spikes(self):
         """I=2.0 from rest: U=2.0 >= 1.0, so the neuron fires."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        s, st = neurons.lif_step(NeuronState(), np.asarray(2.0), p)
+        s, u = neurons.lif_step(None, None, np.asarray(2.0), p)
         assert float(s) == 1.0
-        assert float(st.u) == 2.0
+        assert float(u) == 2.0
 
     def test_no_decay_half_drive_alternates(self):
         """beta=1, I=0.5: membrane 0.5, 1.0, 0.5, 1.0; spikes 0,1,0,1."""
         p = LifParams(beta=1.0, u_thr=1.0)
-        state = NeuronState()
+        s = u = None
         us, ss = [], []
         for _ in range(4):
-            s, state = neurons.lif_step(state, np.asarray(0.5), p)
-            us.append(float(state.u))
+            s, u = neurons.lif_step(u, s, np.asarray(0.5), p)
+            us.append(float(u))
             ss.append(float(s))
         assert us == [0.5, 1.0, 0.5, 1.0]
         assert ss == [0.0, 1.0, 0.0, 1.0]
@@ -35,23 +37,23 @@ class TestLifHandTraces:
     def test_leaky_unit_drive_membrane_trace(self):
         """beta=0.5, I=1.0: membranes 1.0, 0.5, 1.25, 0.625; rate 1/2."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        state = NeuronState()
+        s = u = None
         us = []
         for _ in range(4):
-            s, state = neurons.lif_step(state, np.asarray(1.0), p)
-            us.append(float(state.u))
+            s, u = neurons.lif_step(u, s, np.asarray(1.0), p)
+            us.append(float(u))
         np.testing.assert_allclose(us, [1.0, 0.5, 1.25, 0.625])
         assert neurons.empirical_rate(1.0, 4, p) == 0.5
 
     def test_subthreshold_decay(self):
         """One weak kick then silence: membrane halves each step, no spikes."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        state = NeuronState()
+        s = u = None
         drives = [0.8, 0.0, 0.0]
         us, ss = [], []
         for d in drives:
-            s, state = neurons.lif_step(state, np.asarray(d), p)
-            us.append(float(state.u))
+            s, u = neurons.lif_step(u, s, np.asarray(d), p)
+            us.append(float(u))
             ss.append(float(s))
         np.testing.assert_allclose(us, [0.8, 0.4, 0.2])
         assert ss == [0.0, 0.0, 0.0]
@@ -59,9 +61,9 @@ class TestLifHandTraces:
     def test_outputs_exactly_binary(self):
         p = LifParams()
         rng = np.random.default_rng(42)
-        state = NeuronState()
+        s = u = None
         for _ in range(10):
-            s, state = neurons.lif_step(state, rng.normal(size=(4, 5)) * 3, p)
+            s, u = neurons.lif_step(u, s, rng.normal(size=(4, 5)) * 3, p)
             assert set(np.unique(s)) <= {0.0, 1.0}
 
 
@@ -114,48 +116,48 @@ class TestTernary:
     def test_positive_spike_resets(self):
         """U=2, amp=1, reset=0: S=+1 and membrane rescales to 0."""
         p = TernaryParams(amp=1.0, u_reset=0.0)
-        s, st = neurons.ternary_step(NeuronState(), np.asarray(2.0), p)
+        s, u = neurons.ternary_step(None, None, np.asarray(2.0), p)
         assert float(s) == 1.0
-        assert float(st.u) == 0.0
+        assert float(u) == 0.0
 
     def test_three_levels(self):
         p = TernaryParams(amp=1.0)
         u = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        s, _ = neurons.ternary_step(NeuronState(), u, p)
+        s, _ = neurons.ternary_step(None, None, u, p)
         np.testing.assert_array_equal(s, [-1.0, 0.0, 0.0, 0.0, 1.0])
 
     def test_amplitude_scales_output(self):
         p = TernaryParams(amp=0.5)
-        s, st = neurons.ternary_step(NeuronState(), np.asarray(3.0), p)
+        s, u = neurons.ternary_step(None, None, np.asarray(3.0), p)
         assert float(s) == 0.5
         # U <- U*(amp - S) + 0 = 3 * 0 = 0
-        assert float(st.u) == 0.0
+        assert float(u) == 0.0
 
     def test_silent_band_keeps_membrane(self):
         """|U| <= amp emits nothing and the membrane scales by amp."""
         p = TernaryParams(amp=1.0)
-        s, st = neurons.ternary_step(NeuronState(), np.asarray(0.6), p)
+        s, u = neurons.ternary_step(None, None, np.asarray(0.6), p)
         assert float(s) == 0.0
-        assert float(st.u) == pytest.approx(0.6)
+        assert float(u) == pytest.approx(0.6)
 
     def test_reset_blend(self):
         p = TernaryParams(amp=1.0, u_reset=0.25)
-        _, st = neurons.ternary_step(NeuronState(), np.asarray(2.0), p)
-        assert float(st.u) == pytest.approx(0.25)
+        _, u = neurons.ternary_step(None, None, np.asarray(2.0), p)
+        assert float(u) == pytest.approx(0.25)
 
     def test_outputs_in_three_point_set(self):
         p = TernaryParams(amp=1.0)
         rng = np.random.default_rng(1)
-        state = NeuronState()
+        s = u = None
         for _ in range(8):
-            s, state = neurons.ternary_step(state, rng.normal(size=(3, 3)) * 2, p)
+            s, u = neurons.ternary_step(u, s, rng.normal(size=(3, 3)) * 2, p)
             assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}
 
 
 class TestRelaxedModeAndGradients:
     def test_relaxed_forward_is_surrogate(self):
         p = LifParams(beta=0.5, u_thr=1.0, surrogate_alpha=2.0)
-        s, _ = neurons.lif_step(NeuronState(), np.asarray(2.0), p, relaxed=True)
+        s, _ = neurons.lif_step(None, None, np.asarray(2.0), p, relaxed=True)
         np.testing.assert_allclose(float(s), neurons.surrogate_forward(1.0, 2.0))
 
     def test_untaped_spikes_match_taped(self):
@@ -164,16 +166,17 @@ class TestRelaxedModeAndGradients:
         for step, spec in ((neurons.lif_step, NeuronSpec("binary")),
                            (neurons.ternary_step, NeuronSpec("ternary"))):
             p = spec.lif if spec.mode == "binary" else spec.ternary
-            s, _ = step(NeuronState(), u, p)
+            s, _ = step(None, None, u, p)
             sv = spec.run(ad.Var(u[None].copy()))
             assert type(s) is np.ndarray
             assert ad.is_var(sv)
             np.testing.assert_array_equal(s, sv.data[0])
 
 
-def generic_lif_step(state, input_current, p, relaxed=False):
+def generic_lif_step(u, s_prev, input_current, p, relaxed=False):
     """lif_step as generic tape ops with a surrogate spike node: the reference."""
-    u = input_current + p.beta * state.u - state.s_prev * p.u_thr
+    u, s_prev = (0.0 if a is None else a for a in (u, s_prev))  # rest: float zeros
+    u = input_current + p.beta * u - s_prev * p.u_thr
     ud = ad.value(u)
     local = neurons.surrogate_grad(ud - p.u_thr, p.surrogate_alpha)
     if relaxed:
@@ -181,12 +184,12 @@ def generic_lif_step(state, input_current, p, relaxed=False):
     else:
         spikes = (ud >= p.u_thr).astype(np.float64)
     s = ad.custom_op(spikes, (u, lambda g: g * local))
-    return s, NeuronState(u=u, s_prev=s)
+    return s, u
 
 
-def generic_ternary_step(state, input_current, p, relaxed=False):
+def generic_ternary_step(u, s_prev, input_current, p, relaxed=False):
     """ternary_step as generic tape ops; the spike slope sums both band edges."""
-    u = input_current + state.u
+    u = input_current + (0.0 if u is None else u)
     ud = ad.value(u)
     local = p.amp * (neurons.surrogate_grad(ud - p.amp, p.surrogate_alpha)
                      + neurons.surrogate_grad(ud + p.amp, p.surrogate_alpha))
@@ -196,8 +199,7 @@ def generic_ternary_step(state, input_current, p, relaxed=False):
     else:
         spikes = ((ud > p.amp).astype(np.float64) - (ud < -p.amp)) * p.amp
     s = ad.custom_op(spikes, (u, lambda g: g * local))
-    u_next = u * (p.amp - s) + p.u_reset * s
-    return s, NeuronState(u=u_next, s_prev=s)
+    return s, u * (p.amp - s) + p.u_reset * s
 
 
 CHAIN_INPUTS = (np.array([0.9, 1.6, -0.4, 2.5, -1.3]),
@@ -206,7 +208,7 @@ CHAIN_INPUTS = (np.array([0.9, 1.6, -0.4, 2.5, -1.3]),
 
 
 def run_chain(step, p, relaxed, taped):
-    """Three steps from the fresh 0.0 state; the inputs at `taped` are Vars.
+    """Three steps from rest; the inputs at `taped` are Vars.
 
     Returns the taped inputs and every step's spikes and membrane. When an
     input is taped, a loss that weights each output is run backward.
@@ -214,11 +216,12 @@ def run_chain(step, p, relaxed, taped):
     w = np.array([0.5, -1.0, 2.0, 0.25, -1.5])
     inputs = [ad.Var(x.copy()) if t in taped else x.copy()
               for t, x in enumerate(CHAIN_INPUTS)]
-    state, loss, outs = NeuronState(), 0.0, []
+    s = u = None
+    loss, outs = 0.0, []
     for t, x in enumerate(inputs):
-        s, state = step(state, x, p, relaxed)
-        outs += [s, state.u]
-        loss = loss + (s * w).sum() * (t + 1.0) + (state.u * w).sum()
+        s, u = step(u, s, x, p, relaxed)
+        outs += [s, u]
+        loss = loss + (s * w).sum() * (t + 1.0) + (u * w).sum()
     if taped:
         loss.backward()
     return [x for x in inputs if ad.is_var(x)], outs
@@ -253,16 +256,10 @@ class TestFusedSteps:
             assert np.any(v.grad != 0.0)
 
 
-def assert_same_bits(got, want):
-    """Equal float64 bit patterns: -0.0 differs from 0.0 here."""
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 class TestRestStep:
-    """A step from NeuronState() skips the decay and reset terms of the
-    carried zeros; it must still give what the full expressions give."""
+    """A step from rest (None) skips the decay and reset terms of the
+    carried zeros; it must still give what the full expressions give, bit
+    for bit (same_bits tells -0.0 from 0.0)."""
 
     INPUTS = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, -0.7, 2.5, 0.9999999999999999, 1e6])
 
@@ -274,24 +271,27 @@ class TestRestStep:
         (neurons.ternary_step, generic_ternary_step, TernaryParams(amp=0.5, u_reset=-0.3)),
     ])
     def test_rest_step_bit_identical_to_generic(self, fused, generic, p, relaxed):
-        s, state = fused(NeuronState(), self.INPUTS.copy(), p, relaxed)
-        want_s, want_state = generic(NeuronState(), self.INPUTS.copy(), p, relaxed)
-        assert_same_bits(s, ad.value(want_s))
-        assert_same_bits(state.u, ad.value(want_state.u))
+        s, u = fused(None, None, self.INPUTS.copy(), p, relaxed)
+        want_s, want_u = generic(None, None, self.INPUTS.copy(), p, relaxed)
+        assert same_bits(s, want_s)
+        assert same_bits(u, want_u)
 
     def test_rest_membrane_drops_the_sign_of_zero(self):
         """-0.0 + beta * 0 - 0 * U_thr is +0.0, and so is the rest step's -0.0 + 0.0."""
-        _, state = neurons.lif_step(NeuronState(), np.array([-0.0]), LifParams())
-        assert not np.signbit(state.u[0])
+        _, u = neurons.lif_step(None, None, np.array([-0.0]), LifParams())
+        assert not np.signbit(u[0])
 
     def test_carried_zero_arrays_take_the_full_update(self):
         """Zeros held in arrays are a state like any other, with the same result."""
         p = LifParams(beta=0.5, u_thr=1.0)
-        zeros = NeuronState(np.zeros(len(self.INPUTS)), np.zeros(len(self.INPUTS)))
-        s, state = neurons.lif_step(zeros, self.INPUTS.copy(), p)
-        want_s, want_state = neurons.lif_step(NeuronState(), self.INPUTS.copy(), p)
-        assert_same_bits(s, want_s)
-        assert_same_bits(state.u, want_state.u)
+        zeros = np.zeros(len(self.INPUTS))
+        s, u = neurons.lif_step(zeros, zeros.copy(), self.INPUTS.copy(), p)
+        want_s, want_u = generic_lif_step(zeros, zeros, self.INPUTS.copy(), p)
+        assert same_bits(s, want_s)
+        assert same_bits(u, want_u)
+        rest_s, rest_u = neurons.lif_step(None, None, self.INPUTS.copy(), p)
+        assert same_bits(s, rest_s)
+        assert same_bits(u, rest_u)
 
 
 def chained_reference(step, p, relaxed, currents, t_steps):
@@ -301,12 +301,13 @@ def chained_reference(step, p, relaxed, currents, t_steps):
     step reads its row through the tape. Returns the spike and membrane
     lists.
     """
-    state, spikes, membranes = NeuronState(), [], []
+    s = u = None
+    spikes, membranes = [], []
     for t in range(t_steps):
         row = currents[t if currents.shape[0] > 1 else 0]
-        s, state = step(state, row, p, relaxed)
+        s, u = step(u, s, row, p, relaxed)
         spikes.append(s)
-        membranes.append(state.u)
+        membranes.append(u)
     return spikes, membranes
 
 
@@ -344,10 +345,10 @@ class TestRunner:
         want_s, want_u = chained_reference(step, p, relaxed, x, t_steps)
         seen = []
 
-        def recording_step(state, current, *args):
-            s, new = step(state, current, *args)
-            seen.append(new.u.copy())  # an untaped run reuses one membrane buffer
-            return s, new
+        def recording_step(*args):
+            s, u = step(*args)
+            seen.append(u.copy())  # an untaped run reuses one membrane buffer
+            return s, u
         monkeypatch.setattr(neurons, step.__name__, recording_step)
         got = spec.run(x, t_steps)
         assert type(got) is np.ndarray and got.shape == (t_steps, 3, 4)
@@ -449,14 +450,12 @@ class TestRunner:
         stacks = t_steps * (2 if taped else 1)
         assert peak <= (stacks + 2) * row * 8 + 65536
 
-    @pytest.mark.parametrize("bptt,p,full", [
-        (neurons._lif_bptt, LifParams(), 1),
-        (neurons._ternary_bptt, TernaryParams(u_reset=0.25), 3),
-    ])
-    def test_backward_writes_in_place(self, bptt, p, full):
+    @pytest.mark.parametrize("mode,full", [("binary", 1), ("ternary", 3)])
+    def test_backward_writes_in_place(self, mode, full):
         """The backward's peak is its output, which first holds the surrogate
         slope, plus a few step rows, whatever T is. The ternary one also
-        rebuilds the pre-spike membranes and adds a second surrogate term."""
+        rebuilds the pre-spike membranes from the currents and adds a second
+        surrogate term; the LIF one reads the membranes alone."""
         t_steps, row = 8, 1 << 16
         rng = np.random.default_rng(3)
         g, currents, u = (rng.normal(size=(t_steps, row)) for _ in range(3))
@@ -464,7 +463,10 @@ class TestRunner:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            gi = bptt(g, currents, u, s, p)
+            if mode == "binary":
+                gi = neurons._lif_bptt(g, u, LifParams())
+            else:
+                gi = neurons._ternary_bptt(g, currents, u, s, TernaryParams(u_reset=0.25))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -520,8 +522,8 @@ class TestTakeOver:
         spec.run(leaf).backward(seed)
         current.backward(leaf.grad)
         assert np.count_nonzero(leaf.grad)
-        assert_same_bits(a.grad, ra.grad)
-        assert_same_bits(b.grad, rb.grad)
+        assert same_bits(a.grad, ra.grad)
+        assert same_bits(b.grad, rb.grad)
 
     def test_constant_drive_takes_over_its_producer(self):
         """A [1, ...] current held over t_steps gets its gradient summed over t."""
@@ -532,8 +534,8 @@ class TestTakeOver:
         NeuronSpec().run(leaf, 3).backward(seed)
         ra, rb = self.operands()
         (ra @ rb).backward(leaf.grad[0])
-        assert_same_bits(a.grad, ra.grad)
-        assert_same_bits(b.grad, rb.grad)
+        assert same_bits(a.grad, ra.grad)
+        assert same_bits(b.grad, rb.grad)
 
 
 class TestRatesAndTraces:
@@ -541,9 +543,9 @@ class TestRatesAndTraces:
         p = LifParams(beta=0.5, u_thr=1.0)
         a = np.array([[0.3, 1.0], [2.5, 0.9]])
         got = neurons.spike_encode(a, 6, p)
-        state = NeuronState()
+        s = u = None
         for t in range(6):
-            s, state = neurons.lif_step(state, a, p)
+            s, u = neurons.lif_step(u, s, a, p)
             np.testing.assert_array_equal(got[t], s)
 
     def test_rate_extremes(self):
