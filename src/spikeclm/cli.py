@@ -78,6 +78,12 @@ def apply_setting(rc: RunConfig, section: str, key: str, raw: str) -> None:
     obj = _sections(rc).get(section)
     if obj is None:
         raise ConfigError(f"unknown config section [{section}]")
+    if full == "train.grad_accum":  # retired; every snapshot written holds 1
+        value = parse_field(full, raw, int)
+        if value != 1:
+            raise ConfigError(f"train.grad_accum is retired and accepts only 1, got {value}; "
+                              f"set train.batch_size to the whole batch instead")
+        return
     if section == "spad" and key == "lambdas":
         parts = [p for p in raw.replace(",", " ").split() if p]
         obj.lambdas = tuple(parse_field(full, p, float) for p in parts)

@@ -88,33 +88,36 @@ class ModelConfig:
 # -- parameters ---------------------------------------------------------------
 
 
-def init_params(cfg: ModelConfig, seed: int, arch: str = "spiking") -> dict:
-    """Fresh parameter dict of the given family; "dense" adds LayerNorm tensors.
-
-    Weights and embeddings draw N(0, 0.02) from one splitmix64 stream in a
-    fixed order, a layer's in SUBLAYERS order; biases start at zero, norm gains at one.
-    """
-    cfg.validate()
+def param_shapes(cfg: ModelConfig, arch: str = "spiking") -> dict:
+    """Name -> shape of every tensor of the given family, in init_params'
+    order; "dense" adds LayerNorm gains (".g") and biases (".b")."""
     if arch not in ("spiking", "dense"):
         raise ConfigError(f"unknown model arch {arch!r}")
-    rng = Rng(seed)
     d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    shapes = {"attn": [(d, d), (d,)] * 4, "ffn": [(d, f), (f,), (f, d), (d,)]}
-    p: dict[str, np.ndarray] = {}
-    p["tok_emb"] = rng.normal((v, d), std=0.02)
-    p["pos_emb"] = rng.normal((cfg.max_seq_len, d), std=0.02)
+    sub_shapes = {"attn": [(d, d), (d,)] * 4, "ffn": [(d, f), (f,), (f, d), (d,)]}
+    norm = (".g", ".b") if arch == "dense" else ()  # LayerNorm gain, bias
+    shapes = {"tok_emb": (v, d), "pos_emb": (cfg.max_seq_len, d)}
     for i in range(cfg.n_layers):
         for sub, names in SUBLAYERS.items():
-            for name, shape in zip(names, shapes[sub], strict=True):
-                p[f"layers.{i}.{sub}.{name}"] = (rng.normal(shape, std=0.02) if len(shape) == 2
-                                                 else np.zeros(shape))
-        if arch == "dense":
-            for norm in ("ln1", "ln2"):
-                p[f"layers.{i}.{norm}.g"], p[f"layers.{i}.{norm}.b"] = np.ones(d), np.zeros(d)
-    if arch == "dense":
-        p["final_ln.g"], p["final_ln.b"] = np.ones(d), np.zeros(d)
-    p["head.w"] = rng.normal((d, v), std=0.02)
-    return p
+            shapes.update((f"layers.{i}.{sub}.{name}", shape)
+                          for name, shape in zip(names, sub_shapes[sub], strict=True))
+        shapes.update((f"layers.{i}.{ln}{x}", (d,)) for ln in ("ln1", "ln2") for x in norm)
+    shapes.update((f"final_ln{x}", (d,)) for x in norm)
+    shapes["head.w"] = (d, v)
+    return shapes
+
+
+def init_params(cfg: ModelConfig, seed: int, arch: str = "spiking") -> dict:
+    """Fresh parameter dict in param_shapes' layout and order.
+
+    Weights and embeddings (the 2-D tensors) draw N(0, 0.02) from one
+    splitmix64 stream in that order; biases start at zero, norm gains at one.
+    """
+    cfg.validate()
+    rng = Rng(seed)
+    return {name: (rng.normal(shape, std=0.02) if len(shape) == 2
+                   else np.ones(shape) if name.endswith(".g") else np.zeros(shape))
+            for name, shape in param_shapes(cfg, arch).items()}
 
 
 def arch_of(params: dict) -> str:
@@ -615,7 +618,7 @@ def save_model(path, cfg: ModelConfig, params: dict,
 def load_model(path):
     """Returns (cfg, params, extra_fields, opt_tensors).
 
-    The parameter tensors must match init_params for the stored config and
+    The parameter tensors must match param_shapes for the stored config and
     arch by name and shape, and every value must be finite. A file without
     an arch field is spiking; an arch other than "spiking" or "dense" is refused.
     opt_tensors holds the "opt." tensors of older checkpoints (their Adam
@@ -631,16 +634,16 @@ def load_model(path):
     arch = extra.get("arch", "spiking")
     if arch not in ("spiking", "dense"):
         raise ValidationError(f"{path}: unknown arch {arch!r}, expected 'spiking' or 'dense'")
-    expected = init_params(cfg, 0, arch)
+    expected = param_shapes(cfg, arch)
     for name in sorted(expected.keys() | params.keys()):
         if name not in params:
             raise ValidationError(f"{path}: {arch} checkpoint lacks tensor {name}")
         if name not in expected:
             raise ValidationError(f"{path}: unexpected tensor {name} in {arch} checkpoint")
-        if params[name].shape != expected[name].shape:
+        if params[name].shape != expected[name]:
             raise ValidationError(
                 f"{path}: tensor {name} has shape {params[name].shape}, "
-                f"expected {expected[name].shape}")
+                f"expected {expected[name]}")
         if not np.isfinite(params[name]).all():
             raise ValidationError(f"{path}: tensor {name} holds non-finite values")
     return cfg, params, extra, opt

@@ -19,9 +19,9 @@ header line and a column-name line; the columns are MetricsRow's fields:
   emb..hard  the lambda-weighted terms in LOSS_NAMES order, summing to loss
              (CE-only modes report hard = loss and the other four as 0)
   fire_rate  pooled firing rate of the blocks' residual inputs (0 if dense)
-Every column after lr is the mean over the step's micro-batches. Rows
-stream, flushed one per step, into a temporary file that replaces the
-metrics path once the run and its validation pass end without an error.
+Each step takes one batch, the next batch_size windows. Rows stream,
+flushed one per step, into a temporary file that replaces the metrics
+path once the run and its validation pass end without an error.
 """
 
 import ctypes
@@ -55,7 +55,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    grad_accum: int = 1
     seed: int = 0
     val_fraction: float = 0.1
     spad: SpadConfig | None = None
@@ -64,8 +63,8 @@ class TrainConfig:
         require_finite_fields(self, seeds=("seed",))
         if self.total_steps < 0:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
-        if self.batch_size < 1 or self.grad_accum < 1:
-            raise ConfigError("batch_size and grad_accum must be positive")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.seq_len < 1:
             raise ConfigError(f"seq_len must be positive, got {self.seq_len}")
         if self.lr_peak <= 0:
@@ -265,8 +264,8 @@ def evaluate_ce(cfg: ModelConfig, params: dict, windows, batch_size: int = 8) ->
 
 def _step_loss(mode, xb, yb, model_cfg, vparams, teacher_cfg, teacher_params,
                spad, lif):
-    """One micro-batch's taped loss and its record: every metrics column
-    after lr, by name."""
+    """One batch's taped loss and its record: every metrics column after lr,
+    by name."""
     if mode == "spad":
         # the teacher runs frozen on plain arrays, the student on the tape
         _, t_trace = ann_forward(xb, teacher_cfg, teacher_params)
@@ -357,27 +356,18 @@ def train_loop(cfg: TrainConfig, model_cfg: ModelConfig, corpus,
         fh.write(format_metrics([]))
         for step in range(cfg.total_steps):
             lr = lr_schedule(step + 1, cfg)
-            # one set of leaves per step: each micro-batch's backward adds
-            # its gradient into their .grad
             vparams = {k: ad.Var(p) for k, p in params.items()}
-            sums = dict.fromkeys(METRICS_COLUMNS[2:], 0.0)
+            xb, yb = data.batch_at(windows, step, cfg.batch_size)
             # an overflow shows once, as the non-finite loss or norm checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                for micro in range(cfg.grad_accum):
-                    xb, yb = data.batch_at(windows, step * cfg.grad_accum + micro,
-                                           cfg.batch_size)
-                    total, record = _step_loss(mode, xb, yb, model_cfg, vparams,
-                                               teacher_cfg, teacher_params, spad, lif)
-                    grads = bptt_backward(total, vparams)
-                    # release the tape, so the next forward builds its own in
-                    # the pages this one freed
-                    del total
-                    for k in sums:
-                        sums[k] += record[k]
-                inv = 1.0 / cfg.grad_accum
-                grads, norm = clip_gradients({k: g * inv for k, g in grads.items()},
-                                             cfg.grad_clip)
-            row = MetricsRow(step=step + 1, lr=lr, **{k: v * inv for k, v in sums.items()})
+                total, record = _step_loss(mode, xb, yb, model_cfg, vparams,
+                                           teacher_cfg, teacher_params, spad, lif)
+                grads = bptt_backward(total, vparams)
+                # release the tape, so the next forward builds its own in the
+                # pages this one freed
+                del total
+                grads, norm = clip_gradients(grads, cfg.grad_clip)
+            row = MetricsRow(step=step + 1, lr=lr, **record)
             loss = row.loss
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise EvaluationError(f"non-finite loss {loss} or gradient norm {norm} "

@@ -321,6 +321,38 @@ class TestTrainCommand:
         assert extra["trained_steps"] == "2"
 
 
+class TestRetiredGradAccum:
+    """train.grad_accum is gone: every snapshot written while it existed
+    holds 1, which still loads; any other value is refused."""
+
+    def test_snapshot_holding_one_replays(self, tmp_path, corpus_file):
+        out, metrics = tmp_path / "s.ckpt", tmp_path / "m.tsv"
+        assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--metrics",
+                       str(metrics), "--steps", "3", "--seq-len", "8", "--batch-size",
+                       "2", *MODEL_FLAGS) == 0
+        first = out.read_bytes(), metrics.read_bytes()
+        text = (tmp_path / "s.ckpt.config").read_text()
+        assert "grad_accum" not in text
+        # an older snapshot: the [train] line the field wrote, before seed
+        older = tmp_path / "older.config"
+        older.write_text(text.replace("\nseed = ", "\ngrad_accum = 1\nseed = ", 1))
+        assert older.read_text().count("grad_accum = 1\n") == 1
+        assert run_cli("train", "--config", str(older)) == 0
+        assert (out.read_bytes(), metrics.read_bytes()) == first
+
+    def test_other_values_are_one_error_line(self, tmp_path, corpus_file, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\ngrad_accum = 4\n")
+        out = tmp_path / "s.ckpt"
+        for source, value in ((["--set", "train.grad_accum=2"], 2), (["--config", str(ini)], 4)):
+            assert run_cli("train", "--corpus", corpus_file, "--out", str(out), "--steps",
+                           "1", "--seq-len", "8", *MODEL_FLAGS, *source) == 2
+            assert capsys.readouterr().err == (
+                f"error: train.grad_accum is retired and accepts only 1, got {value}; "
+                f"set train.batch_size to the whole batch instead\n")
+        assert not out.exists()
+
+
 class TestDistillCommand:
     def test_distill_requires_dense_teacher(self, tmp_path, corpus_file, capsys):
         student = str(tmp_path / "s.ckpt")

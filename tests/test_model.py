@@ -108,9 +108,10 @@ class TestParams:
     @pytest.mark.parametrize("arch", ["spiking", "dense"])
     def test_keys_follow_the_name_lists_in_draw_order(self, arch):
         """Each layer holds its attention tensors under ATTN_NAMES, then its FFN
-        tensors under FFN_NAMES, then the dense model's LayerNorms; every
-        weight is the next N(0, 0.02) draw of the seed's stream, in that order,
-        and the slicer hands back the same tensor objects."""
+        tensors under FFN_NAMES, then the dense model's LayerNorms, as
+        param_shapes lists them; every weight is the next N(0, 0.02) draw of
+        the seed's stream, in that order, and the slicer hands back the same
+        tensor objects."""
         cfg = tiny_cfg()
         p = init_params(cfg, seed=4, arch=arch)
         norms = ["ln1.g", "ln1.b", "ln2.g", "ln2.b"] if arch == "dense" else []
@@ -121,6 +122,8 @@ class TestParams:
             want += [f"layers.{i}.{name}" for name in norms]
         want += ["final_ln.g", "final_ln.b"] if arch == "dense" else []
         assert list(p) == want + ["head.w"]
+        assert list(model.param_shapes(cfg, arch).items()) == [
+            (name, t.shape) for name, t in p.items()]
         rng = numerics.Rng(4)
         for t in p.values():
             if t.ndim == 2:
@@ -847,6 +850,18 @@ class TestCheckpoint:
             save_model(path, cfg, params)
             with pytest.raises(ValidationError, match=name):
                 load_model(path)
+
+    @pytest.mark.parametrize("arch", ["spiking", "dense"])
+    def test_loading_draws_no_weights(self, arch, tmp_path, monkeypatch):
+        """load_model checks the layout against the shape table alone."""
+        cfg = tiny_cfg()
+        save_model(tmp_path / "m.ckpt", cfg, init_params(cfg, seed=1, arch=arch))
+
+        def refuse(*args, **kw):
+            raise AssertionError("load_model drew weights")
+        monkeypatch.setattr(numerics.Rng, "normal", refuse)
+        _, params, _, _ = load_model(tmp_path / "m.ckpt")
+        assert arch_of(params) == arch
 
     def test_roundtrip_through_forward(self, tmp_path):
         """Loaded model reproduces the saved model's logits exactly."""

@@ -27,8 +27,7 @@ class TestTrainConfig:
     def test_rejections(self):
         bad = [dict(total_steps=-1), dict(batch_size=0), dict(seq_len=0),
                dict(lr_peak=0.0), dict(warmup_ratio=1.0), dict(grad_clip=0.0),
-               dict(adam_beta1=1.0), dict(adam_eps=0.0), dict(val_fraction=-0.1),
-               dict(grad_accum=0)]
+               dict(adam_beta1=1.0), dict(adam_eps=0.0), dict(val_fraction=-0.1)]
         for kw in bad:
             with pytest.raises(ConfigError):
                 TrainConfig(**kw).validate()
@@ -263,57 +262,36 @@ class TestTrainLoop:
         assert res.metrics[0].fire_rate == 0.0
         assert res.metrics[-1].loss < np.log(256)
 
-    def test_grad_accum_matches_larger_batch(self):
+    def test_each_step_is_one_batch(self, monkeypatch):
+        """Step s reads batch s of batch_size windows through one forward and
+        one backward, whose gradient is clipped and applied unscaled."""
         corpus = data.encode("the quick brown fox jumps over the lazy dog " * 8)
-        big = TrainConfig(total_steps=2, batch_size=4, seq_len=8, grad_accum=1,
-                          seed=2, val_fraction=0.0)
-        split = TrainConfig(total_steps=2, batch_size=2, seq_len=8, grad_accum=2,
-                            seed=2, val_fraction=0.0)
-        a = train_loop(big, tiny_model(), corpus)
-        b = train_loop(split, tiny_model(), corpus)
-        for k in a.params:
-            np.testing.assert_allclose(a.params[k], b.params[k], atol=1e-12)
-
-    def test_grad_accum_step_is_the_mean_micro_batch_gradient(self):
-        """The micro-batches' gradients add up on one set of leaves exactly as
-        two backward passes over fresh leaves do; one clip and one update follow."""
-        corpus = data.encode("the quick brown fox jumps over the lazy dog " * 8)
-        cfg = TrainConfig(total_steps=1, batch_size=2, seq_len=8, grad_accum=2,
-                          seed=2, val_fraction=0.0)
-        m_cfg = tiny_model()
-        params = init_params(m_cfg, cfg.seed)
+        cfg = TrainConfig(total_steps=2, batch_size=2, seq_len=8, seed=2,
+                          val_fraction=0.0)
+        m_cfg = tiny_model(u_thr=0.03, attn_thr=0.03)  # low enough to fire
         windows = data.make_windows(corpus, cfg.seq_len)
-        g = []
-        for micro in range(2):
-            xb, yb = data.batch_at(windows, micro, cfg.batch_size)
-            vparams = {k: ad.Var(p) for k, p in params.items()}
+        start = want = init_params(m_cfg, cfg.seed)
+        opt = init_adam(want)
+        for step in range(cfg.total_steps):
+            xb, yb = data.batch_at(windows, step, cfg.batch_size)
+            vparams = {k: ad.Var(p) for k, p in want.items()}
             logits, _ = snn_forward(xb, m_cfg, vparams)
             loss = loss_hard(logits.reshape((-1, logits.shape[-1])), yb.reshape(-1))
-            g.append(bptt_backward(loss, vparams))
-        grads, _ = clip_gradients({k: (g[0][k] + g[1][k]) * 0.5 for k in params},
-                                  cfg.grad_clip)
-        want = adam_step(params, grads, init_adam(params), lr_schedule(1, cfg), cfg)
+            grads, _ = clip_gradients(bptt_backward(loss, vparams), cfg.grad_clip)
+            want = adam_step(want, grads, opt, lr_schedule(step + 1, cfg), cfg)
+        assert not np.array_equal(want["head.w"], start["head.w"])
         got = train_loop(cfg, m_cfg, corpus).params
         for k in want:
             assert np.array_equal(got[k], want[k]), k
 
-    def test_grad_accum_fire_rate_is_the_micro_batch_mean(self, monkeypatch):
-        rates = []
-        forward = training.snn_forward
-
-        def recording(*args, **kwargs):
-            logits, trace = forward(*args, **kwargs)
-            rates.append(trace.mean_firing_rate())
-            return logits, trace
-        monkeypatch.setattr(training, "snn_forward", recording)
-        corpus = data.encode("the quick brown fox jumps over the lazy dog " * 8)
-        cfg = TrainConfig(total_steps=1, batch_size=2, seq_len=8, grad_accum=2,
-                          val_fraction=0.0)
-        # thresholds low enough that the residual inputs fire
-        m_cfg = tiny_model(u_thr=0.03, attn_thr=0.03)
-        (row,) = train_loop(cfg, m_cfg, corpus).metrics
-        assert len(rates) == 2 and rates[0] != rates[1]
-        assert row.fire_rate == (rates[0] + rates[1]) / 2
+        order = []
+        batch_at, backward = data.batch_at, training.bptt_backward
+        monkeypatch.setattr(data, "batch_at",
+                            lambda w, i, b: order.append(i) or batch_at(w, i, b))
+        monkeypatch.setattr(training, "bptt_backward",
+                            lambda *a: order.append("backward") or backward(*a))
+        train_loop(dataclasses.replace(cfg, total_steps=3), m_cfg, corpus)
+        assert order == [0, "backward", 1, "backward", 2, "backward"]
 
     def test_one_tape_alive_per_step(self):
         """Each step's tape is released once its backward has run, so three

@@ -86,12 +86,16 @@ def fingerprint(out: Path) -> dict:
     if any(out.iterdir()):
         raise SystemExit(f"fingerprint: {out} is not empty")
     (out / "corpus.txt").write_text(CORPUS, encoding="utf-8")
-    with contextlib.chdir(out):
+    home = os.getcwd()
+    os.chdir(out)  # contextlib.chdir needs Python 3.11
+    try:
         for argv in commands():
             run(argv)
         first = digests(out)
         for argv in commands():
             run([argv[0], "--config", argv[argv.index("--out") + 1] + ".config"])
+    finally:
+        os.chdir(home)
     again = digests(out)
     for name, digest in first.items():
         if again.get(name) != digest:
